@@ -10,11 +10,19 @@ V = s*G + a*N with G standard normal and N from a ``NoiseModel``:
   function collapses to this form)
 
 For Gaussian noise V is normal and every value has a closed form through
-the normal cdf.  For the scale mixture we condition on N = x (the inner
-Gaussian integral stays closed-form), integrate x over the Student-t
-density with panelled Gauss-Legendre on a kink-aware grid, and add the
-polynomial tail analytically via Student-t partial moments.  Monte Carlo
-is never used; results are deterministic to ~abs_tol.
+the normal cdf.  The scale mixture is N = sqrt(tau) * Z with
+tau = d / chi^2_d, so given tau, V is normal with sd sqrt(s^2 + a^2 tau)
+and each functional is the zero-mean Gaussian closed form averaged over
+tau.  That average is one fixed trapezoid rule in x = log chi^2_d, cached
+per (dof, abs_tol); the integrand is smooth in x, so the rule converges
+exponentially (Trefethen & Weideman, SIAM Rev. 2014).  The part of E tau
+that the truncated rule misses is added back analytically, which keeps
+the node count bounded as dof -> 2+.  Monte Carlo is never used; results
+are deterministic to ~abs_tol.
+
+The cross-check ``e_hinge_sq_quad2d`` integrates instead over N = x with
+panelled Gauss-Legendre on a kink-aware grid plus analytic Student-t
+tails; it shares no code with the production mixture rule.
 
 Also included: exact values of two small deterministic maximizations used
 as numeric oracles elsewhere (sphere-constrained and box-constrained
@@ -42,14 +50,13 @@ _ZTAIL = 16.0  # conditional == asymptote to ~exp(-128) past this many sigmas
 class QuadratureSpec:
     """Node counts and accuracy target for the expectation integrals.
 
-    gauss_nodes_G: Gauss-Legendre nodes per panel in the G direction
-        (only exercised by the all-numeric cross-check path; the
-        production path integrates G in closed form).
-    mixture_nodes: nodes per panel for the noise-direction integral.
-    abs_tol: target absolute accuracy; doubling node counts must move
-        results by less than this.
-    split_points: extra user split locations merged into the noise-axis
-        panel grid (kinks are located automatically).
+    abs_tol: target absolute accuracy of the production scale-mixture
+        rule; it sets how far into the heavy tail of the mixing variable
+        the rule reaches.
+    gauss_nodes_G, mixture_nodes, split_points: Gauss-Legendre nodes per
+        panel in the G and noise directions, and extra noise-axis panel
+        split locations (kinks are located automatically).  They drive
+        only the all-numeric cross-check ``e_hinge_sq_quad2d``.
     """
 
     gauss_nodes_G: int = 64
@@ -145,7 +152,68 @@ def gauss_hinge_huber(mu, s, c, k):
 
 
 # ---------------------------------------------------------------------------
-# Student-t partial moments and the half-line panel quadrature.
+# Scale mixture: one trapezoid rule over the mixing variable.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _MixingRule:
+    """Nodes tau_j and weights w_j with sum_j w_j f(tau_j) ~ E f(tau).
+
+    miss1 = d/(d-2) - sum w tau is the part of E tau that the truncated
+    rule misses.
+    """
+
+    tau: np.ndarray
+    w: np.ndarray
+    miss1: float
+
+
+@lru_cache(maxsize=64)
+def _mixing_rule(dof, abs_tol):
+    """Trapezoid rule in x = log chi^2_d for tau = d / chi^2_d.
+
+    As x -> -inf (tau -> inf) the hinge-square grows like
+    s^2 + a^2 tau + O(sqrt(tau)) and the hinge and Huber functionals like
+    sqrt(tau); ``hinge_sq_mean`` restores the a^2 tau part exactly through
+    miss1.  What is left decays against the density like exp((d-1)/2 x),
+    and x_lo puts that tail below abs_tol * 1e-4, so the node count stays
+    bounded as dof -> 2+.  Outside [log(d - 12 sqrt(2d)),
+    log(d + 12 sqrt(2d) + 80)], chi^2_d has mass < exp(-40) (Laurent &
+    Massart 2000), and the step resolves the bulk, whose width in x is
+    ~ sqrt(2/d).  The weights are normalised to sum 1: the mass outside the
+    rule is below abs_tol * 1e-4, while the rounding of the log-density
+    grows like 1e-16 * d log d.
+    """
+    d = float(dof)
+    x_lo = math.log(abs_tol * 1e-4) / (0.5 * (d - 1.0))
+    u_lo = d - 12.0 * math.sqrt(2.0 * d)
+    if u_lo > 0.0:
+        x_lo = max(x_lo, math.log(u_lo))
+    x_hi = math.log(d + 12.0 * math.sqrt(2.0 * d) + 80.0)
+    h = 0.25 * min(1.0, math.sqrt(8.0 / d))
+    x = x_lo + h * np.arange(int(math.ceil((x_hi - x_lo) / h)) + 1)
+    w = np.exp(0.5 * d * (x - math.log(2.0)) - 0.5 * np.exp(x) - gammaln(0.5 * d))
+    w /= w.sum()
+    tau = d * np.exp(-x)
+    w.flags.writeable = tau.flags.writeable = False  # shared by every caller
+    return _MixingRule(tau, w, d / (d - 2.0) - float(w @ tau))
+
+
+def _gauss0_hinge_sq(sd, c):
+    """E (|sd*Z| - c)_+^2 elementwise for Z ~ N(0, 1), sd > 0."""
+    z = c / sd
+    return 2.0 * ((sd * sd + c * c) * ndtr(-z) - sd * c * _phi(z))
+
+
+def _gauss0_hinge_abs(sd, c):
+    """E (|sd*Z| - c)_+ elementwise for Z ~ N(0, 1), sd > 0."""
+    z = c / sd
+    return 2.0 * (sd * _phi(z) - c * ndtr(-z))
+
+
+# ---------------------------------------------------------------------------
+# Student-t partial moments and the half-line panel quadrature (used only by
+# the all-numeric cross-check path).
 # ---------------------------------------------------------------------------
 
 def _student_norm_const(d):
@@ -255,12 +323,9 @@ def hinge_sq_mean(s, a, c, noise, quad=DEFAULT_QUAD):
         return float(gauss_hinge_sq(0.0, math.hypot(s, a), c))
     if a == 0.0:
         return float(gauss_hinge_sq(0.0, s, c))
-    x_cut = (c + _ZTAIL * s) / a
-    tail = (s * s + c * c, -2.0 * a * c, a * a)
-    return _mixture_expect(
-        lambda x: gauss_hinge_sq(a * x, s, c), noise, x_cut,
-        landmarks=(c / a,), width=s / a, tail_coeffs=tail, quad=quad,
-    )
+    rule = _mixing_rule(noise.dof, quad.abs_tol)
+    sd = np.sqrt(s * s + a * a * rule.tau)
+    return float(rule.w @ _gauss0_hinge_sq(sd, c)) + a * a * rule.miss1
 
 
 def e_hinge_sq(s, c, noise, quad=DEFAULT_QUAD):
@@ -276,12 +341,8 @@ def e_hinge_abs(s, c, noise, quad=DEFAULT_QUAD):
         raise ValueError("s, c must be nonnegative")
     if noise.is_gaussian:
         return float(gauss_hinge_abs(0.0, math.hypot(s, 1.0), c))
-    x_cut = c + _ZTAIL * s
-    tail = (-c, 1.0, 0.0)
-    return _mixture_expect(
-        lambda x: gauss_hinge_abs(x, s, c), noise, x_cut,
-        landmarks=(c,), width=s, tail_coeffs=tail, quad=quad,
-    )
+    rule = _mixing_rule(noise.dof, quad.abs_tol)
+    return float(rule.w @ _gauss0_hinge_abs(np.sqrt(s * s + rule.tau), c))
 
 
 def e_hinge_huber(s, c, k, noise, quad=DEFAULT_QUAD):
@@ -291,12 +352,10 @@ def e_hinge_huber(s, c, k, noise, quad=DEFAULT_QUAD):
         raise ValueError("s, c, k must be nonnegative")
     if noise.is_gaussian:
         return float(gauss_hinge_huber(0.0, math.hypot(s, 1.0), c, k))
-    x_cut = c + k + _ZTAIL * s
-    tail = (-k * c - 0.5 * k * k, k, 0.0)
-    return _mixture_expect(
-        lambda x: gauss_hinge_huber(x, s, c, k), noise, x_cut,
-        landmarks=(c, c + k), width=s, tail_coeffs=tail, quad=quad,
-    )
+    # rho_k(h) = h^2/2 - (h - k)_+^2/2; the s^2 + tau asymptotes cancel
+    rule = _mixing_rule(noise.dof, quad.abs_tol)
+    sd = np.sqrt(s * s + rule.tau)
+    return 0.5 * float(rule.w @ (_gauss0_hinge_sq(sd, c) - _gauss0_hinge_sq(sd, c + k)))
 
 
 def soft_expectation(g1, g2, chi, cost, thr, noise, quad=DEFAULT_QUAD):
@@ -305,8 +364,7 @@ def soft_expectation(g1, g2, chi, cost, thr, noise, quad=DEFAULT_QUAD):
     Equals E{ C[(h - C*g1/(2 chi)] 1{h chi > g1 C} + chi/(2 g1) h^2
     1{h chi <= g1 C} } with h = (|sqrt(g1^2+g2^2) G + N| - thr)_+, which
     collapses to (chi/g1) * E rho_k(h) for the Huber threshold
-    k = g1*C/chi.  The branch switch sits at |V| = thr + g1*C/chi, which
-    the noise-axis quadrature treats as a split point.
+    k = g1*C/chi.
     """
     if chi <= 0.0 or cost <= 0.0:
         raise ValueError("chi and cost must be positive")

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize
+from scipy.special import gammaln
 
 from svrisk import (
+    DEFAULT_QUAD,
     QuadratureSpec,
     boxed_max_chi_objective,
     boxed_max_value,
@@ -18,10 +20,12 @@ from svrisk import (
     e_hinge_sq_quad2d,
     hinge_sq_mean,
     lemma_max_value,
+    noise_pdf,
     scale_mixture,
     soft_expectation,
     standard_gaussian,
 )
+from svrisk.expectations import _mixing_rule, gauss_hinge_abs, gauss_hinge_huber, gauss_hinge_sq
 
 from tests_support import closed_form_hinge_sq
 
@@ -86,16 +90,6 @@ class TestHingeSquare:
             d2 = vals[:-2] - 2 * vals[1:-1] + vals[2:]
             assert np.all(d2 >= -1e-10)
 
-    def test_node_doubling_stability(self):
-        base = QuadratureSpec()
-        fine = QuadratureSpec(gauss_nodes_G=2 * base.gauss_nodes_G,
-                              mixture_nodes=2 * base.mixture_nodes)
-        for noise in (MIX3, MIX10):
-            for s, c in ((0.5, 0.3), (2.0, 1.0), (0.05, 2.0)):
-                a = e_hinge_sq(s, c, noise, base)
-                b = e_hinge_sq(s, c, noise, fine)
-                assert abs(a - b) < base.abs_tol
-
 
 class TestCrossCheckQuadrature:
     def test_2d_path_matches_closed_form(self):
@@ -106,10 +100,105 @@ class TestCrossCheckQuadrature:
                 assert got == pytest.approx(want, abs=1e-9)
 
     def test_2d_path_matches_mixture_production(self):
-        for s, c in ((0.5, 0.4), (1.5, 1.0)):
-            a = e_hinge_sq(s, c, MIX3)
-            b = e_hinge_sq_quad2d(s, c, MIX3)
-            assert a == pytest.approx(b, abs=1e-8)
+        for noise in (MIX3, MIX10):
+            for s, c in ((0.5, 0.4), (1.5, 1.0), (0.05, 2.0)):
+                a = e_hinge_sq(s, c, noise)
+                b = e_hinge_sq_quad2d(s, c, noise)
+                assert a == pytest.approx(b, abs=1e-8)
+
+
+def _student_abs_mean(d):
+    # E|N| for the Student-t with d degrees of freedom
+    return 2.0 * math.sqrt(d) * math.exp(gammaln((d + 1) / 2) - gammaln(d / 2)) / (
+        math.sqrt(math.pi) * (d - 1.0))
+
+
+def _mixture_oracle(cond, poly, d, kinks, x_max):
+    """E cond(N) for even cond, by conditioning on N = x.
+
+    cond - poly -> 0 past x_max, with poly = (q0, q1, q2) the polynomial
+    asymptote of cond; poly's part is integrated through the exact moments
+    E|N| and E N^2 = d/(d-2), the rest by adaptive quadrature on [0, x_max]
+    split at the kinks.
+    """
+    q0, q1, q2 = poly
+    noise = scale_mixture(d)
+
+    def integrand(x):
+        return (float(cond(x)) - (q0 + q1 * x + q2 * x * x)) * noise_pdf(noise, x)
+
+    pts = [p for p in kinks if 0.0 < p < x_max]
+    body, _ = quad(integrand, 0.0, x_max, points=pts or None, limit=400,
+                   epsabs=1e-13, epsrel=1e-13)
+    return 2.0 * body + q0 + q1 * _student_abs_mean(d) + q2 * d / (d - 2.0)
+
+
+def oracle_hinge_sq_mean(s, a, c, d):
+    return _mixture_oracle(lambda x: gauss_hinge_sq(a * x, s, c),
+                           (s * s + c * c, -2.0 * a * c, a * a), d,
+                           (c / a,), (c + 40.0 * s) / a + 1.0)
+
+
+def oracle_hinge_abs(s, c, d):
+    return _mixture_oracle(lambda x: gauss_hinge_abs(x, s, c), (-c, 1.0, 0.0), d,
+                           (c,), c + 40.0 * s + 1.0)
+
+
+def oracle_hinge_huber(s, c, k, d):
+    return _mixture_oracle(lambda x: gauss_hinge_huber(x, s, c, k),
+                           (-k * c - 0.5 * k * k, k, 0.0), d,
+                           (c, c + k), c + k + 40.0 * s + 1.0)
+
+
+ORACLE_SC = ((0.0, 0.0), (0.0, 1.3), (0.05, 2.0), (0.7, 0.0), (1.5, 0.8), (3.0, 4.0))
+
+
+class TestMixtureOracle:
+    """Production mixture rule against the 1-D conditional-on-N oracle."""
+
+    @pytest.mark.parametrize("d", [2.5, 3.0, 10.0, 200.0])
+    def test_matches_1d_oracle(self, d):
+        noise = scale_mixture(d)
+        for s, c in ORACLE_SC:
+            for a in (0.5, 2.5):
+                assert hinge_sq_mean(s, a, c, noise) == pytest.approx(
+                    oracle_hinge_sq_mean(s, a, c, d), abs=1e-9)
+            assert e_hinge_abs(s, c, noise) == pytest.approx(
+                oracle_hinge_abs(s, c, d), abs=1e-9)
+            for k in (0.1, 1.0, 10.0):
+                assert e_hinge_huber(s, c, k, noise) == pytest.approx(
+                    oracle_hinge_huber(s, c, k, d), abs=1e-9)
+
+    @pytest.mark.parametrize("d", [2.1, 2.01])
+    def test_dof_near_two_within_abs_tol(self, d):
+        # E N^2 = d/(d-2) blows up and the tau tail thins out only like
+        # tau^(1 - d/2); the rule restores the missed E tau exactly, so
+        # values stay within abs_tol of the oracle with a bounded rule
+        noise = scale_mixture(d)
+        tol = DEFAULT_QUAD.abs_tol
+        for s, c in ORACLE_SC:
+            assert hinge_sq_mean(s, 1.0, c, noise) == pytest.approx(
+                oracle_hinge_sq_mean(s, 1.0, c, d), abs=tol)
+            assert e_hinge_abs(s, c, noise) == pytest.approx(
+                oracle_hinge_abs(s, c, d), abs=tol)
+            for k in (0.1, 10.0):
+                assert e_hinge_huber(s, c, k, noise) == pytest.approx(
+                    oracle_hinge_huber(s, c, k, d), abs=tol)
+        nodes = _mixing_rule(d, 1e-12).tau.size
+        assert nodes <= 2 * _mixing_rule(3.0, 1e-12).tau.size
+
+    def test_abs_tol_convergence(self):
+        fine = QuadratureSpec(abs_tol=1e-12)
+        for d in (2.5, 3.0, 10.0, 100.0):
+            noise = scale_mixture(d)
+            for s, c in ((0.0, 0.0), (0.5, 0.3), (2.0, 1.0), (0.05, 2.0)):
+                pairs = [(hinge_sq_mean(s, a, c, noise), hinge_sq_mean(s, a, c, noise, fine))
+                         for a in (1.0, 2.5)]
+                pairs.append((e_hinge_abs(s, c, noise), e_hinge_abs(s, c, noise, fine)))
+                pairs += [(e_hinge_huber(s, c, k, noise), e_hinge_huber(s, c, k, noise, fine))
+                          for k in (0.1, 2.0)]
+                for base, tight in pairs:
+                    assert abs(base - tight) < 1e-9
 
 
 class TestQuadratureSpec:
@@ -175,14 +264,6 @@ class TestSoftExpectation:
     def test_huge_threshold_vanishes(self):
         got = soft_expectation(1.0, 0.5, 1.0, 1.0, 1e3, GAUSS)
         assert got == pytest.approx(0.0, abs=1e-12)
-
-    def test_kink_straddling_node_doubling(self):
-        base = QuadratureSpec()
-        fine = QuadratureSpec(gauss_nodes_G=128, mixture_nodes=2 * base.mixture_nodes)
-        for noise in (MIX3, GAUSS):
-            a = soft_expectation(0.7, 0.4, 1.3, 2.0, 0.6, noise, base)
-            b = soft_expectation(0.7, 0.4, 1.3, 2.0, 0.6, noise, fine)
-            assert abs(a - b) < base.abs_tol
 
     def test_huber_is_continuous_at_branch(self):
         # value at k matches both branch formulas
