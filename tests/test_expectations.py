@@ -90,6 +90,21 @@ class TestHingeSquare:
             d2 = vals[:-2] - 2 * vals[1:-1] + vals[2:]
             assert np.all(d2 >= -1e-10)
 
+    def test_node_doubling_stability(self):
+        # abs_tol refines the production mixture rule; the node counts
+        # refine the all-numeric cross-check path
+        base = QuadratureSpec()
+        fine = QuadratureSpec(gauss_nodes_G=2 * base.gauss_nodes_G,
+                              mixture_nodes=2 * base.mixture_nodes, abs_tol=1e-12)
+        for noise in (MIX3, MIX10):
+            for s, c in ((0.5, 0.3), (2.0, 1.0), (0.05, 2.0)):
+                a = e_hinge_sq(s, c, noise, base)
+                b = e_hinge_sq(s, c, noise, fine)
+                assert abs(a - b) < base.abs_tol
+                a2 = e_hinge_sq_quad2d(s, c, noise, base)
+                b2 = e_hinge_sq_quad2d(s, c, noise, fine)
+                assert abs(a2 - b2) < base.abs_tol
+
 
 class TestCrossCheckQuadrature:
     def test_2d_path_matches_closed_form(self):
@@ -264,6 +279,15 @@ class TestSoftExpectation:
     def test_huge_threshold_vanishes(self):
         got = soft_expectation(1.0, 0.5, 1.0, 1.0, 1e3, GAUSS)
         assert got == pytest.approx(0.0, abs=1e-12)
+
+    def test_kink_straddling_node_doubling(self):
+        base = QuadratureSpec()
+        fine = QuadratureSpec(gauss_nodes_G=128, mixture_nodes=2 * base.mixture_nodes,
+                              abs_tol=1e-12)
+        for noise in (MIX3, GAUSS):
+            a = soft_expectation(0.7, 0.4, 1.3, 2.0, 0.6, noise, base)
+            b = soft_expectation(0.7, 0.4, 1.3, 2.0, 0.6, noise, fine)
+            assert abs(a - b) < base.abs_tol
 
     def test_huber_is_continuous_at_branch(self):
         # value at k matches both branch formulas
