@@ -9,32 +9,42 @@ norm beta and tube half-width eps:
   subject to D(g1, g2) <= 0 where
   D(g1, g2) = sqrt(delta) * sqrt(E (|sqrt(g1^2+g2^2) G + N| - eps/sigma)_+^2) - g1;
 - the soft-SVR limiting risk: min over (g1, g2) of sup over chi > 0 of
-  the saddle function Dbar (concave in chi, convex in (g1, g2));
+  the saddle function Dbar (concave in chi, convex in (g1, g2)), solved
+  from its first-order conditions, one bracketed root per variable, in
+  the fixed-point style of CGMT analyses (Thrampoulidis, Abbasi & Hassibi,
+  "Precise error analysis of regularized M-estimators in high
+  dimensions", 2018);
 - hyperparameter tuning (optimal eps, and jointly optimal (eps, C)).
 
 (g1, g2) are the error-vector norms orthogonal to / along the ground
 truth, scaled by 1/sigma, so the limiting risk is sigma^2 (g1^2 + g2^2).
-All routines are pure and deterministic.
+All routines are pure and deterministic; the risk solutions report how
+many expectation evaluations they made in ``diagnostics["expect_evals"]``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .expectations import (
     DEFAULT_QUAD,
+    count_expectations,
     e_hinge_abs,
+    e_hinge_moments,
     e_hinge_sq,
+    e_tail_prob,
     hinge_sq_mean,
     soft_expectation,
 )
 from .noise import NoiseModel, standard_gaussian
-from .scalar_opt import bisect_root, golden_section_min
+from .scalar_opt import bisect_root, brent_root, expand_bracket_min, golden_section_min
 
 _COSINE_FLOOR = 1e-6  # below this error norm the cosine limit is 0/0
 _T_CAP = 1e12
 _G1_CAP = 1e6
+_LOG_K_CAP = 300.0  # keeps (c + k)^2 finite in the hinge moments
 
 
 @dataclass(frozen=True)
@@ -116,13 +126,7 @@ def delta_star(eps, sigma, noise=None, quad=DEFAULT_QUAD):
     if eps == 0.0:
         # E(G + t sigma N)^2 = 1 + (t sigma)^2 E N^2, minimized at t = 0
         return 1.0
-    hi = 1.0
-    f_half = objective(0.5)
-    f_hi = objective(hi)
-    while f_hi <= f_half and hi < _T_CAP:
-        hi *= 2.0
-        f_half = f_hi
-        f_hi = objective(hi)
+    hi, _, _ = expand_bracket_min(objective, x0=1.0, cap=_T_CAP)
     _, fmin = golden_section_min(objective, 0.0, hi, tol=1e-11 * max(1.0, hi))
     if fmin < 1e-13:
         return math.inf
@@ -206,8 +210,17 @@ def hsvr_risk(prob: HsvrProblem, quad=DEFAULT_QUAD):
     g1^2/2, so the lower edge of the feasible interval is optimal); the
     outer golden-section runs over g2 in [0, beta/sigma], restricted to
     the sub-interval where a feasible g1 exists.  At the optimum the
-    constraint is active: |D(g1*, g2*)| <= 1e-7.
+    constraint is active: |D(g1*, g2*)| <= 1e-7.  Diagnostics:
+    ``delta_star``, ``d_residual`` = D(g1*, g2*) when feasible, and
+    ``expect_evals`` (expectation evaluations).
     """
+    with count_expectations() as counter:
+        sol = _hsvr_solve(prob, quad)
+    sol.diagnostics["expect_evals"] = counter.n
+    return sol
+
+
+def _hsvr_solve(prob, quad):
     dstar = delta_star(prob.eps, prob.sigma, prob.noise, quad)
     if not prob.delta < dstar:
         return AsymptoticSolution(None, None, None, None, False,
@@ -281,89 +294,215 @@ def _dbar_g1_zero(g2, prob, quad):
         + 0.5 * (g2 - b) ** 2
 
 
+class _ChiLevel(NamedTuple):
+    """sup over chi of Dbar at fixed (g1 > 0, g2).
+
+    k = g1*C/chi is the Huber threshold at the maximiser: inf on the
+    hard-feasible slice, where chi* = 0.  emin2 = E min(h, k)^2 and
+    p_band = P(c < |V| < c + k), with h = (|V| - c)_+, V = sG + N.
+    """
+
+    k: float
+    value: float
+    emin2: float
+    p_band: float
+
+
+def _chi_level(g1, g2, prob, quad, k_hint, log_tol):
+    """Solve the chi-level first-order condition delta E min(h, k)^2 = g1^2.
+
+    dDbar/dchi = (delta E min(h, k)^2 - g1^2) / (2 sigma g1), and
+    E min(h, k)^2 = H2(c) - H2(c+k) - 2k H1(c+k) increases in k from 0 to
+    H2(c) (H2, H1 the hinge-square and hinge).  If delta H2(c) <= g1^2 the
+    sup is the chi -> 0 limit q = g1^2/2 + (g2 - beta/sigma)^2/2.  Otherwise
+    the root in log k is bracketed between the bound from
+    E min(h, k)^2 <= k^2 P(h > 0) and an expansion from ``k_hint``, and
+    solved to ``log_tol``; the value is Dbar there, with
+    E rho_k(h) = (H2(c) - H2(c+k)) / 2.  E min(h, k)^2 is evaluated as
+    k^2 P(h > k) + E[h^2; h <= k], the second term clipped to its range
+    [0, k^2 P_band]: for small k the difference form cancels to rounding
+    noise, and the clip keeps the bracket's lower end below the root.
+    """
+    sigma, delta, noise = prob.sigma, prob.delta, prob.noise
+    c = prob.eps / sigma
+    s = math.hypot(g1, g2)
+    q = 0.5 * g1 * g1 + 0.5 * (g2 - prob.beta / sigma) ** 2
+    p0, _, h2_0 = e_hinge_moments(s, c, noise, quad)
+    target = g1 * g1 / delta
+    if h2_0 <= target or p0 <= 0.0:
+        return _ChiLevel(math.inf, q, h2_0, p0)
+    moments = {}
+
+    def emin2(k, p_k, h1, h2):
+        band = h2_0 - h2 - 2.0 * k * h1 - k * k * p_k
+        return k * k * p_k + min(max(band, 0.0), k * k * (p0 - p_k))
+
+    def gap(y):
+        k = math.exp(y)
+        moments[y] = e_hinge_moments(s, c + k, noise, quad)
+        return emin2(k, *moments[y]) - target
+
+    y_lo = 0.5 * math.log(target / p0) - 0.5
+    f_lo = None
+    y_hi = max(math.log(k_hint), y_lo)
+    f_hi = gap(y_hi)
+    step = 0.25
+    while f_hi <= 0.0:
+        if y_hi >= _LOG_K_CAP:  # the root is beyond float resolution: chi* = 0
+            return _ChiLevel(math.inf, q, h2_0, p0)
+        y_lo, f_lo = y_hi, f_hi
+        y_hi = min(y_hi + step, _LOG_K_CAP)
+        step *= 4.0
+        f_hi = gap(y_hi)
+    y = brent_root(gap, y_lo, y_hi, f_lo=f_lo, f_hi=f_hi, xtol=log_tol)
+    k = math.exp(y)
+    p_k, h1, h2 = moments[y]
+    value = prob.cost / (2.0 * sigma * k) * (delta * (h2_0 - h2) - g1 * g1) + q
+    return _ChiLevel(k, value, emin2(k, p_k, h1, h2), p0 - p_k)
+
+
 def _sup_chi(g1, g2, prob, quad, chi_hint=1.0, log_tol=1e-6):
-    """Inner concave maximization over chi on an adaptively located bracket."""
+    """(chi*, sup over chi of Dbar) at fixed (g1 > 0, g2).
 
-    def f(chi):
-        return dbar_value(g1, g2, chi, prob, quad)
-
-    lo = max(chi_hint / 64.0, 1e-9)
-    hi = chi_hint * 64.0
-    f_lo, f_mid, f_hi = f(lo), f(chi_hint), f(hi)
-    while f_hi >= f_mid and hi < 1e15:
-        lo, f_lo = chi_hint, f_mid
-        chi_hint, f_mid = hi, f_hi
-        hi *= 64.0
-        f_hi = f(hi)
-    while f_lo >= f_mid and lo > 1e-15:
-        hi, f_hi = chi_hint, f_mid
-        chi_hint, f_mid = lo, f_lo
-        lo /= 64.0
-        f_lo = f(lo)
-    # golden search in log-chi (concavity in chi implies unimodality here)
-    llo, lhi = math.log(lo), math.log(hi)
-    lx, val = golden_section_min(lambda t: -f(math.exp(t)), llo, lhi, tol=log_tol)
-    return math.exp(lx), -val
+    Solves the first-order condition in chi (see ``_chi_level``); chi* = 0
+    on the hard-feasible slice.  ``log_tol`` is the tolerance on log chi*.
+    """
+    lvl = _chi_level(g1, g2, prob, quad, g1 * prob.cost / chi_hint, log_tol)
+    return g1 * prob.cost / lvl.k, lvl.value
 
 
 def ssvr_risk(prob: SsvrProblem, quad=DEFAULT_QUAD, tol=1e-8):
     """Limiting soft-SVR risk via the min-sup scalar saddle problem.
 
-    Minimizes the convex value function V(g1, g2) = sup_chi Dbar by
-    nesting golden-section searches: the inner search fully minimizes
-    the convex g1-slice (bracket expanded geometrically, g1 = 0 handled
-    by its exact branch), the outer search runs over g2 in [0, beta/sigma].
-    Nesting, rather than alternating coordinate steps, is required
-    because for large C the value function develops a steep oblique
-    band along which alternating updates stall.  Always feasible.
+    Minimizes the convex value function V(g1, g2) = sup_chi Dbar by solving
+    first-order conditions level by level, each with a bracketed Brent root:
+
+    - chi: delta E min(h, k)^2 = g1^2 for k = g1*C/chi (``_chi_level``).
+    - g1: dV/dg1 = g1 [1 - C (1 - delta P_band) / (sigma k)] = 0, the
+      envelope derivative of Dbar simplified by the chi condition, with
+      P_band = P(c < |V| < c + k) from Stein's lemma.  V(., g2) is convex,
+      so the derivative is monotone; it tends to -C sqrt(delta P(|V| > c))
+      / sigma as g1 -> 0, and equals g1 on the hard-feasible slice (chi* = 0,
+      V = q).  For large C it jumps there, and the root lands on the jump,
+      the hard edge.  If P(|V| > c) = 0 at g1 = 0, V(., g2) increases from
+      g1 = 0, the exact g1 = 0 branch.
+    - g2: dW/dg2 = g2 / (1 - delta P_band) - beta/sigma for
+      W(g2) = min_g1 V(g1, g2), whose root is the fixed point
+      g2 = (beta/sigma)(1 - delta P_band), solved in that form, which stays
+      well conditioned as 1 - delta P_band -> 0.  At an interior g1 root
+      dW/dg2 is the envelope derivative (delta C / (sigma k)) g2 P_band +
+      g2 - beta/sigma; on the hard edge (k = inf, P_band = P(|V| > c)) it
+      is the derivative along the edge delta H2(c) = g1^2, where the
+      envelope form would be wrong.  The fixed-point residual is < 0 at
+      g2 = 0 and >= 0 at g2 = beta/sigma.
+
+    ``tol`` sets the g2 root tolerance (tol * max(1, beta/sigma)); the g1
+    and log k roots are solved 1e3 times tighter.  Diagnostics: ``value``
+    (V at the optimum), ``value_evals`` (chi-level solves),
+    ``expect_evals`` (expectation evaluations), ``chi_residual``
+    (|delta E min(h, k)^2 - g1^2|, with E min(h, inf)^2 = H2(c): on the hard
+    edge it is the edge residual) and ``stationarity``, the norm of the
+    relative fixed-point residuals g2 sigma/beta - (1 - delta P_band) and
+    (dV/dg1)/g1 = 1 - C (1 - delta P_band) / (sigma k), the second omitted
+    on the hard edge, where dV/dg1 jumps.  These are the gradient scaled
+    by (1 - delta P_band)/(beta/sigma) and 1/g1: the gradient itself grows
+    like 1/(1 - delta P_band) and would read large at a converged point
+    as C -> inf on an infeasible tube.  Always feasible.
     """
-    b = prob.beta / prob.sigma
-    chi_memo = {"chi": 1.0}
-    sup_tol = min(max(0.1 * math.sqrt(tol), 1e-6), 1e-3)
+    with count_expectations() as counter:
+        sol = _ssvr_saddle(prob, quad, tol)
+    sol.diagnostics["expect_evals"] = counter.n
+    return sol
 
-    def value(g1, g2):
-        if g1 <= 0.0:
-            return _dbar_g1_zero(g2, prob, quad)
-        chi, val = _sup_chi(g1, g2, prob, quad, chi_hint=chi_memo["chi"],
-                            log_tol=sup_tol)
-        chi_memo["chi"] = chi
-        return val
 
-    g1_memo = {"g1": 1.0}
-    evals = {"n": 0}
+def _ssvr_saddle(prob, quad, tol):
+    sigma, delta, cost, noise = prob.sigma, prob.delta, prob.cost, prob.noise
+    b = prob.beta / sigma
+    c = prob.eps / sigma
+    inner_tol = max(1e-3 * tol, 1e-14)
+    warm_g1, warm_k = 0.5, 1.0
+    n_values = 0
 
-    def inner_min(g2):
-        def f(g1):
-            evals["n"] += 1
-            return value(g1, g2)
+    def level(g1, g2):
+        nonlocal n_values, warm_k
+        n_values += 1
+        lvl = _chi_level(g1, g2, prob, quad, warm_k, inner_tol)
+        if math.isfinite(lvl.k):
+            warm_k = lvl.k
+        return lvl
 
-        hi = max(2.0 * g1_memo["g1"], 0.5)
-        f_half, f_hi = f(hi / 2.0), f(hi)
-        while f_hi <= f_half and hi < _G1_CAP:
-            hi *= 2.0
-            f_half, f_hi = f_hi, f(hi)
-        g1, v = golden_section_min(f, 0.0, hi, tol=tol * max(1.0, hi / 4.0))
-        v0 = value(0.0, g2)
-        if v0 < v:
-            g1, v = 0.0, v0
-        else:
-            g1_memo["g1"] = max(g1, 1e-3)
-        return g1, v
+    def d_g1(g1, lvl):
+        if not math.isfinite(lvl.k):
+            return g1
+        return g1 * (1.0 - cost * (1.0 - delta * lvl.p_band) / (sigma * lvl.k))
+
+    def fixed_point_g2(g2, lvl):
+        return g2 - b * max(1.0 - delta * lvl.p_band, 0.0)
+
+    def g1_level(g2):
+        """(argmin over g1 >= 0 of V(., g2), its chi level)."""
+        nonlocal warm_g1
+        levels = {}
+
+        def at(g1):
+            if g1 not in levels:
+                levels[g1] = level(g1, g2)
+            return levels[g1]
+
+        def slope(g1):
+            return d_g1(g1, at(g1))
+
+        p0 = e_tail_prob(abs(g2), c, noise, quad)
+        g1 = 0.0
+        if p0 > 0.0:
+            # V(., g2) is convex: its slope changes sign inside the expanded bracket
+            expand_bracket_min(lambda g: at(g).value, x0=2.0 * warm_g1)
+            slopes = {g: slope(g) for g in levels}
+            lo = max((g for g, d in slopes.items() if d <= 0.0), default=0.0)
+            hi = min(g for g, d in slopes.items() if d > 0.0)
+            f_lo = slopes[lo] if lo > 0.0 else -cost * math.sqrt(delta * p0) / sigma
+            xtol = inner_tol * max(1.0, hi)
+            g1 = brent_root(slope, lo, hi, f_lo=f_lo, f_hi=slopes[hi], xtol=xtol)
+        if g1 == 0.0:  # the exact g1 = 0 branch, where chi drops out
+            return 0.0, _ChiLevel(0.0, _dbar_g1_zero(g2, prob, quad), 0.0, 0.0)
+        if slope(g1) < -1e-6 * g1:
+            # the root is a jump (large C): the other end of Brent's final
+            # bracket, less than 2 xtol above, is on the hard edge, where chi* = 0
+            up = g1 + 2.0 * xtol
+            if not math.isfinite(at(up).k):
+                g1 = up
+        warm_g1 = g1
+        return g1, levels[g1]
+
+    solved = {}
 
     def outer(g2):
-        return inner_min(g2)[1]
+        solved[g2] = g1_level(g2)
+        return fixed_point_g2(g2, solved[g2][1])
 
-    g2o, v_opt = golden_section_min(outer, 0.0, b, tol=tol * max(1.0, b))
-    g1o, v_opt = inner_min(g2o)
-    chi_opt = None
-    if g1o > 0.0:
-        chi_opt, _ = _sup_chi(g1o, g2o, prob, quad, chi_hint=chi_memo["chi"])
-    risk = prob.sigma ** 2 * (g1o ** 2 + g2o ** 2)
+    g2 = brent_root(outer, 0.0, b, xtol=tol * max(1.0, b))
+    if g2 not in solved:
+        outer(g2)
+    g1, lvl = solved[g2]
+    residuals = [fixed_point_g2(g2, lvl) / b]
+    if g1 == 0.0:
+        chi, chi_residual = None, 0.0
+    else:
+        # at the saddle sigma k = C (1 - delta P_band), so chi = g1 C / k is
+        # g1 sigma / (1 - delta P_band), which stays finite on the hard edge
+        u = 1.0 - delta * lvl.p_band
+        chi = g1 * sigma / u if u > 0.0 else math.inf
+        chi_residual = abs(delta * lvl.emin2 - g1 * g1)
+        if math.isfinite(lvl.k):
+            residuals.append(d_g1(g1, lvl) / g1)
+    risk = sigma ** 2 * (g1 ** 2 + g2 ** 2)
     return AsymptoticSolution(
-        g1=g1o, g2=g2o, risk=risk,
-        cosine=_cosine_limit(g1o, g2o, b),
-        feasible=True, chi=chi_opt,
-        diagnostics={"value": v_opt, "value_evals": evals["n"]},
+        g1=g1, g2=g2, risk=risk,
+        cosine=_cosine_limit(g1, g2, b),
+        feasible=True, chi=chi,
+        diagnostics={"value": lvl.value, "value_evals": n_values,
+                     "chi_residual": chi_residual,
+                     "stationarity": math.hypot(*residuals)},
     )
 
 

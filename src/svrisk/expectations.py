@@ -24,6 +24,12 @@ The cross-check ``e_hinge_sq_quad2d`` integrates instead over N = x with
 panelled Gauss-Legendre on a kink-aware grid plus analytic Student-t
 tails; it shares no code with the production mixture rule.
 
+``e_hinge_moments`` evaluates the tail probability P(|V| > c) together
+with the hinge and hinge-square at one (s, c) from a single cdf/density
+pass; the first-order conditions of the soft-SVR saddle problem need all
+three.  ``count_expectations`` counts the expectation evaluations made in
+a context (each public functional counts one).
+
 Also included: exact values of two small deterministic maximizations used
 as numeric oracles elsewhere (sphere-constrained and box-constrained
 soft-thresholded linear forms).
@@ -31,7 +37,9 @@ soft-thresholded linear forms).
 
 from __future__ import annotations
 
+import contextvars
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,6 +50,7 @@ from .noise import noise_pdf
 from .scalar_opt import golden_section_max
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_SQRT2 = math.sqrt(2.0)
 _ZMAX = 39.0  # beyond this phi underflows to exactly 0.0 in float64
 _ZTAIL = 16.0  # conditional == asymptote to ~exp(-128) past this many sigmas
 
@@ -74,6 +83,45 @@ class QuadratureSpec:
 
 
 DEFAULT_QUAD = QuadratureSpec()
+
+
+# ---------------------------------------------------------------------------
+# Evaluation counter.
+# ---------------------------------------------------------------------------
+
+@dataclass
+class EvalCounter:
+    """Number of expectation evaluations made inside ``count_expectations``."""
+
+    n: int = 0
+
+
+_COUNTER = contextvars.ContextVar("svrisk_expect_evals", default=None)
+
+
+@contextmanager
+def count_expectations():
+    """Count the expectation evaluations made in this block.
+
+    Yields an ``EvalCounter``.  The counter lives in a context variable, so
+    each thread counts only its own calls; a nested block's count is also
+    added to the enclosing block's when it exits.
+    """
+    outer = _COUNTER.get()
+    counter = EvalCounter()
+    token = _COUNTER.set(counter)
+    try:
+        yield counter
+    finally:
+        _COUNTER.reset(token)
+        if outer is not None:
+            outer.n += counter.n
+
+
+def _count():
+    counter = _COUNTER.get()
+    if counter is not None:
+        counter.n += 1
 
 
 def _phi(z):
@@ -211,6 +259,12 @@ def _gauss0_hinge_abs(sd, c):
     return 2.0 * (sd * _phi(z) - c * ndtr(-z))
 
 
+def _gauss0_moments(sd, c, q, ph):
+    """(P(|V| > c), E (|V| - c)_+, E (|V| - c)_+^2) for V = sd*Z, given
+    q = P(Z > c/sd) and ph = phi(c/sd); scalars or arrays."""
+    return 2.0 * q, 2.0 * (sd * ph - c * q), 2.0 * ((sd * sd + c * c) * q - sd * c * ph)
+
+
 # ---------------------------------------------------------------------------
 # Student-t partial moments and the half-line panel quadrature (used only by
 # the all-numeric cross-check path).
@@ -319,6 +373,7 @@ def hinge_sq_mean(s, a, c, noise, quad=DEFAULT_QUAD):
     s, a, c = float(s), float(a), float(c)
     if s < 0 or a < 0 or c < 0:
         raise ValueError("s, a, c must be nonnegative")
+    _count()
     if noise.is_gaussian:
         return float(gauss_hinge_sq(0.0, math.hypot(s, a), c))
     if a == 0.0:
@@ -339,6 +394,7 @@ def e_hinge_abs(s, c, noise, quad=DEFAULT_QUAD):
     s, c = float(s), float(c)
     if s < 0 or c < 0:
         raise ValueError("s, c must be nonnegative")
+    _count()
     if noise.is_gaussian:
         return float(gauss_hinge_abs(0.0, math.hypot(s, 1.0), c))
     rule = _mixing_rule(noise.dof, quad.abs_tol)
@@ -350,12 +406,44 @@ def e_hinge_huber(s, c, k, noise, quad=DEFAULT_QUAD):
     s, c, k = float(s), float(c), float(k)
     if s < 0 or c < 0 or k < 0:
         raise ValueError("s, c, k must be nonnegative")
+    _count()
     if noise.is_gaussian:
         return float(gauss_hinge_huber(0.0, math.hypot(s, 1.0), c, k))
     # rho_k(h) = h^2/2 - (h - k)_+^2/2; the s^2 + tau asymptotes cancel
     rule = _mixing_rule(noise.dof, quad.abs_tol)
     sd = np.sqrt(s * s + rule.tau)
     return 0.5 * float(rule.w @ (_gauss0_hinge_sq(sd, c) - _gauss0_hinge_sq(sd, c + k)))
+
+
+def e_hinge_moments(s, c, noise, quad=DEFAULT_QUAD):
+    """(P(|V| > c), E (|V| - c)_+, E (|V| - c)_+^2) for V = s*G + N.
+
+    One cdf/density pass gives all three: the Gaussian branch in scalar
+    math, the scale mixture in one vector pass over the mixing rule.  The
+    hinge values equal ``e_hinge_abs`` and ``e_hinge_sq``; the tail
+    probability is the c-derivative -dH1/dc and, by Stein's lemma,
+    dH2/ds = 2 s P.
+    """
+    s, c = float(s), float(c)
+    if s < 0 or c < 0:
+        raise ValueError("s, c must be nonnegative")
+    _count()
+    if noise.is_gaussian:
+        sd = math.hypot(s, 1.0)
+        z = c / sd
+        return _gauss0_moments(sd, c, 0.5 * math.erfc(z / _SQRT2),
+                               math.exp(-0.5 * z * z) / _SQRT2PI)
+    rule = _mixing_rule(noise.dof, quad.abs_tol)
+    sd = np.sqrt(s * s + rule.tau)
+    z = c / sd
+    p, h1, h2 = _gauss0_moments(sd, c, ndtr(-z), _phi(z))
+    w = rule.w
+    return float(w @ p), float(w @ h1), float(w @ h2) + rule.miss1
+
+
+def e_tail_prob(s, c, noise, quad=DEFAULT_QUAD):
+    """P(|s*G + N| > c)."""
+    return e_hinge_moments(s, c, noise, quad)[0]
 
 
 def soft_expectation(g1, g2, chi, cost, thr, noise, quad=DEFAULT_QUAD):

@@ -2,7 +2,8 @@
 
 Small, deterministic routines used throughout the asymptotic calculators:
 golden-section search on unimodal functions, geometric bracket expansion,
-and bisection root finding.  No randomness, no global state.
+and bracketed root finding (bisection, and Brent's method with a bisection
+safeguard).  No randomness, no global state.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import math
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+_EPS = 2.220446049250313e-16
 
 
 def golden_section_min(f, lo, hi, tol=1e-10, max_iter=400):
@@ -97,3 +99,64 @@ def bisect_root(f, lo, hi, f_lo=None, f_hi=None, tol=1e-13, max_iter=200):
         else:
             a, fa = m, fm
     return 0.5 * (a + b)
+
+
+def brent_root(f, lo, hi, f_lo=None, f_hi=None, xtol=1e-13, rtol=4.0 * _EPS,
+               max_iter=200):
+    """Root of ``f`` on [lo, hi] by Brent's method; f(lo), f(hi) must differ in sign.
+
+    Inverse quadratic interpolation and secant steps, with a bisection step
+    whenever an interpolation step would not shrink the bracket fast enough,
+    so convergence is never slower than about twice bisection.  The returned
+    point lies within ~xtol + rtol*|x| of a sign change of ``f``: of the root
+    of a continuous function, or of the jump of a step.  Of the two final
+    bracket ends it is the one with the smaller |f|.  ``f_lo``/``f_hi`` spare
+    the evaluations at the ends when the caller already has them.
+    """
+    a, b = float(lo), float(hi)
+    fa = f(a) if f_lo is None else f_lo
+    fb = f(b) if f_hi is None else f_hi
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa > 0.0) == (fb > 0.0):
+        raise ValueError("brent_root: no sign change on the bracket")
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(max_iter):
+        if (fb > 0.0) == (fc > 0.0):
+            # keep the sign change between b and c
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 0.5 * (xtol + rtol * abs(b))
+        m = 0.5 * (c - b)
+        if abs(m) <= tol1 or fb == 0.0:
+            return b
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p = 2.0 * m * s
+                q = 1.0 - s
+            else:  # inverse quadratic interpolation
+                q = fa / fc
+                r = fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        fb = f(b)
+    return b

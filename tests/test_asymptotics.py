@@ -23,7 +23,10 @@ from svrisk import (
     tune_hsvr,
 )
 from svrisk.asymptotics import _sup_chi
-from svrisk.expectations import DEFAULT_QUAD
+from svrisk.expectations import DEFAULT_QUAD, e_hinge_moments
+from svrisk.scalar_opt import brent_root
+
+from tests_support import ssvr_risk_golden, sup_chi_golden
 
 GAUSS = standard_gaussian()
 
@@ -212,6 +215,97 @@ class TestDbarAndSsvr:
         _, v_big = _sup_chi(sol.g1, 1.05, prob, DEFAULT_QUAD)
         assert v_neg > sol.diagnostics["value"]
         assert v_big > sol.diagnostics["value"]
+
+
+NOISES = {"gauss": GAUSS, "d3": scale_mixture(3.0), "d10": scale_mixture(10.0)}
+
+
+def _oracle_cases(index):
+    """Every (eps, C) pair with one delta per noise; over the three noises
+    each pair meets every delta and each noise every value."""
+    deltas = (1.5, 2.0, 3.8)
+    return [(deltas[(i + j + index) % 3], eps, cost)
+            for i, eps in enumerate((0.2, 0.8))
+            for j, cost in enumerate((0.8, 12.8, 100.0, 1e6))]
+
+
+class TestSsvrFirstOrderConditions:
+    @pytest.mark.parametrize("name", list(NOISES))
+    def test_matches_nested_golden_oracle(self, name):
+        # the oracle's own error is ~2e-5 at tol 1e-6 (its chi search runs
+        # at log tolerance 1e-4), measured over all 72 (delta, eps, C) cases
+        noise = NOISES[name]
+        for delta, eps, cost in _oracle_cases(list(NOISES).index(name)):
+            prob = SsvrProblem(delta, 1.0, 1.0, eps, noise, cost=cost)
+            want = ssvr_risk_golden(prob, tol=1e-6)[2]
+            assert ssvr_risk(prob).risk == pytest.approx(want, rel=1e-4), (delta, eps, cost)
+
+    def test_sup_chi_matches_golden_search(self):
+        # interior maximisers and a hard-feasible slice (chi* = 0)
+        prob = SsvrProblem(2.0, 1.0, 1.0, 0.6, NOISES["d3"], cost=2.4)
+        for g1, g2 in ((0.3, 0.2), (0.9, 0.5), (2.0, 0.1)):
+            chi, val = _sup_chi(g1, g2, prob, DEFAULT_QUAD, log_tol=1e-10)
+            chi_g, val_g = sup_chi_golden(g1, g2, prob, DEFAULT_QUAD, log_tol=1e-8)
+            assert val == pytest.approx(val_g, abs=1e-12)
+            assert chi == pytest.approx(chi_g, rel=1e-6)
+        hard = SsvrProblem(1.5, 1.0, 1.0, 1.0, GAUSS, cost=2.4)
+        chi, val = _sup_chi(2.0, 0.3, hard, DEFAULT_QUAD)
+        assert chi == 0.0
+        assert val == 0.5 * 2.0 ** 2 + 0.5 * (0.3 - 1.0) ** 2
+
+    def test_certificates(self):
+        # C = 20 puts the g1 root on a numerical step just below the hard edge
+        for prob in (SsvrProblem(2.0, 1.0, 1.0, 0.6, GAUSS, cost=2.4),
+                     SsvrProblem(3.8, 1.0, 1.0, 0.8, NOISES["d3"], cost=3.2),
+                     SsvrProblem(1.0, 0.5, 1.0, 0.5, GAUSS, cost=20.0),
+                     SsvrProblem(1.5, 1.0, 1.0, 1.0, GAUSS, cost=1e6)):
+            sol = ssvr_risk(prob)
+            diag = sol.diagnostics
+            assert diag["chi_residual"] <= 1e-10
+            assert diag["stationarity"] <= 1e-6
+            assert 0 < diag["value_evals"] < diag["expect_evals"] < 5000
+        hard = hsvr_risk(HsvrProblem(1.0, 0.5, 1.0, 0.4, GAUSS))
+        assert hard.diagnostics["expect_evals"] > 0
+        assert hsvr_risk(HsvrProblem(10.0, 1.0, 1.0, 0.1, GAUSS)).diagnostics["expect_evals"] > 0
+
+    def test_edge_regimes_return_certified_values(self):
+        # C -> 0 and delta -> 0 make g1 and k tiny, where E min(h, k)^2
+        # cancels to rounding noise in its difference form; eps = 0 and an
+        # infeasible tube at large C stress the other ends
+        cases = [((2.0, 1.0, 1.0, 0.6, 1e-8), 1.0), ((1e-12, 1.0, 1.0, 0.6, 2.4), 1.0),
+                 ((2.0, 1.0, 1.0, 0.0, 2.4), None), ((2.0, 1.0, 1.0, 0.6, 1e9), None)]
+        for (delta, sigma, beta, eps, cost), want in cases:
+            sol = ssvr_risk(SsvrProblem(delta, sigma, beta, eps, GAUSS, cost=cost))
+            if want is not None:
+                assert sol.risk == pytest.approx(want, rel=1e-6)
+            assert sol.diagnostics["chi_residual"] <= 1e-10
+            assert sol.diagnostics["stationarity"] <= 1e-4
+        # the infeasible tube's risk settles as C grows (5.5e-6 apart here)
+        near = ssvr_risk(SsvrProblem(2.0, 1.0, 1.0, 0.6, GAUSS, cost=1e6)).risk
+        assert sol.risk == pytest.approx(near, rel=1e-4)
+
+    def test_large_cost_solves_the_hard_edge_equations(self):
+        # C -> inf: g2 = (beta/sigma)(1 - delta P(|V| > c)) and
+        # delta H2(c) = g1^2, solved here directly by nested roots
+        delta, sigma, eps = 1.5, 1.0, 1.0
+        c, b = eps / sigma, 1.0 / sigma
+        sol = ssvr_risk(SsvrProblem(delta, sigma, 1.0, eps, GAUSS, cost=1e6))
+
+        def edge(g2):
+            f = lambda g1: delta * e_hinge_moments(math.hypot(g1, g2), c, GAUSS)[2] - g1 * g1
+            return brent_root(f, 1e-6, 1.2, xtol=1e-15)
+
+        def slope(g2):
+            p0 = e_hinge_moments(math.hypot(edge(g2), g2), c, GAUSS)[0]
+            return g2 - b * (1.0 - delta * p0)
+
+        g2 = brent_root(slope, 0.2, 0.5, xtol=1e-15)
+        g1 = edge(g2)
+        assert sol.g2 == pytest.approx(g2, rel=1e-9)
+        assert sol.g1 == pytest.approx(g1, rel=1e-9)
+        # chi* tends to the multiplier g1 sigma / (1 - delta P(|V| > c))
+        p0 = e_hinge_moments(math.hypot(g1, g2), c, GAUSS)[0]
+        assert sol.chi == pytest.approx(g1 * sigma / (1.0 - delta * p0), rel=1e-8)
 
 
 class TestTuneHsvr:

@@ -7,17 +7,20 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize
-from scipy.special import gammaln
+from scipy.special import gammaln, ndtr
 
 from svrisk import (
     DEFAULT_QUAD,
     QuadratureSpec,
     boxed_max_chi_objective,
     boxed_max_value,
+    count_expectations,
     e_hinge_abs,
     e_hinge_huber,
+    e_hinge_moments,
     e_hinge_sq,
     e_hinge_sq_quad2d,
+    e_tail_prob,
     hinge_sq_mean,
     lemma_max_value,
     noise_pdf,
@@ -214,6 +217,91 @@ class TestMixtureOracle:
                           for k in (0.1, 2.0)]
                 for base, tight in pairs:
                     assert abs(base - tight) < 1e-9
+
+
+def oracle_tail_prob(s, c, noise):
+    """P(|sG + N| > c) by conditioning on N = x, adaptive quadrature over noise_pdf."""
+    if s == 0.0:
+        tail, _ = quad(lambda x: noise_pdf(noise, x), c, np.inf, epsabs=1e-14, epsrel=1e-13)
+        return 2.0 * tail
+
+    def integrand(x):  # even in x
+        return (ndtr((x - c) / s) + ndtr((-c - x) / s)) * noise_pdf(noise, x)
+
+    x_mid = c + 40.0 * s
+    body, _ = quad(integrand, 0.0, x_mid, points=[c], limit=400, epsabs=1e-14, epsrel=1e-13)
+    tail, _ = quad(integrand, x_mid, np.inf, epsabs=1e-14, epsrel=1e-13)
+    return 2.0 * (body + tail)
+
+
+TAIL_SC = ((0.0, 0.0), (0.0, 1.3), (0.05, 2.0), (0.7, 0.0), (1.5, 0.8), (3.0, 4.0), (0.4, 9.0))
+TAIL_NOISES = [GAUSS, MIX3, MIX10]
+
+
+class TestTailMoments:
+    @pytest.mark.parametrize("noise", TAIL_NOISES, ids=["gauss", "d3", "d10"])
+    def test_tail_prob_matches_quadrature_oracle(self, noise):
+        for s, c in TAIL_SC:
+            assert e_tail_prob(s, c, noise) == pytest.approx(
+                oracle_tail_prob(s, c, noise), abs=1e-9)
+
+    @pytest.mark.parametrize("noise", TAIL_NOISES, ids=["gauss", "d3", "d10"])
+    def test_stein_identity_for_hinge_square(self, noise):
+        # d/ds E(|sG + N| - c)_+^2 = 2 s P(|sG + N| > c)
+        h = 1e-4
+        for s, c in ((0.3, 0.5), (1.2, 0.0), (2.0, 2.5), (0.8, 6.0)):
+            fd = (e_hinge_sq(s + h, c, noise) - e_hinge_sq(s - h, c, noise)) / (2.0 * h)
+            assert fd == pytest.approx(2.0 * s * e_tail_prob(s, c, noise), abs=1e-7)
+
+    @pytest.mark.parametrize("noise", TAIL_NOISES, ids=["gauss", "d3", "d10"])
+    def test_tail_prob_is_minus_c_derivative_of_hinge(self, noise):
+        h = 1e-4
+        for s, c in ((0.3, 0.5), (1.2, 0.2), (2.0, 2.5), (0.0, 1.0), (0.8, 6.0)):
+            fd = (e_hinge_abs(s, c - h, noise) - e_hinge_abs(s, c + h, noise)) / (2.0 * h)
+            assert fd == pytest.approx(e_tail_prob(s, c, noise), abs=1e-7)
+
+    def test_hinge_moments_match_the_hinge_functionals(self):
+        for s, c in TAIL_SC:
+            for noise in (MIX3, MIX10):  # the same vector pass: bit-identical
+                _, h1, h2 = e_hinge_moments(s, c, noise)
+                assert h1 == e_hinge_abs(s, c, noise)
+                assert h2 == e_hinge_sq(s, c, noise)
+            _, h1, h2 = e_hinge_moments(s, c, GAUSS)
+            assert h1 == pytest.approx(e_hinge_abs(s, c, GAUSS), rel=1e-12, abs=1e-15)
+            assert h2 == pytest.approx(e_hinge_sq(s, c, GAUSS), rel=1e-12, abs=1e-15)
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError):
+            e_tail_prob(-0.1, 1.0, GAUSS)
+        with pytest.raises(ValueError):
+            e_hinge_moments(0.1, -1.0, MIX3)
+
+
+class TestEvalCounter:
+    def test_counts_each_public_functional_once(self):
+        with count_expectations() as counter:
+            e_hinge_sq(0.5, 0.2, MIX3)
+            e_hinge_abs(0.5, 0.2, GAUSS)
+            e_hinge_huber(0.5, 0.2, 1.0, GAUSS)
+            soft_expectation(0.5, 0.1, 1.0, 2.0, 0.2, GAUSS)
+            e_hinge_moments(0.5, 0.2, MIX10)
+            e_tail_prob(0.5, 0.2, GAUSS)
+        assert counter.n == 6
+
+    def test_nested_blocks_add_to_the_enclosing_count(self):
+        with count_expectations() as outer:
+            e_hinge_sq(0.5, 0.2, GAUSS)
+            with count_expectations() as inner:
+                e_hinge_sq(0.5, 0.2, GAUSS)
+                e_hinge_abs(0.5, 0.2, GAUSS)
+            assert inner.n == 2
+        assert outer.n == 3
+
+    def test_no_count_outside_a_block(self):
+        e_hinge_sq(0.5, 0.2, GAUSS)
+        with count_expectations() as counter:
+            pass
+        assert counter.n == 0
 
 
 class TestQuadratureSpec:

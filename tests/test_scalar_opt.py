@@ -1,4 +1,5 @@
-"""Golden-section, bracket expansion and bisection behave on known functions."""
+"""Golden-section, bracket expansion, bisection and Brent's root finder
+behave on known functions."""
 
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 from svrisk.scalar_opt import (
     bisect_root,
+    brent_root,
     expand_bracket_min,
     golden_section_max,
     golden_section_min,
@@ -57,3 +59,45 @@ def test_golden_handles_infinite_plateau():
 
     x, _ = golden_section_min(f, 0.0, 1.0, tol=1e-10)
     assert x == pytest.approx(0.2, abs=1e-6)
+
+
+class _Counted:
+    def __init__(self, f):
+        self.f = f
+        self.points = []
+
+    def __call__(self, x):
+        self.points.append(x)
+        return self.f(x)
+
+
+def test_brent_smooth_root_converges_superlinearly():
+    f = _Counted(lambda t: t * t * t - 2.0)
+    r = brent_root(f, 0.0, 4.0, f_lo=-2.0, f_hi=62.0, xtol=1e-14)
+    assert r == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-13)
+    # bisection would need ~48 halvings of [0, 4]; supplied ends are not re-evaluated
+    assert len(f.points) <= 15
+    assert 0.0 not in f.points and 4.0 not in f.points
+
+
+@pytest.mark.parametrize("f, root", [
+    # kink at the root: slopes 0.2 and 5
+    (lambda t: 0.2 * (t - 0.3) if t < 0.3 else 5.0 * (t - 0.3), 0.3),
+    # kink away from the root
+    (lambda t: t - 0.7 if t < 0.2 else 3.0 * (t - 0.2) - 0.5, 0.2 + 0.5 / 3.0),
+])
+def test_brent_kinked_monotone(f, root):
+    assert brent_root(f, -1.0, 2.0, xtol=1e-13) == pytest.approx(root, abs=1e-12)
+
+
+def test_brent_step_returns_the_jump():
+    jump = 0.3141592653589793
+    r = brent_root(lambda t: -1.0 if t < jump else 2.0, 0.0, 1.0, xtol=1e-12)
+    assert r == pytest.approx(jump, abs=1e-12)
+
+
+def test_brent_requires_sign_change():
+    with pytest.raises(ValueError):
+        brent_root(lambda t: t * t + 1.0, -1.0, 1.0)
+    with pytest.raises(ValueError):
+        brent_root(lambda t: t, 1.0, 2.0, f_lo=1.0, f_hi=2.0)
