@@ -366,6 +366,8 @@ def _sup_chi(g1, g2, prob, quad, chi_hint=1.0, log_tol=1e-6):
 
     Solves the first-order condition in chi (see ``_chi_level``); chi* = 0
     on the hard-feasible slice.  ``log_tol`` is the tolerance on log chi*.
+    ``ssvr_risk`` calls ``_chi_level`` directly; this wrapper gives the
+    tests the (chi, value) pair at a given (g1, g2).
     """
     lvl = _chi_level(g1, g2, prob, quad, g1 * prob.cost / chi_hint, log_tol)
     return g1 * prob.cost / lvl.k, lvl.value
@@ -480,9 +482,8 @@ def _ssvr_saddle(prob, quad, tol):
         solved[g2] = g1_level(g2)
         return fixed_point_g2(g2, solved[g2][1])
 
+    # brent_root returns a point it has evaluated, so solved holds it
     g2 = brent_root(outer, 0.0, b, xtol=tol * max(1.0, b))
-    if g2 not in solved:
-        outer(g2)
     g1, lvl = solved[g2]
     residuals = [fixed_point_g2(g2, lvl) / b]
     if g1 == 0.0:

@@ -247,22 +247,34 @@ def _mixing_rule(dof, abs_tol):
     return _MixingRule(tau, w, d / (d - 2.0) - float(w @ tau))
 
 
-def _gauss0_hinge_sq(sd, c):
-    """E (|sd*Z| - c)_+^2 elementwise for Z ~ N(0, 1), sd > 0."""
-    z = c / sd
-    return 2.0 * ((sd * sd + c * c) * ndtr(-z) - sd * c * _phi(z))
+# The hinge moments of V = sd*Z, Z ~ N(0, 1), sd > 0, given q = P(Z > c/sd)
+# and ph = phi(c/sd); scalars or arrays.
+
+def _h1_from(sd, c, q, ph):
+    """E (|V| - c)_+."""
+    return 2.0 * (sd * ph - c * q)
 
 
-def _gauss0_hinge_abs(sd, c):
-    """E (|sd*Z| - c)_+ elementwise for Z ~ N(0, 1), sd > 0."""
-    z = c / sd
-    return 2.0 * (sd * _phi(z) - c * ndtr(-z))
+def _h2_from(sd, c, q, ph):
+    """E (|V| - c)_+^2."""
+    return 2.0 * ((sd * sd + c * c) * q - sd * c * ph)
 
 
 def _gauss0_moments(sd, c, q, ph):
-    """(P(|V| > c), E (|V| - c)_+, E (|V| - c)_+^2) for V = sd*Z, given
-    q = P(Z > c/sd) and ph = phi(c/sd); scalars or arrays."""
-    return 2.0 * q, 2.0 * (sd * ph - c * q), 2.0 * ((sd * sd + c * c) * q - sd * c * ph)
+    """(P(|V| > c), E (|V| - c)_+, E (|V| - c)_+^2)."""
+    return 2.0 * q, _h1_from(sd, c, q, ph), _h2_from(sd, c, q, ph)
+
+
+def _gauss0_hinge_sq(sd, c):
+    """E (|sd*Z| - c)_+^2 elementwise."""
+    z = c / sd
+    return _h2_from(sd, c, ndtr(-z), _phi(z))
+
+
+def _gauss0_hinge_abs(sd, c):
+    """E (|sd*Z| - c)_+ elementwise."""
+    z = c / sd
+    return _h1_from(sd, c, ndtr(-z), _phi(z))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ import math
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 _EPS = 2.220446049250313e-16
+_BRENT_RTOL = 4.0 * _EPS  # relative part of brent_root's tolerance
+_BRENT_MAX_ITER = 200  # at least 100 halvings of the bracket
 
 
 def golden_section_min(f, lo, hi, tol=1e-10, max_iter=400):
@@ -101,14 +103,13 @@ def bisect_root(f, lo, hi, f_lo=None, f_hi=None, tol=1e-13, max_iter=200):
     return 0.5 * (a + b)
 
 
-def brent_root(f, lo, hi, f_lo=None, f_hi=None, xtol=1e-13, rtol=4.0 * _EPS,
-               max_iter=200):
+def brent_root(f, lo, hi, f_lo=None, f_hi=None, xtol=1e-13):
     """Root of ``f`` on [lo, hi] by Brent's method; f(lo), f(hi) must differ in sign.
 
     Inverse quadratic interpolation and secant steps, with a bisection step
     whenever an interpolation step would not shrink the bracket fast enough,
     so convergence is never slower than about twice bisection.  The returned
-    point lies within ~xtol + rtol*|x| of a sign change of ``f``: of the root
+    point lies within ~xtol + 4*eps*|x| of a sign change of ``f``: of the root
     of a continuous function, or of the jump of a step.  Of the two final
     bracket ends it is the one with the smaller |f|.  ``f_lo``/``f_hi`` spare
     the evaluations at the ends when the caller already has them.
@@ -124,7 +125,7 @@ def brent_root(f, lo, hi, f_lo=None, f_hi=None, xtol=1e-13, rtol=4.0 * _EPS,
         raise ValueError("brent_root: no sign change on the bracket")
     c, fc = a, fa
     d = e = b - a
-    for _ in range(max_iter):
+    for _ in range(_BRENT_MAX_ITER):
         if (fb > 0.0) == (fc > 0.0):
             # keep the sign change between b and c
             c, fc = a, fa
@@ -132,7 +133,7 @@ def brent_root(f, lo, hi, f_lo=None, f_hi=None, xtol=1e-13, rtol=4.0 * _EPS,
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol1 = 0.5 * (xtol + rtol * abs(b))
+        tol1 = 0.5 * (xtol + _BRENT_RTOL * abs(b))
         m = 0.5 * (c - b)
         if abs(m) <= tol1 or fb == 0.0:
             return b
