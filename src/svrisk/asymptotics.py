@@ -7,17 +7,19 @@ norm beta and tube half-width eps:
   minimization) and its inverse epsilon_star;
 - the hard-SVR limiting risk: minimize (g2 - beta/sigma)^2/2 + g1^2/2
   subject to D(g1, g2) <= 0 where
-  D(g1, g2) = sqrt(delta) * sqrt(E (|sqrt(g1^2+g2^2) G + N| - eps/sigma)_+^2) - g1;
+  D(g1, g2) = sqrt(delta) * sqrt(E (|sqrt(g1^2+g2^2) G + N| - eps/sigma)_+^2) - g1,
+  solved from its KKT conditions: a Newton lower edge D(g1, g2) = 0 in g1
+  inside one bracketed root of the fixed point in g2;
 - the soft-SVR limiting risk: min over (g1, g2) of sup over chi > 0 of
   the saddle function Dbar (concave in chi, convex in (g1, g2)), solved
-  from its first-order conditions, one bracketed root per variable, in
-  the fixed-point style of CGMT analyses (Thrampoulidis, Abbasi & Hassibi,
-  "Precise error analysis of regularized M-estimators in high
-  dimensions", 2018);
+  from its first-order conditions, one bracketed root per variable;
 - hyperparameter tuning (optimal eps, and jointly optimal (eps, C)).
 
-(g1, g2) are the error-vector norms orthogonal to / along the ground
-truth, scaled by 1/sigma, so the limiting risk is sigma^2 (g1^2 + g2^2).
+Both risks are solved in the fixed-point style of CGMT analyses
+(Thrampoulidis, Abbasi & Hassibi, "Precise error analysis of regularized
+M-estimators in high dimensions", 2018).  (g1, g2) are the error-vector
+norms orthogonal to / along the ground truth, scaled by 1/sigma, so the
+limiting risk is sigma^2 (g1^2 + g2^2).
 All routines are pure and deterministic; the risk solutions report how
 many expectation evaluations they made in ``diagnostics["expect_evals"]``.
 """
@@ -43,7 +45,9 @@ from .scalar_opt import bisect_root, brent_root, expand_bracket_min, golden_sect
 
 _COSINE_FLOOR = 1e-6  # below this error norm the cosine limit is 0/0
 _T_CAP = 1e12
-_G1_CAP = 1e6
+_EDGE_RTOL = 1e-15  # relative step at which the g1-edge Newton stops
+_EDGE_MAX_ITER = 200  # Newton from g1 = 0 halves its error at worst
+_HSVR_XTOL = 1e-12  # g2 root tolerance of hsvr_risk, times max(1, beta/sigma)
 _LOG_K_CAP = 300.0  # keeps (c + k)^2 finite in the hinge moments
 
 
@@ -173,46 +177,58 @@ def d_value(g1, g2, prob: HsvrProblem, quad=DEFAULT_QUAD):
     ) - g1
 
 
-def _g1_lower_edge(prob, g2, quad):
-    """Smallest feasible g1 at fixed g2, or None if the g2-slice is infeasible.
+def _g1_edge(prob, g2, quad):
+    """(g1, P) at the smallest feasible g1 of the g2-slice, or None if the
+    slice is infeasible.
 
-    D(., g2) is convex with D(0, g2) >= 0: minimize it (expanding the
-    bracket geometrically), then bisect for the left root.
+    With s = hypot(g1, g2), H2 = E (|V| - c)_+^2 and P = P(|V| > c),
+    D(., g2) = sqrt(delta H2) - g1 is convex with D(0, g2) >= 0, and Stein's
+    lemma (dH2/ds = 2 s P) gives dD/dg1 = sqrt(delta) g1 P / sqrt(H2) - 1,
+    all three from one ``e_hinge_moments`` call.  Newton from g1 = 0, where
+    the slope is -1, climbs monotonically to the lower root of a convex
+    decreasing function and cannot overshoot it; a point with D > 0 and
+    dD/dg1 >= 0 certifies D > 0 on the whole slice.  The iteration stops
+    when D <= 0 or the step falls below _EDGE_RTOL * g1; P is that of the
+    last point evaluated.
     """
-
-    def f(g1):
-        return d_value(g1, g2, prob, quad)
-
-    f0 = f(0.0)
-    if f0 <= 0.0:
-        return 0.0
-    hi = 1.0
-    f_half = f(0.5)
-    f_hi = f(hi)
-    while f_hi <= f_half and f_hi > 0.0 and hi < _G1_CAP:
-        hi *= 2.0
-        f_half = f_hi
-        f_hi = f(hi)
-    if f_hi > 0.0:
-        g1m, fm = golden_section_min(f, 0.0, hi, tol=1e-12 * max(1.0, hi))
-        if fm > 0.0:
+    delta, noise = prob.delta, prob.noise
+    c = prob.eps / prob.sigma
+    g1 = 0.0
+    for _ in range(_EDGE_MAX_ITER):
+        p, _, h2 = e_hinge_moments(math.hypot(g1, g2), c, noise, quad)
+        root = math.sqrt(delta * max(h2, 0.0))
+        d = root - g1
+        if d <= 0.0:
+            break
+        slope = delta * g1 * p / root - 1.0
+        if slope >= 0.0:
             return None
-        hi = g1m
-        f_hi = fm
-    return bisect_root(f, 0.0, hi, f_lo=f0, f_hi=f_hi, tol=1e-13 * max(1.0, hi))
+        step = d / -slope
+        g1 += step
+        if step <= _EDGE_RTOL * g1:
+            break
+    return g1, p
 
 
 def hsvr_risk(prob: HsvrProblem, quad=DEFAULT_QUAD):
     """Limiting hard-SVR prediction risk and cosine similarity.
 
-    Feasible only for delta < delta_star(eps, sigma).  The inner search
-    finds the smallest feasible g1 at each g2 (the g1-objective is
-    g1^2/2, so the lower edge of the feasible interval is optimal); the
-    outer golden-section runs over g2 in [0, beta/sigma], restricted to
-    the sub-interval where a feasible g1 exists.  At the optimum the
-    constraint is active: |D(g1*, g2*)| <= 1e-7.  Diagnostics:
-    ``delta_star``, ``d_residual`` = D(g1*, g2*) when feasible, and
-    ``expect_evals`` (expectation evaluations).
+    Feasible only for delta < delta_star(eps, sigma).  Minimizes
+    g1^2/2 + (g2 - beta/sigma)^2/2 subject to D(g1, g2) <= 0 from its KKT
+    conditions.  The constraint is active at the optimum, and the objective
+    increases in g1, so g1 is the lower edge of the g2-slice,
+    delta H2(c) = g1^2 (``_g1_edge``, Newton from g1 = 0).  The objective
+    along that edge, W(g2), is convex with
+    dW/dg2 = g2 / (1 - delta P) - beta/sigma, P = P(|V| > c), whose root is
+    the fixed point g2 = (beta/sigma)(1 - delta P), solved by ``brent_root``
+    on [0, beta/sigma] with an infeasible slice scoring +1.  The bracket holds:
+    D is even in g2 and jointly convex, so the g2 = 0 slice is feasible
+    whenever any slice is; at a lower edge delta P <= 1, so the residual is
+    <= 0 at g2 = 0; and at the end of the feasible g2 range delta P = 1, so
+    it is g2 > 0 there.  Diagnostics: ``delta_star``; when feasible,
+    ``d_residual`` = D(g1*, g2*) (|d_residual| <= 1e-7) and
+    ``stationarity`` = |g2 sigma/beta - (1 - delta P)|, the fixed-point
+    residual; and ``expect_evals`` (expectation evaluations).
     """
     with count_expectations() as counter:
         sol = _hsvr_solve(prob, quad)
@@ -222,43 +238,39 @@ def hsvr_risk(prob: HsvrProblem, quad=DEFAULT_QUAD):
 
 def _hsvr_solve(prob, quad):
     dstar = delta_star(prob.eps, prob.sigma, prob.noise, quad)
+    infeasible = AsymptoticSolution(None, None, None, None, False,
+                                    diagnostics={"delta_star": dstar})
     if not prob.delta < dstar:
-        return AsymptoticSolution(None, None, None, None, False,
-                                  diagnostics={"delta_star": dstar})
+        return infeasible
+    delta = prob.delta
     b = prob.beta / prob.sigma
+    edges = {}
 
-    def lower_edge(g2):
-        return _g1_lower_edge(prob, g2, quad)
+    def residual(g2):
+        edges[g2] = edge = _g1_edge(prob, g2, quad)
+        if edge is None:
+            return 1.0
+        return g2 - b * (1.0 - delta * edge[1])
 
-    g2_hi = b
-    if lower_edge(b) is None:
-        # feasible g2 range shrinks near the threshold; bisect its edge
-        g2_hi = bisect_root(
-            lambda g2: -1.0 if lower_edge(g2) is not None else 1.0,
-            0.0, b, f_lo=-1.0, f_hi=1.0, tol=1e-12 * max(1.0, b))
-        g2_hi = max(g2_hi * (1.0 - 1e-9) - 1e-15, 0.0)
-        while lower_edge(g2_hi) is None and g2_hi > 0.0:
-            g2_hi *= 0.999
-
-    def objective(g2):
-        g1 = lower_edge(g2)
-        if g1 is None:
-            return math.inf
-        return 0.5 * g1 * g1 + 0.5 * (g2 - b) ** 2
-
-    g2_opt, _ = golden_section_min(objective, 0.0, g2_hi, tol=1e-10 * max(1.0, b))
-    g1_opt = lower_edge(g2_opt)
-    if g1_opt is None:  # numerical edge: fall back to the certified endpoint
-        g2_opt = 0.0
-        g1_opt = lower_edge(0.0)
-    risk = prob.sigma ** 2 * (g1_opt ** 2 + g2_opt ** 2)
+    f0 = residual(0.0)
+    if edges[0.0] is None:  # certified: the g2 = 0 slice is the last to close
+        return infeasible
+    g2 = 0.0
+    if f0 < 0.0:
+        # brent_root returns a point it has evaluated, so edges holds it
+        g2 = brent_root(residual, 0.0, b, f_lo=f0, xtol=_HSVR_XTOL * max(1.0, b))
+    g1 = edges[g2][0]
+    p, _, h2 = e_hinge_moments(math.hypot(g1, g2), prob.eps / prob.sigma,
+                               prob.noise, quad)
+    risk = prob.sigma ** 2 * (g1 ** 2 + g2 ** 2)
     return AsymptoticSolution(
-        g1=g1_opt, g2=g2_opt, risk=risk,
-        cosine=_cosine_limit(g1_opt, g2_opt, b),
+        g1=g1, g2=g2, risk=risk,
+        cosine=_cosine_limit(g1, g2, b),
         feasible=True,
         diagnostics={
             "delta_star": dstar,
-            "d_residual": d_value(g1_opt, g2_opt, prob, quad),
+            "d_residual": math.sqrt(delta * max(h2, 0.0)) - g1,
+            "stationarity": abs(g2 / b - (1.0 - delta * p)),
         },
     )
 
@@ -531,12 +543,8 @@ def tune_hsvr(delta, sigma, beta, noise=None, quad=DEFAULT_QUAD, eps_cap=None):
         return sol.risk if sol.feasible else math.inf
 
     cap = eps_cap if eps_cap is not None else 400.0 * sigma
-    hi = max(2.0 * eps_lo, sigma)
-    f_prev, f_hi = risk_at(max(eps_lo, hi / 2.0)), risk_at(hi)
-    while f_hi <= f_prev and hi < cap:
-        hi *= 2.0
-        f_prev = f_hi
-        f_hi = risk_at(hi)
+    # hi >= 2 eps_lo, so the first comparison point hi/2 is above eps_lo
+    hi, _, _ = expand_bracket_min(risk_at, x0=max(2.0 * eps_lo, sigma), cap=cap)
     eps_opt, risk_opt = golden_section_min(risk_at, eps_lo, min(hi, cap),
                                            tol=1e-7 * max(1.0, hi))
     return eps_opt, risk_opt

@@ -10,7 +10,9 @@ V = s*G + a*N with G standard normal and N from a ``NoiseModel``:
   function collapses to this form)
 
 For Gaussian noise V is normal and every value has a closed form through
-the normal cdf.  The scale mixture is N = sqrt(tau) * Z with
+the normal cdf, evaluated in scalar ``math`` (the hinge and hinge-square
+forms ``_h1_from``/``_h2_from`` are written once; Huber is
+(H2(c) - H2(c + k)) / 2).  The scale mixture is N = sqrt(tau) * Z with
 tau = d / chi^2_d, so given tau, V is normal with sd sqrt(s^2 + a^2 tau)
 and each functional is the zero-mean Gaussian closed form averaged over
 tau.  That average is one fixed trapezoid rule in x = log chi^2_d, cached
@@ -26,9 +28,9 @@ tails; it shares no code with the production mixture rule.
 
 ``e_hinge_moments`` evaluates the tail probability P(|V| > c) together
 with the hinge and hinge-square at one (s, c) from a single cdf/density
-pass; the first-order conditions of the soft-SVR saddle problem need all
-three.  ``count_expectations`` counts the expectation evaluations made in
-a context (each public functional counts one).
+pass; the first-order conditions of the hard- and soft-SVR risk problems
+need all three.  ``count_expectations`` counts the expectation evaluations
+made in a context (each public functional counts one).
 
 Also included: exact values of two small deterministic maximizations used
 as numeric oracles elsewhere (sphere-constrained and box-constrained
@@ -51,7 +53,6 @@ from .scalar_opt import golden_section_max
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
-_ZMAX = 39.0  # beyond this phi underflows to exactly 0.0 in float64
 _ZTAIL = 16.0  # conditional == asymptote to ~exp(-128) past this many sigmas
 
 
@@ -126,77 +127,6 @@ def _count():
 
 def _phi(z):
     return np.exp(-0.5 * z * z) / _SQRT2PI
-
-
-def _clip(z):
-    return np.clip(z, -_ZMAX, _ZMAX)
-
-
-# ---------------------------------------------------------------------------
-# Closed forms for V ~ N(mu, s^2); mu may be an array, s, c, k scalars.
-# ---------------------------------------------------------------------------
-
-def gauss_hinge_sq(mu, s, c):
-    """E (|V| - c)_+^2 for V ~ N(mu, s^2)."""
-    mu = np.asarray(mu, dtype=float)
-    if s == 0.0:
-        return np.maximum(np.abs(mu) - c, 0.0) ** 2
-    za = _clip((c - mu) / s)
-    i0 = ndtr(-za)
-    e1 = _phi(za)
-    e2 = i0 + za * e1
-    m = mu - c
-    p1 = m * m * i0 + 2.0 * m * s * e1 + s * s * e2
-
-    zb = _clip((-c - mu) / s)
-    i0 = ndtr(zb)
-    pb = _phi(zb)
-    e2 = i0 - zb * pb
-    m = mu + c
-    p2 = m * m * i0 - 2.0 * m * s * pb + s * s * e2
-    return p1 + p2
-
-
-def gauss_hinge_abs(mu, s, c):
-    """E (|V| - c)_+ for V ~ N(mu, s^2)."""
-    mu = np.asarray(mu, dtype=float)
-    if s == 0.0:
-        return np.maximum(np.abs(mu) - c, 0.0)
-    za = _clip((c - mu) / s)
-    p1 = (mu - c) * ndtr(-za) + s * _phi(za)
-    zb = _clip((-c - mu) / s)
-    p2 = -(mu + c) * ndtr(zb) + s * _phi(zb)
-    return p1 + p2
-
-
-def gauss_hinge_huber(mu, s, c, k):
-    """E rho_k((|V| - c)_+) for V ~ N(mu, s^2), rho_k the Huber function."""
-    mu = np.asarray(mu, dtype=float)
-    if s == 0.0:
-        h = np.maximum(np.abs(mu) - c, 0.0)
-        return np.where(h <= k, 0.5 * h * h, k * h - 0.5 * k * k)
-    za = _clip((c - mu) / s)
-    zb = _clip((c + k - mu) / s)
-    pa, pb = _phi(za), _phi(zb)
-    i0 = ndtr(zb) - ndtr(za)
-    e1 = pa - pb
-    e2 = i0 + za * pa - zb * pb
-    m = mu - c
-    quad_pos = 0.5 * (m * m * i0 + 2.0 * m * s * e1 + s * s * e2)
-    i0t = ndtr(-zb)
-    lin_pos = k * (m * i0t + s * pb) - 0.5 * k * k * i0t
-
-    za2 = _clip((-c - k - mu) / s)
-    zb2 = _clip((-c - mu) / s)
-    pa2, pb2 = _phi(za2), _phi(zb2)
-    i0 = ndtr(zb2) - ndtr(za2)
-    e1 = pa2 - pb2
-    e2 = i0 + za2 * pa2 - zb2 * pb2
-    m2 = mu + c
-    quad_neg = 0.5 * (m2 * m2 * i0 + 2.0 * m2 * s * e1 + s * s * e2)
-    i0t = ndtr(za2)
-    lin_neg = -k * (m2 * i0t - s * pa2) - 0.5 * k * k * i0t
-    return quad_pos + lin_pos + quad_neg + lin_neg
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +205,12 @@ def _gauss0_hinge_abs(sd, c):
     """E (|sd*Z| - c)_+ elementwise."""
     z = c / sd
     return _h1_from(sd, c, ndtr(-z), _phi(z))
+
+
+def _gauss0_scalar(sd, c):
+    """(q, ph) = (P(Z > c/sd), phi(c/sd)) for one sd > 0, in scalar math."""
+    z = c / sd
+    return 0.5 * math.erfc(z / _SQRT2), math.exp(-0.5 * z * z) / _SQRT2PI
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +322,11 @@ def hinge_sq_mean(s, a, c, noise, quad=DEFAULT_QUAD):
     if s < 0 or a < 0 or c < 0:
         raise ValueError("s, a, c must be nonnegative")
     _count()
-    if noise.is_gaussian:
-        return float(gauss_hinge_sq(0.0, math.hypot(s, a), c))
-    if a == 0.0:
-        return float(gauss_hinge_sq(0.0, s, c))
+    if noise.is_gaussian or a == 0.0:  # V is normal with sd = hypot(s, a)
+        sd = math.hypot(s, a)
+        if sd == 0.0:
+            return 0.0
+        return _h2_from(sd, c, *_gauss0_scalar(sd, c))
     rule = _mixing_rule(noise.dof, quad.abs_tol)
     sd = np.sqrt(s * s + a * a * rule.tau)
     return float(rule.w @ _gauss0_hinge_sq(sd, c)) + a * a * rule.miss1
@@ -408,7 +345,8 @@ def e_hinge_abs(s, c, noise, quad=DEFAULT_QUAD):
         raise ValueError("s, c must be nonnegative")
     _count()
     if noise.is_gaussian:
-        return float(gauss_hinge_abs(0.0, math.hypot(s, 1.0), c))
+        sd = math.hypot(s, 1.0)
+        return _h1_from(sd, c, *_gauss0_scalar(sd, c))
     rule = _mixing_rule(noise.dof, quad.abs_tol)
     return float(rule.w @ _gauss0_hinge_abs(np.sqrt(s * s + rule.tau), c))
 
@@ -419,9 +357,12 @@ def e_hinge_huber(s, c, k, noise, quad=DEFAULT_QUAD):
     if s < 0 or c < 0 or k < 0:
         raise ValueError("s, c, k must be nonnegative")
     _count()
+    # rho_k(h) = h^2/2 - (h - k)_+^2/2, so E rho_k(h) = (H2(c) - H2(c+k))/2
     if noise.is_gaussian:
-        return float(gauss_hinge_huber(0.0, math.hypot(s, 1.0), c, k))
-    # rho_k(h) = h^2/2 - (h - k)_+^2/2; the s^2 + tau asymptotes cancel
+        sd = math.hypot(s, 1.0)
+        return 0.5 * (_h2_from(sd, c, *_gauss0_scalar(sd, c))
+                      - _h2_from(sd, c + k, *_gauss0_scalar(sd, c + k)))
+    # on the mixture the s^2 + tau asymptotes of the two terms cancel
     rule = _mixing_rule(noise.dof, quad.abs_tol)
     sd = np.sqrt(s * s + rule.tau)
     return 0.5 * float(rule.w @ (_gauss0_hinge_sq(sd, c) - _gauss0_hinge_sq(sd, c + k)))
@@ -441,6 +382,8 @@ def e_hinge_moments(s, c, noise, quad=DEFAULT_QUAD):
         raise ValueError("s, c must be nonnegative")
     _count()
     if noise.is_gaussian:
+        # _gauss0_scalar inlined: this is the inner loop of both risk
+        # solvers, and the extra call costs about 20 % of it
         sd = math.hypot(s, 1.0)
         z = c / sd
         return _gauss0_moments(sd, c, 0.5 * math.erfc(z / _SQRT2),

@@ -22,11 +22,11 @@ from svrisk import (
     standard_gaussian,
     tune_hsvr,
 )
-from svrisk.asymptotics import _sup_chi
+from svrisk.asymptotics import _g1_edge, _sup_chi
 from svrisk.expectations import DEFAULT_QUAD, e_hinge_moments
 from svrisk.scalar_opt import brent_root
 
-from tests_support import ssvr_risk_golden, sup_chi_golden
+from tests_support import hsvr_risk_golden, ssvr_risk_golden, sup_chi_golden
 
 GAUSS = standard_gaussian()
 
@@ -306,6 +306,76 @@ class TestSsvrFirstOrderConditions:
         # chi* tends to the multiplier g1 sigma / (1 - delta P(|V| > c))
         p0 = e_hinge_moments(math.hypot(g1, g2), c, GAUSS)[0]
         assert sol.chi == pytest.approx(g1 * sigma / (1.0 - delta * p0), rel=1e-8)
+
+
+# the seven criterion-2 anchors: (delta, sigma, eps), beta = 1
+HSVR_ANCHORS = ((1.0, 0.5, 0.13), (1.0, 0.5, 0.41), (1.0, 0.5, 1.0), (1.0, 0.2, 0.10),
+                (0.01, 1.0, 1.0), (1.14, 1.0, 1.0), (1.82, 1.0, 1.0))
+
+
+class TestHsvrFirstOrderConditions:
+    @pytest.mark.parametrize("name", list(NOISES))
+    def test_matches_golden_search_oracle(self, name):
+        # the oracle's golden g2 search stops 1.5-3.6e-5 short of its optimum
+        # at worst, so agreement is to 1e-5; 0.999 delta* has the narrowest
+        # feasible g2 range
+        noise = NOISES[name]
+        cases = [(0.3, 1.0, 1.0, 1.0), (1.0, 0.5, 1.0, 0.4), (1.0, 0.2, 2.0, 0.1)]
+        dstar = delta_star(1.0, 1.0, noise)
+        cases += [(0.9 * dstar, 1.0, 1.0, 1.0), (0.999 * dstar, 1.0, 0.5, 1.0)]
+        for delta, sigma, beta, eps in cases:
+            prob = HsvrProblem(delta, sigma, beta, eps, noise)
+            want = hsvr_risk_golden(prob)
+            sol = hsvr_risk(prob)
+            assert sol.feasible and want.feasible
+            assert sol.risk == pytest.approx(want.risk, rel=1e-5), (delta, sigma, beta, eps)
+
+    def test_equals_the_two_nested_roots(self):
+        # g2 = (beta/sigma)(1 - delta P(|V| > c)) and delta H2(c) = g1^2
+        # solved by two nested Brent roots (and ssvr_risk at C = 1e6)
+        for (delta, sigma, eps), want in (((1.5, 1.0, 1.0), 0.7976299721),
+                                          ((1.0, 0.5, 0.5), 0.4440912765),
+                                          ((2.0, 1.0, 1.2), 0.6801620662)):
+            sol = hsvr_risk(HsvrProblem(delta, sigma, 1.0, eps, GAUSS))
+            assert sol.risk == pytest.approx(want, rel=1e-8)
+
+    def test_next_to_the_threshold_matches_the_soft_limit(self):
+        # at (1 - 1e-6) delta* the feasible set is a sliver around g2 = 0;
+        # the soft risk tends to the hard one as C -> inf
+        dstar = delta_star(1.0, 0.2, GAUSS)
+        delta = (1.0 - 1e-6) * dstar
+        sol = hsvr_risk(HsvrProblem(delta, 0.2, 2.0, 1.0, GAUSS))
+        soft = ssvr_risk(SsvrProblem(delta, 0.2, 2.0, 1.0, GAUSS, cost=1e10))
+        assert sol.feasible
+        assert sol.risk == pytest.approx(soft.risk, rel=1e-6)
+        assert abs(sol.diagnostics["d_residual"]) <= 1e-7
+
+    def test_past_the_threshold_is_infeasible(self):
+        for noise in (GAUSS, NOISES["d3"]):
+            dstar = delta_star(1.0, 1.0, noise)
+            sol = hsvr_risk(HsvrProblem(1.01 * dstar, 1.0, 1.0, 1.0, noise))
+            assert not sol.feasible
+            assert sol.risk is None
+
+    def test_certificates_and_cost_on_the_anchors(self):
+        for delta, sigma, eps in HSVR_ANCHORS:
+            diag = hsvr_risk(HsvrProblem(delta, sigma, 1.0, eps, GAUSS)).diagnostics
+            assert abs(diag["d_residual"]) <= 1e-7
+            assert diag["stationarity"] <= 1e-8
+            assert 0 < diag["expect_evals"] <= 200, (delta, sigma, eps)
+
+    def test_lower_edge_newton(self):
+        # the Newton edge is the left root of D(., g2) and its tail
+        # probability; an infeasible slice returns None
+        prob = HsvrProblem(1.5, 1.0, 1.0, 1.0, GAUSS)
+        for g2 in (0.0, 0.3, 0.6):
+            g1, p = _g1_edge(prob, g2, DEFAULT_QUAD)
+            assert abs(d_value(g1, g2, prob)) <= 1e-14
+            assert d_value(0.999 * g1, g2, prob) > 0.0
+            assert p == pytest.approx(e_hinge_moments(math.hypot(g1, g2), 1.0, GAUSS)[0],
+                                      rel=1e-12)
+        assert _g1_edge(prob, 3.0, DEFAULT_QUAD) is None
+        assert _g1_edge(HsvrProblem(2.0, 1.0, 1.0, 1.0, GAUSS), 0.0, DEFAULT_QUAD) is None
 
 
 class TestTuneHsvr:

@@ -28,9 +28,9 @@ from svrisk import (
     soft_expectation,
     standard_gaussian,
 )
-from svrisk.expectations import _mixing_rule, gauss_hinge_abs, gauss_hinge_huber, gauss_hinge_sq
+from svrisk.expectations import _mixing_rule
 
-from tests_support import closed_form_hinge_sq
+from tests_support import closed_form_hinge_sq, gauss_hinge_abs, gauss_hinge_huber, gauss_hinge_sq
 
 GAUSS = standard_gaussian()
 MIX3 = scale_mixture(3.0)
@@ -107,6 +107,27 @@ class TestHingeSquare:
                 a2 = e_hinge_sq_quad2d(s, c, noise, base)
                 b2 = e_hinge_sq_quad2d(s, c, noise, fine)
                 assert abs(a2 - b2) < base.abs_tol
+
+    def test_scalar_gaussian_branches_match_the_array_forms(self):
+        # the scalar-math Gaussian branches (and hinge_sq_mean's a = 0 branch
+        # on a mixture) against the numpy closed forms of V ~ N(mu, s^2) at
+        # mu = 0; c = 150 puts c/sd past 39 for every s, and Huber's
+        # difference form H2(c) - H2(c + k) is checked down to k = 1e-9
+        for s in (0.0, 0.3, 1.0, 3.0):
+            sd = math.hypot(s, 1.0)
+            for c in (0.0, 0.5, 2.0, 45.0, 150.0):
+                for a in (0.0, 0.5, 2.0):
+                    want = float(gauss_hinge_sq(0.0, math.hypot(s, a), c))
+                    assert abs(hinge_sq_mean(s, a, c, GAUSS) - want) <= 1e-13
+                    want = float(gauss_hinge_sq(0.0, s, c))
+                    assert abs(hinge_sq_mean(s, 0.0, c, MIX3) - want) <= 1e-13
+                want = float(gauss_hinge_abs(0.0, sd, c))
+                assert abs(e_hinge_abs(s, c, GAUSS) - want) <= 1e-13
+                for k in (1e-9, 1e-6, 0.1, 1.0, 10.0):
+                    want = float(gauss_hinge_huber(0.0, sd, c, k))
+                    assert abs(e_hinge_huber(s, c, k, GAUSS) - want) <= 1e-13
+        assert hinge_sq_mean(0.0, 0.0, 0.7, GAUSS) == 0.0  # V = 0 exactly
+        assert hinge_sq_mean(0.0, 0.0, 0.0, MIX3) == 0.0
 
 
 class TestCrossCheckQuadrature:
