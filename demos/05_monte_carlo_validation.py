@@ -3,9 +3,9 @@
 A sweep varies one parameter over a grid, runs independent seeded trials
 at each point, and reports theory plus empirical columns.  Per-trial
 streams derive from (base_seed, grid_index, trial_index), so rows do not
-depend on execution order or thread count, and adding trials never
-changes existing ones.  The feasibility rate of the hard estimator
-exhibits its sharp transition around the threshold.
+depend on execution order, and adding trials never changes existing ones.
+The feasibility rate of the hard estimator exhibits its sharp transition
+around the threshold.
 """
 
 from svrisk import (

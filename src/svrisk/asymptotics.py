@@ -373,18 +373,6 @@ def _chi_level(g1, g2, prob, quad, k_hint, log_tol):
     return _ChiLevel(k, value, emin2(k, p_k, h1, h2), p0 - p_k)
 
 
-def _sup_chi(g1, g2, prob, quad, chi_hint=1.0, log_tol=1e-6):
-    """(chi*, sup over chi of Dbar) at fixed (g1 > 0, g2).
-
-    Solves the first-order condition in chi (see ``_chi_level``); chi* = 0
-    on the hard-feasible slice.  ``log_tol`` is the tolerance on log chi*.
-    ``ssvr_risk`` calls ``_chi_level`` directly; this wrapper gives the
-    tests the (chi, value) pair at a given (g1, g2).
-    """
-    lvl = _chi_level(g1, g2, prob, quad, g1 * prob.cost / chi_hint, log_tol)
-    return g1 * prob.cost / lvl.k, lvl.value
-
-
 def ssvr_risk(prob: SsvrProblem, quad=DEFAULT_QUAD, tol=1e-8):
     """Limiting soft-SVR risk via the min-sup scalar saddle problem.
 

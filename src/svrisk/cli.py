@@ -33,6 +33,7 @@ from .asymptotics import (
 from .expectations import DEFAULT_QUAD, QuadratureSpec
 from .montecarlo import SweepSpec, run_sweep
 from .noise import NoiseModel, scale_mixture, standard_gaussian
+from .scalar_opt import golden_section_min
 from .solvers import (
     UnsupportedRegime,
     estimate_noise_signal,
@@ -52,7 +53,7 @@ EXIT_INFEASIBLE = 2
 _CONFIG_SCHEMA = {
     "problem": {"delta", "sigma", "beta", "eps", "cost", "noise", "dof"},
     "sweep": {"estimator", "swept", "grid", "p", "trials", "base_seed", "theory"},
-    "quadrature": {"gauss_nodes_g", "mixture_nodes", "abs_tol"},
+    "quadrature": {"abs_tol"},
     "output": {"path"},
 }
 
@@ -107,14 +108,9 @@ def _noise_from(args, cfg) -> NoiseModel:
 
 
 def _quad_from(args, cfg) -> QuadratureSpec:
-    kwargs = {}
-    if cfg.get("gauss_nodes_g"):
-        kwargs["gauss_nodes_G"] = int(cfg["gauss_nodes_g"])
-    if cfg.get("mixture_nodes"):
-        kwargs["mixture_nodes"] = int(cfg["mixture_nodes"])
     if cfg.get("abs_tol"):
-        kwargs["abs_tol"] = float(cfg["abs_tol"])
-    return QuadratureSpec(**kwargs) if kwargs else DEFAULT_QUAD
+        return QuadratureSpec(abs_tol=float(cfg["abs_tol"]))
+    return DEFAULT_QUAD
 
 
 def _param(args, cfg, name, cast=float, default=None, required=True):
@@ -284,7 +280,7 @@ def cmd_sweep(args, cfg):
         )
     except ValueError as exc:
         raise CliError(str(exc))
-    rows = run_sweep(spec, quad, threads=max(args.threads, 1))
+    rows = run_sweep(spec, quad)
     columns = ["swept_value", "theory_risk", "theory_cosine", "mean_risk",
                "stderr_risk", "mean_cosine", "feasibility_rate", "trials_used"]
     meta = _meta(args, {"estimator": spec.estimator, "swept": spec.swept,
@@ -426,7 +422,6 @@ def cmd_figure(args, cfg):
             for c in cost_list:
                 sol = ssvr_risk(SsvrProblem(d, 1.0, 1.0, 0.6, g, cost=c), quad)
                 row.append(sol.risk)
-            from .scalar_opt import golden_section_min
             _, r_opt = golden_section_min(
                 lambda lc: ssvr_risk(SsvrProblem(d, 1.0, 1.0, 0.6, g,
                                                  cost=float(np.exp(lc))),
@@ -472,7 +467,6 @@ def _add_common(sp):
     sp.add_argument("--dof", type=float, default=None)
     sp.add_argument("--sigma", type=float, default=None)
     sp.add_argument("--beta", type=float, default=None)
-    sp.add_argument("--threads", type=int, default=1)
 
 
 def build_parser():

@@ -19,12 +19,9 @@ tau.  That average is one fixed trapezoid rule in x = log chi^2_d, cached
 per (dof, abs_tol); the integrand is smooth in x, so the rule converges
 exponentially (Trefethen & Weideman, SIAM Rev. 2014).  The part of E tau
 that the truncated rule misses is added back analytically, which keeps
-the node count bounded as dof -> 2+.  Monte Carlo is never used; results
-are deterministic to ~abs_tol.
-
-The cross-check ``e_hinge_sq_quad2d`` integrates instead over N = x with
-panelled Gauss-Legendre on a kink-aware grid plus analytic Student-t
-tails; it shares no code with the production mixture rule.
+the node count bounded as dof -> 2+.  This is the package's one
+quadrature rule; Monte Carlo is never used, and results are deterministic
+to ~abs_tol.
 
 ``e_hinge_moments`` evaluates the tail probability P(|V| > c) together
 with the hinge and hinge-square at one (s, c) from a single cdf/density
@@ -46,41 +43,28 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, ndtr, stdtr
+from scipy.special import gammaln, ndtr
 
-from .noise import noise_pdf
 from .scalar_opt import golden_section_max
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
-_ZTAIL = 16.0  # conditional == asymptote to ~exp(-128) past this many sigmas
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts and accuracy target for the expectation integrals.
+    """Accuracy target for the expectation integrals.
 
-    abs_tol: target absolute accuracy of the production scale-mixture
-        rule; it sets how far into the heavy tail of the mixing variable
-        the rule reaches.
-    gauss_nodes_G, mixture_nodes, split_points: Gauss-Legendre nodes per
-        panel in the G and noise directions, and extra noise-axis panel
-        split locations (kinks are located automatically).  They drive
-        only the all-numeric cross-check ``e_hinge_sq_quad2d``.
+    abs_tol: target absolute accuracy of the scale-mixture rule; it sets
+        how far into the heavy tail of the mixing variable the rule
+        reaches.  Gaussian noise has closed forms and ignores it.
     """
 
-    gauss_nodes_G: int = 64
-    mixture_nodes: int = 20
     abs_tol: float = 1e-9
-    split_points: tuple = ()
 
     def __post_init__(self):
-        if self.gauss_nodes_G < 32:
-            raise ValueError("gauss_nodes_G must be >= 32")
         if not (0 < self.abs_tol <= 1e-8):
             raise ValueError("abs_tol must be in (0, 1e-8]")
-        if self.mixture_nodes < 8:
-            raise ValueError("mixture_nodes must be >= 8")
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -214,105 +198,6 @@ def _gauss0_scalar(sd, c):
 
 
 # ---------------------------------------------------------------------------
-# Student-t partial moments and the half-line panel quadrature (used only by
-# the all-numeric cross-check path).
-# ---------------------------------------------------------------------------
-
-def _student_norm_const(d):
-    return math.exp(gammaln((d + 1.0) / 2.0) - gammaln(d / 2.0)) / math.sqrt(d * math.pi)
-
-
-def student_tail_moments(dof, x):
-    """(m0, m1, m2) = integrals of (1, t, t^2) * pdf_t over [x, inf), x >= 0.
-
-    Requires dof > 2; m2 uses the reduction to a Student-t with dof-2.
-    """
-    d = float(dof)
-    m0 = float(stdtr(d, -x))
-    a_d = _student_norm_const(d)
-    m1 = a_d * d / (d - 1.0) * (1.0 + x * x / d) ** (-(d - 1.0) / 2.0)
-    dp = d - 2.0
-    a_dp = _student_norm_const(dp)
-    m2 = d * ((a_d / a_dp) * math.sqrt(d / dp) * float(stdtr(dp, -x * math.sqrt(dp / d))) - m0)
-    return m0, m1, m2
-
-
-@lru_cache(maxsize=32)
-def _leggauss(n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
-def _half_line_breaks(x_cut, landmarks, width, scale, extra=()):
-    """Panel endpoints on [0, x_cut]: kink fans plus a geometric ladder."""
-    if x_cut <= 0.0:
-        return np.empty(0)
-    pts = {0.0, x_cut}
-    for p in extra:
-        p = abs(float(p))
-        if 0.0 < p < x_cut:
-            pts.add(p)
-    for lm in landmarks:
-        if 0.0 < lm < x_cut:
-            pts.add(lm)
-        if width > 0.0:
-            off = width
-            for _ in range(48):
-                if off >= x_cut:
-                    break
-                for q in (lm - off, lm + off):
-                    if 0.0 < q < x_cut:
-                        pts.add(q)
-                off *= 4.0
-    g = 0.5 * scale
-    while g < x_cut:
-        pts.add(g)
-        g *= 2.0
-    raw = np.array(sorted(pts))
-    keep = [raw[0]]
-    for v in raw[1:]:
-        if v - keep[-1] > 1e-13 * max(1.0, x_cut):
-            keep.append(v)
-    keep[-1] = x_cut
-    # cap panel width: absolute floor ~scale/2, relative growth ~60% of position
-    out = [keep[0]]
-    for hi in keep[1:]:
-        lo = out[-1]
-        hmax = max(0.5 * scale, 0.6 * max(lo, 0.25 * scale))
-        nsub = min(int(math.ceil((hi - lo) / hmax)), 24)
-        for j in range(1, nsub):
-            out.append(lo + (hi - lo) * j / nsub)
-        out.append(hi)
-    return np.array(out)
-
-
-def _panel_grid(breaks, n):
-    xi, wi = _leggauss(n)
-    lo = breaks[:-1]
-    hi = breaks[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    x = (mid[:, None] + half[:, None] * xi[None, :]).ravel()
-    w = (half[:, None] * wi[None, :]).ravel()
-    return x, w
-
-
-def _mixture_expect(cond, noise, x_cut, landmarks, width, tail_coeffs, quad):
-    """2 * (int_0^x_cut pdf_t(x) cond(x) dx + polynomial tail), cond even in x."""
-    d = noise.dof
-    scale = math.sqrt(d / (d - 2.0))
-    total = 0.0
-    if x_cut > 0.0:
-        breaks = _half_line_breaks(x_cut, landmarks, width, scale, quad.split_points)
-        x, w = _panel_grid(breaks, quad.mixture_nodes)
-        total += float(np.dot(w * noise_pdf(noise, x), cond(x)))
-    q0, q1, q2 = tail_coeffs
-    m0, m1, m2 = student_tail_moments(d, max(x_cut, 0.0))
-    total += q0 * m0 + q1 * m1 + q2 * m2
-    return 2.0 * total
-
-
-# ---------------------------------------------------------------------------
 # Public expectation operations.
 # ---------------------------------------------------------------------------
 
@@ -416,58 +301,6 @@ def soft_expectation(g1, g2, chi, cost, thr, noise, quad=DEFAULT_QUAD):
     k = g1 * cost / chi
     s = math.hypot(g1, g2)
     return (chi / g1) * e_hinge_huber(s, thr, k, noise, quad)
-
-
-# ---------------------------------------------------------------------------
-# All-numeric cross-check path (both directions integrated numerically).
-# ---------------------------------------------------------------------------
-
-def _cond_hinge_sq_numeric(mu, s, c, nodes):
-    """Inner integral over G by kink-split Gauss-Legendre panels."""
-    zr = 10.0
-    kinks = sorted({(-c - mu) / s, (c - mu) / s})
-    breaks = [-zr]
-    for kz in kinks:
-        if -zr < kz < zr:
-            breaks.append(kz)
-    breaks.append(zr)
-    total = 0.0
-    xi, wi = _leggauss(nodes)
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-        z = mid + half * xi
-        v = mu + s * z
-        total += half * float(np.dot(wi, np.maximum(np.abs(v) - c, 0.0) ** 2 * _phi(z)))
-    return total
-
-
-def e_hinge_sq_quad2d(s, c, noise, quad=DEFAULT_QUAD):
-    """E (|s*G + N| - c)_+^2 with both integrals done numerically.
-
-    Cross-check for the closed-form/semi-analytic production path; the
-    tensor quadrature splits the inner G panels at the hinge kinks.
-    """
-    s, c = float(s), float(c)
-    if s == 0.0:
-        return e_hinge_sq(s, c, noise, quad)
-    ng = quad.gauss_nodes_G
-
-    def cond(xs):
-        return np.array([_cond_hinge_sq_numeric(x, s, c, ng) for x in np.atleast_1d(xs)])
-
-    if noise.is_gaussian:
-        x_cut = c + 12.0 * s + 12.0
-        breaks = _half_line_breaks(x_cut, (c,), s, 1.0, quad.split_points)
-        x, w = _panel_grid(breaks, quad.mixture_nodes)
-        central = float(np.dot(w * _phi(x), cond(x)))
-        m0 = float(ndtr(-x_cut))
-        m1 = float(_phi(x_cut))
-        m2 = m0 + x_cut * m1
-        q0, q1, q2 = s * s + c * c, -2.0 * c, 1.0
-        return 2.0 * (central + q0 * m0 + q1 * m1 + q2 * m2)
-    x_cut = c + _ZTAIL * s
-    tail = (s * s + c * c, -2.0 * c, 1.0)
-    return _mixture_expect(cond, noise, x_cut, (c,), s, tail, quad)
 
 
 # ---------------------------------------------------------------------------

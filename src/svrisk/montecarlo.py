@@ -163,20 +163,9 @@ def _sweep_point(spec: SweepSpec, gi, quad):
     )
 
 
-def run_sweep(spec: SweepSpec, quad=DEFAULT_QUAD, threads=1):
-    """Execute the sweep; one SweepRow per grid point, in grid order.
-
-    Grid points may run on a thread pool; per-trial seeds are fixed by
-    (base_seed, grid_index, trial_index) and rows are collected in grid
-    order, so the output is identical for any thread count.
-    """
-    indices = range(len(spec.grid))
-    if threads > 1 and len(spec.grid) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda gi: _sweep_point(spec, gi, quad), indices))
-    return [_sweep_point(spec, gi, quad) for gi in indices]
+def run_sweep(spec: SweepSpec, quad=DEFAULT_QUAD):
+    """Execute the sweep; one SweepRow per grid point, in grid order."""
+    return [_sweep_point(spec, gi, quad) for gi in range(len(spec.grid))]
 
 
 def feasibility_curve(p, eps, sigma, noise, delta_grid, trials, base_seed,

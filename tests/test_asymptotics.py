@@ -22,11 +22,11 @@ from svrisk import (
     standard_gaussian,
     tune_hsvr,
 )
-from svrisk.asymptotics import _g1_edge, _sup_chi
+from svrisk.asymptotics import _g1_edge
 from svrisk.expectations import DEFAULT_QUAD, e_hinge_moments
 from svrisk.scalar_opt import brent_root
 
-from tests_support import hsvr_risk_golden, ssvr_risk_golden, sup_chi_golden
+from tests_support import hsvr_risk_golden, ssvr_risk_golden, sup_chi, sup_chi_golden
 
 GAUSS = standard_gaussian()
 
@@ -177,7 +177,7 @@ class TestDbarAndSsvr:
         # sup over chi collapses onto g1^2/2 + (g2 - beta/sigma)^2/2
         prob = SsvrProblem(1e-6, 1.0, 1.0, 0.5, GAUSS, cost=1.0)
         for g1, g2 in ((0.3, 0.4), (1.0, 0.9)):
-            _, val = _sup_chi(g1, g2, prob, DEFAULT_QUAD)
+            _, val = sup_chi(g1, g2, prob, DEFAULT_QUAD)
             want = 0.5 * g1 ** 2 + 0.5 * (g2 - 1.0) ** 2
             assert val == pytest.approx(want, abs=1e-4)
 
@@ -202,7 +202,7 @@ class TestDbarAndSsvr:
         v_opt = sol.diagnostics["value"]
         for dg1, dg2 in ((1e-4, 0.0), (-1e-4, 0.0), (0.0, 1e-4), (0.0, -1e-4)):
             g1 = max(sol.g1 + dg1, 1e-12)
-            _, v = _sup_chi(g1, sol.g2 + dg2, prob, DEFAULT_QUAD, log_tol=1e-8)
+            _, v = sup_chi(g1, sol.g2 + dg2, prob, DEFAULT_QUAD, log_tol=1e-8)
             assert v >= v_opt - 1e-8
 
     def test_unconstrained_spot_check_of_g2_range(self):
@@ -211,8 +211,8 @@ class TestDbarAndSsvr:
         prob = SsvrProblem(2.0, 1.0, 1.0, 0.6, GAUSS, cost=2.4)
         sol = ssvr_risk(prob)
         assert 0.0 < sol.g2 < 1.0
-        _, v_neg = _sup_chi(sol.g1, -0.05, prob, DEFAULT_QUAD)
-        _, v_big = _sup_chi(sol.g1, 1.05, prob, DEFAULT_QUAD)
+        _, v_neg = sup_chi(sol.g1, -0.05, prob, DEFAULT_QUAD)
+        _, v_big = sup_chi(sol.g1, 1.05, prob, DEFAULT_QUAD)
         assert v_neg > sol.diagnostics["value"]
         assert v_big > sol.diagnostics["value"]
 
@@ -244,12 +244,12 @@ class TestSsvrFirstOrderConditions:
         # interior maximisers and a hard-feasible slice (chi* = 0)
         prob = SsvrProblem(2.0, 1.0, 1.0, 0.6, NOISES["d3"], cost=2.4)
         for g1, g2 in ((0.3, 0.2), (0.9, 0.5), (2.0, 0.1)):
-            chi, val = _sup_chi(g1, g2, prob, DEFAULT_QUAD, log_tol=1e-10)
+            chi, val = sup_chi(g1, g2, prob, DEFAULT_QUAD, log_tol=1e-10)
             chi_g, val_g = sup_chi_golden(g1, g2, prob, DEFAULT_QUAD, log_tol=1e-8)
             assert val == pytest.approx(val_g, abs=1e-12)
             assert chi == pytest.approx(chi_g, rel=1e-6)
         hard = SsvrProblem(1.5, 1.0, 1.0, 1.0, GAUSS, cost=2.4)
-        chi, val = _sup_chi(2.0, 0.3, hard, DEFAULT_QUAD)
+        chi, val = sup_chi(2.0, 0.3, hard, DEFAULT_QUAD)
         assert chi == 0.0
         assert val == 0.5 * 2.0 ** 2 + 0.5 * (0.3 - 1.0) ** 2
 

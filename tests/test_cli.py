@@ -9,11 +9,14 @@ import pytest
 
 from svrisk import (
     HsvrProblem,
+    QuadratureSpec,
     delta_star,
     generate_dataset,
     hsvr_risk,
+    scale_mixture,
     standard_gaussian,
 )
+from svrisk import cli
 from svrisk.cli import main
 
 
@@ -152,12 +155,6 @@ class TestSweepCommand:
         run_cli(capsys, *self.ARGS, "--output", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_threads_do_not_change_bytes(self, capsys, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_cli(capsys, *self.ARGS, "--output", str(a))
-        run_cli(capsys, *self.ARGS, "--threads", "4", "--output", str(b))
-        assert a.read_text().splitlines()[3:] == b.read_text().splitlines()[3:]
-
 
 class TestFigureCommand:
     def test_figure_1_columns(self, capsys, tmp_path):
@@ -202,11 +199,32 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.ini"
-        cfg.write_text("[problem]\nepsilon = 0.5\n")
-        code, _, err = run_cli(capsys, "delta-star", "--config", str(cfg),
-                               "--eps", "1")
-        assert code == 1
-        assert "unknown config key" in err
+        # [quadrature] takes abs_tol only
+        for text in ("[problem]\nepsilon = 0.5\n",
+                     "[quadrature]\ngauss_nodes_g = 64\n",
+                     "[quadrature]\nmixture_nodes = 20\n"):
+            cfg.write_text(text)
+            code, _, err = run_cli(capsys, "delta-star", "--config", str(cfg),
+                                   "--eps", "1")
+            assert code == 1
+            assert "unknown config key" in err
+
+    def test_abs_tol_reaches_the_solver(self, capsys, tmp_path, monkeypatch):
+        seen = []
+
+        def recording_delta_star(eps, sigma, noise, quad):
+            seen.append(quad)
+            return delta_star(eps, sigma, noise, quad)
+
+        monkeypatch.setattr(cli, "delta_star", recording_delta_star)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[quadrature]\nabs_tol = 1e-12\n")
+        code, out, _ = run_cli(capsys, "delta-star", "--config", str(cfg),
+                               "--eps", "0.8", "--noise", "mixture", "--dof", "3")
+        assert code == 0
+        assert seen == [QuadratureSpec(abs_tol=1e-12)]
+        want = delta_star(0.8, 1.0, scale_mixture(3.0), QuadratureSpec(abs_tol=1e-12))
+        assert out.strip() == f"{want:.9g}"
 
     def test_missing_config_rejected(self, capsys):
         code, _, err = run_cli(capsys, "delta-star", "--eps", "1",

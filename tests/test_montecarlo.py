@@ -77,12 +77,6 @@ class TestDeterminism:
         b = run_sweep(spec)
         assert a == b
 
-    def test_thread_count_invariance(self):
-        spec = small_spec(estimator="ridge_oracle", theory=False, trials=4)
-        serial = run_sweep(spec)
-        threaded = run_sweep(spec, threads=4)
-        assert serial == threaded
-
     def test_seed_isolation_when_adding_trials(self):
         spec20 = small_spec(estimator="ridge_oracle", theory=False, trials=4)
         spec21 = dataclasses.replace(spec20, trials=5)

@@ -1,20 +1,23 @@
 """Shared independent oracles for the solver and acceptance tests."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linprog, minimize
-from scipy.special import ndtr
+from scipy.special import gammaln, ndtr, stdtr
 
 from svrisk.asymptotics import (
     AsymptoticSolution,
+    _chi_level,
     _cosine_limit,
     _dbar_g1_zero,
     d_value,
     dbar_value,
     delta_star,
 )
-from svrisk.expectations import DEFAULT_QUAD
+from svrisk.expectations import DEFAULT_QUAD, e_hinge_sq
+from svrisk.noise import noise_pdf
 from svrisk.scalar_opt import bisect_root, golden_section_min
 
 _G1_CAP = 1e6
@@ -108,6 +111,153 @@ def gauss_hinge_huber(mu, s, c, k):
     return quad_pos + lin_pos + quad_neg + lin_neg
 
 
+# All-numeric hinge-square: both the G and the noise direction integrated by
+# Gauss-Legendre panels, with analytic Student-t tails.  It shares no code
+# with the production mixture rule, which makes it the independent oracle.
+
+_ZTAIL = 16.0  # conditional == asymptote to ~exp(-128) past this many sigmas
+
+
+def _student_norm_const(d):
+    return math.exp(gammaln((d + 1.0) / 2.0) - gammaln(d / 2.0)) / math.sqrt(d * math.pi)
+
+
+def student_tail_moments(dof, x):
+    """(m0, m1, m2) = integrals of (1, t, t^2) * pdf_t over [x, inf), x >= 0.
+
+    Requires dof > 2; m2 uses the reduction to a Student-t with dof-2.
+    """
+    d = float(dof)
+    m0 = float(stdtr(d, -x))
+    a_d = _student_norm_const(d)
+    m1 = a_d * d / (d - 1.0) * (1.0 + x * x / d) ** (-(d - 1.0) / 2.0)
+    dp = d - 2.0
+    a_dp = _student_norm_const(dp)
+    m2 = d * ((a_d / a_dp) * math.sqrt(d / dp) * float(stdtr(dp, -x * math.sqrt(dp / d))) - m0)
+    return m0, m1, m2
+
+
+@lru_cache(maxsize=32)
+def _leggauss(n):
+    x, w = np.polynomial.legendre.leggauss(n)
+    return x, w
+
+
+def _half_line_breaks(x_cut, landmarks, width, scale):
+    """Panel endpoints on [0, x_cut]: kink fans plus a geometric ladder."""
+    if x_cut <= 0.0:
+        return np.empty(0)
+    pts = {0.0, x_cut}
+    for lm in landmarks:
+        if 0.0 < lm < x_cut:
+            pts.add(lm)
+        if width > 0.0:
+            off = width
+            for _ in range(48):
+                if off >= x_cut:
+                    break
+                for q in (lm - off, lm + off):
+                    if 0.0 < q < x_cut:
+                        pts.add(q)
+                off *= 4.0
+    g = 0.5 * scale
+    while g < x_cut:
+        pts.add(g)
+        g *= 2.0
+    raw = np.array(sorted(pts))
+    keep = [raw[0]]
+    for v in raw[1:]:
+        if v - keep[-1] > 1e-13 * max(1.0, x_cut):
+            keep.append(v)
+    keep[-1] = x_cut
+    # cap panel width: absolute floor ~scale/2, relative growth ~60% of position
+    out = [keep[0]]
+    for hi in keep[1:]:
+        lo = out[-1]
+        hmax = max(0.5 * scale, 0.6 * max(lo, 0.25 * scale))
+        nsub = min(int(math.ceil((hi - lo) / hmax)), 24)
+        for j in range(1, nsub):
+            out.append(lo + (hi - lo) * j / nsub)
+        out.append(hi)
+    return np.array(out)
+
+
+def _panel_grid(breaks, n):
+    xi, wi = _leggauss(n)
+    lo = breaks[:-1]
+    hi = breaks[1:]
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    x = (mid[:, None] + half[:, None] * xi[None, :]).ravel()
+    w = (half[:, None] * wi[None, :]).ravel()
+    return x, w
+
+
+def _mixture_expect(cond, noise, x_cut, landmarks, width, tail_coeffs, nodes):
+    """2 * (int_0^x_cut pdf_t(x) cond(x) dx + polynomial tail), cond even in x."""
+    d = noise.dof
+    scale = math.sqrt(d / (d - 2.0))
+    total = 0.0
+    if x_cut > 0.0:
+        breaks = _half_line_breaks(x_cut, landmarks, width, scale)
+        x, w = _panel_grid(breaks, nodes)
+        total += float(np.dot(w * noise_pdf(noise, x), cond(x)))
+    q0, q1, q2 = tail_coeffs
+    m0, m1, m2 = student_tail_moments(d, max(x_cut, 0.0))
+    total += q0 * m0 + q1 * m1 + q2 * m2
+    return 2.0 * total
+
+
+def _cond_hinge_sq_numeric(mu, s, c, nodes):
+    """Inner integral over G by kink-split Gauss-Legendre panels."""
+    zr = 10.0
+    kinks = sorted({(-c - mu) / s, (c - mu) / s})
+    breaks = [-zr]
+    for kz in kinks:
+        if -zr < kz < zr:
+            breaks.append(kz)
+    breaks.append(zr)
+    total = 0.0
+    xi, wi = _leggauss(nodes)
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        z = mid + half * xi
+        v = mu + s * z
+        total += half * float(np.dot(wi, np.maximum(np.abs(v) - c, 0.0) ** 2 * _phi(z)))
+    return total
+
+
+def e_hinge_sq_quad2d(s, c, noise, gauss_nodes=64, mixture_nodes=20):
+    """E (|s*G + N| - c)_+^2 with both integrals done numerically.
+
+    Cross-check for ``svrisk.e_hinge_sq``: Gauss-Legendre panels with
+    ``gauss_nodes`` nodes each in the G direction, split at the hinge kinks,
+    inside panels with ``mixture_nodes`` nodes each on a kink-aware grid in
+    the noise direction.
+    """
+    s, c = float(s), float(c)
+    if s == 0.0:
+        return e_hinge_sq(s, c, noise)
+
+    def cond(xs):
+        return np.array([_cond_hinge_sq_numeric(x, s, c, gauss_nodes)
+                         for x in np.atleast_1d(xs)])
+
+    if noise.is_gaussian:
+        x_cut = c + 12.0 * s + 12.0
+        breaks = _half_line_breaks(x_cut, (c,), s, 1.0)
+        x, w = _panel_grid(breaks, mixture_nodes)
+        central = float(np.dot(w * _phi(x), cond(x)))
+        m0 = float(ndtr(-x_cut))
+        m1 = float(_phi(x_cut))
+        m2 = m0 + x_cut * m1
+        q0, q1, q2 = s * s + c * c, -2.0 * c, 1.0
+        return 2.0 * (central + q0 * m0 + q1 * m1 + q2 * m2)
+    x_cut = c + _ZTAIL * s
+    tail = (s * s + c * c, -2.0 * c, 1.0)
+    return _mixture_expect(cond, noise, x_cut, (c,), s, tail, mixture_nodes)
+
+
 def primal_hard_oracle(x, y, eps):
     """Generic solver for min ||w||^2/2 s.t. |y - X'w| <= eps (SLSQP)."""
     p, n = x.shape
@@ -166,10 +316,22 @@ def lp_feasible(x, y, eps):
     return res.status == 0 and res.x[p] <= eps + 1e-9
 
 
+def sup_chi(g1, g2, prob, quad, chi_hint=1.0, log_tol=1e-6):
+    """(chi*, sup over chi of Dbar) at fixed (g1 > 0, g2).
+
+    The first-order condition in chi solved by ``svrisk.asymptotics._chi_level``
+    (which ``ssvr_risk`` calls directly), returned as a (chi, value) pair;
+    chi* = 0 on the hard-feasible slice.  ``log_tol`` is the tolerance on
+    log chi*.
+    """
+    lvl = _chi_level(g1, g2, prob, quad, g1 * prob.cost / chi_hint, log_tol)
+    return g1 * prob.cost / lvl.k, lvl.value
+
+
 def sup_chi_golden(g1, g2, prob, quad, chi_hint=1.0, log_tol=1e-6):
     """sup over chi of Dbar by golden search in log chi on an expanded bracket.
 
-    The nested-golden reference for ``svrisk.asymptotics._sup_chi``.
+    The nested-golden reference for ``sup_chi``.
     """
 
     def f(chi):
