@@ -35,13 +35,11 @@ from .expectations import (
     count_expectations,
     e_hinge_abs,
     e_hinge_moments,
-    e_hinge_sq,
     e_tail_prob,
     hinge_sq_mean,
-    soft_expectation,
 )
 from .noise import NoiseModel, standard_gaussian
-from .scalar_opt import bisect_root, brent_root, expand_bracket_min, golden_section_min
+from .scalar_opt import brent_root, expand_bracket_min, golden_section_min
 
 _COSINE_FLOOR = 1e-6  # below this error norm the cosine limit is 0/0
 _T_CAP = 1e12
@@ -63,6 +61,8 @@ class HsvrProblem:
     noise: NoiseModel = field(default_factory=standard_gaussian)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.delta, self.sigma, self.beta, self.eps))):
+            raise ValueError("delta, sigma, beta, eps must be finite")
         if self.delta <= 0 or self.sigma <= 0 or self.beta <= 0:
             raise ValueError("delta, sigma, beta must be strictly positive")
         if self.eps < 0:
@@ -77,6 +77,8 @@ class SsvrProblem(HsvrProblem):
 
     def __post_init__(self):
         super().__post_init__()
+        if not math.isfinite(self.cost):
+            raise ValueError("cost must be finite")
         if self.cost <= 0:
             raise ValueError("cost must be strictly positive")
 
@@ -118,9 +120,9 @@ def delta_star(eps, sigma, noise=None, quad=DEFAULT_QUAD):
     bracket.  Returns math.inf when the infimum is numerically zero
     (noiseless limit with eps > 0: every delta is feasible).
     """
-    if sigma <= 0:
+    if not sigma > 0:  # the negated forms reject NaN too
         raise ValueError("sigma must be strictly positive")
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     noise = noise or standard_gaussian()
 
@@ -157,25 +159,13 @@ def epsilon_star(delta, sigma, noise=None, quad=DEFAULT_QUAD):
         if hi > 1e9 * sigma:
             raise RuntimeError("epsilon_star bracket expansion failed")
         g_hi = gap(hi)
-    return bisect_root(gap, lo, hi, f_lo=-delta + 1.0, f_hi=g_hi,
-                       tol=1e-9 * max(1.0, hi))
+    return brent_root(gap, lo, hi, f_lo=-delta + 1.0, f_hi=g_hi,
+                      xtol=1e-9 * max(1.0, hi))
 
 
 # ---------------------------------------------------------------------------
 # Hard-SVR risk.
 # ---------------------------------------------------------------------------
-
-def d_value(g1, g2, prob: HsvrProblem, quad=DEFAULT_QUAD):
-    """Constraint function D(g1, g2); the feasible region is {D <= 0}.
-
-    Jointly convex, even in g2, and D(0, g2) >= 0 for every g2.
-    """
-    s = math.hypot(g1, g2)
-    c = prob.eps / prob.sigma
-    return math.sqrt(prob.delta) * math.sqrt(
-        max(e_hinge_sq(s, c, prob.noise, quad), 0.0)
-    ) - g1
-
 
 def _g1_edge(prob, g2, quad):
     """(g1, P) at the smallest feasible g1 of the g2-slice, or None if the
@@ -225,10 +215,15 @@ def hsvr_risk(prob: HsvrProblem, quad=DEFAULT_QUAD):
     D is even in g2 and jointly convex, so the g2 = 0 slice is feasible
     whenever any slice is; at a lower edge delta P <= 1, so the residual is
     <= 0 at g2 = 0; and at the end of the feasible g2 range delta P = 1, so
-    it is g2 > 0 there.  Diagnostics: ``delta_star``; when feasible,
-    ``d_residual`` = D(g1*, g2*) (|d_residual| <= 1e-7) and
+    it is g2 > 0 there.  The g2 = 0 slice also decides feasibility, without
+    a call to ``delta_star``: with t = 1/g1, D(g1, 0) <= 0 reads
+    delta E (|G + t N| - t c)_+^2 <= 1, so the slice has a feasible point
+    exactly when delta <= delta_star.  At eps = 0 its edge lies at g1 = inf
+    when delta = 1, so there the closed form delta_star = 1 decides.
+    Diagnostics: ``expect_evals`` (expectation evaluations); when feasible,
+    also ``d_residual`` = D(g1*, g2*) (|d_residual| <= 1e-7) and
     ``stationarity`` = |g2 sigma/beta - (1 - delta P)|, the fixed-point
-    residual; and ``expect_evals`` (expectation evaluations).
+    residual.
     """
     with count_expectations() as counter:
         sol = _hsvr_solve(prob, quad)
@@ -237,10 +232,8 @@ def hsvr_risk(prob: HsvrProblem, quad=DEFAULT_QUAD):
 
 
 def _hsvr_solve(prob, quad):
-    dstar = delta_star(prob.eps, prob.sigma, prob.noise, quad)
-    infeasible = AsymptoticSolution(None, None, None, None, False,
-                                    diagnostics={"delta_star": dstar})
-    if not prob.delta < dstar:
+    infeasible = AsymptoticSolution(None, None, None, None, False)
+    if prob.eps == 0.0 and prob.delta >= 1.0:
         return infeasible
     delta = prob.delta
     b = prob.beta / prob.sigma
@@ -268,7 +261,6 @@ def _hsvr_solve(prob, quad):
         cosine=_cosine_limit(g1, g2, b),
         feasible=True,
         diagnostics={
-            "delta_star": dstar,
             "d_residual": math.sqrt(delta * max(h2, 0.0)) - g1,
             "stationarity": abs(g2 / b - (1.0 - delta * p)),
         },
@@ -278,24 +270,6 @@ def _hsvr_solve(prob, quad):
 # ---------------------------------------------------------------------------
 # Soft-SVR risk.
 # ---------------------------------------------------------------------------
-
-def dbar_value(g1, g2, chi, prob: SsvrProblem, quad=DEFAULT_QUAD):
-    """Saddle function of the soft problem at (g1 > 0, g2, chi > 0).
-
-    Concave in chi for fixed (g1, g2); its sup over chi is jointly convex
-    in (g1, g2).  The g1 = 0 slice is handled by ``_dbar_g1_zero``.
-    """
-    if chi <= 0.0:
-        raise ValueError("chi must be positive")
-    if g1 <= 0.0:
-        raise ValueError("g1 must be positive; use the g1 = 0 branch")
-    sigma = prob.sigma
-    thr = prob.eps / sigma
-    b = prob.beta / sigma
-    expect = soft_expectation(g1, g2, chi, prob.cost, thr, prob.noise, quad)
-    return (prob.delta / sigma) * expect - g1 * chi / (2.0 * sigma) \
-        + 0.5 * g1 * g1 + 0.5 * (g2 - b) ** 2
-
 
 def _dbar_g1_zero(g2, prob, quad):
     """sup over chi of Dbar on the g1 = 0 boundary (chi drops out)."""

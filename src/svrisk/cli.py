@@ -6,8 +6,8 @@ CSV with a '#'-prefixed metadata header (config echo, version, seed).
 Exit codes: 0 success, 1 usage/config error, 2 mathematically
 infeasible or unsupported regime.
 
-A config file (INI sections [problem], [sweep], [quadrature], [output])
-may supply any value; command-line flags override it.  Unknown keys are
+A config file (INI sections [problem], [sweep], [quadrature]) may supply
+any value; command-line flags override it.  Unknown keys are
 rejected.
 """
 
@@ -52,9 +52,8 @@ EXIT_INFEASIBLE = 2
 
 _CONFIG_SCHEMA = {
     "problem": {"delta", "sigma", "beta", "eps", "cost", "noise", "dof"},
-    "sweep": {"estimator", "swept", "grid", "p", "trials", "base_seed", "theory"},
+    "sweep": {"grid", "p", "trials", "base_seed"},
     "quadrature": {"abs_tol"},
-    "output": {"path"},
 }
 
 

@@ -5,33 +5,26 @@ V = s*G + a*N with G standard normal and N from a ``NoiseModel``:
 
 - hinge-square   E (|V| - c)_+^2
 - hinge          E (|V| - c)_+
-- huberized hinge E rho_k((|V| - c)_+), rho_k(t) = t^2/2 for t <= k,
-  k*t - k^2/2 beyond (the two-branch integrand of the soft-margin saddle
-  function collapses to this form)
+- tail probability P(|V| > c)
 
 For Gaussian noise V is normal and every value has a closed form through
 the normal cdf, evaluated in scalar ``math`` (the hinge and hinge-square
-forms ``_h1_from``/``_h2_from`` are written once; Huber is
-(H2(c) - H2(c + k)) / 2).  The scale mixture is N = sqrt(tau) * Z with
-tau = d / chi^2_d, so given tau, V is normal with sd sqrt(s^2 + a^2 tau)
-and each functional is the zero-mean Gaussian closed form averaged over
-tau.  That average is one fixed trapezoid rule in x = log chi^2_d, cached
-per (dof, abs_tol); the integrand is smooth in x, so the rule converges
-exponentially (Trefethen & Weideman, SIAM Rev. 2014).  The part of E tau
-that the truncated rule misses is added back analytically, which keeps
-the node count bounded as dof -> 2+.  This is the package's one
-quadrature rule; Monte Carlo is never used, and results are deterministic
-to ~abs_tol.
+forms ``_h1_from``/``_h2_from`` are written once).  The scale mixture is
+N = sqrt(tau) * Z with tau = d / chi^2_d, so given tau, V is normal with
+sd sqrt(s^2 + a^2 tau) and each functional is the zero-mean Gaussian
+closed form averaged over tau.  That average is one fixed trapezoid rule
+in x = log chi^2_d, cached per (dof, abs_tol); the integrand is smooth
+in x, so the rule converges exponentially (Trefethen & Weideman, SIAM
+Rev. 2014).  The part of E tau that the truncated rule misses is added
+back analytically, which keeps the node count bounded as dof -> 2+.
+This is the package's one quadrature rule; Monte Carlo is never used,
+and results are deterministic to ~abs_tol.
 
 ``e_hinge_moments`` evaluates the tail probability P(|V| > c) together
 with the hinge and hinge-square at one (s, c) from a single cdf/density
 pass; the first-order conditions of the hard- and soft-SVR risk problems
 need all three.  ``count_expectations`` counts the expectation evaluations
 made in a context (each public functional counts one).
-
-Also included: exact values of two small deterministic maximizations used
-as numeric oracles elsewhere (sphere-constrained and box-constrained
-soft-thresholded linear forms).
 """
 
 from __future__ import annotations
@@ -44,8 +37,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, ndtr
-
-from .scalar_opt import golden_section_max
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
@@ -135,11 +126,11 @@ def _mixing_rule(dof, abs_tol):
     """Trapezoid rule in x = log chi^2_d for tau = d / chi^2_d.
 
     As x -> -inf (tau -> inf) the hinge-square grows like
-    s^2 + a^2 tau + O(sqrt(tau)) and the hinge and Huber functionals like
-    sqrt(tau); ``hinge_sq_mean`` restores the a^2 tau part exactly through
-    miss1.  What is left decays against the density like exp((d-1)/2 x),
-    and x_lo puts that tail below abs_tol * 1e-4, so the node count stays
-    bounded as dof -> 2+.  Outside [log(d - 12 sqrt(2d)),
+    s^2 + a^2 tau + O(sqrt(tau)) and the hinge like sqrt(tau);
+    ``hinge_sq_mean`` restores the a^2 tau part exactly through miss1.
+    What is left decays against the density like exp((d-1)/2 x), and x_lo
+    puts that tail below abs_tol * 1e-4, so the node count stays bounded
+    as dof -> 2+.  Outside [log(d - 12 sqrt(2d)),
     log(d + 12 sqrt(2d) + 80)], chi^2_d has mass < exp(-40) (Laurent &
     Massart 2000), and the step resolves the bulk, whose width in x is
     ~ sqrt(2/d).  The weights are normalised to sum 1: the mass outside the
@@ -236,23 +227,6 @@ def e_hinge_abs(s, c, noise, quad=DEFAULT_QUAD):
     return float(rule.w @ _gauss0_hinge_abs(np.sqrt(s * s + rule.tau), c))
 
 
-def e_hinge_huber(s, c, k, noise, quad=DEFAULT_QUAD):
-    """E rho_k((|s*G + N| - c)_+) with rho_k the Huber function."""
-    s, c, k = float(s), float(c), float(k)
-    if s < 0 or c < 0 or k < 0:
-        raise ValueError("s, c, k must be nonnegative")
-    _count()
-    # rho_k(h) = h^2/2 - (h - k)_+^2/2, so E rho_k(h) = (H2(c) - H2(c+k))/2
-    if noise.is_gaussian:
-        sd = math.hypot(s, 1.0)
-        return 0.5 * (_h2_from(sd, c, *_gauss0_scalar(sd, c))
-                      - _h2_from(sd, c + k, *_gauss0_scalar(sd, c + k)))
-    # on the mixture the s^2 + tau asymptotes of the two terms cancel
-    rule = _mixing_rule(noise.dof, quad.abs_tol)
-    sd = np.sqrt(s * s + rule.tau)
-    return 0.5 * float(rule.w @ (_gauss0_hinge_sq(sd, c) - _gauss0_hinge_sq(sd, c + k)))
-
-
 def e_hinge_moments(s, c, noise, quad=DEFAULT_QUAD):
     """(P(|V| > c), E (|V| - c)_+, E (|V| - c)_+^2) for V = s*G + N.
 
@@ -284,77 +258,3 @@ def e_hinge_moments(s, c, noise, quad=DEFAULT_QUAD):
 def e_tail_prob(s, c, noise, quad=DEFAULT_QUAD):
     """P(|s*G + N| > c)."""
     return e_hinge_moments(s, c, noise, quad)[0]
-
-
-def soft_expectation(g1, g2, chi, cost, thr, noise, quad=DEFAULT_QUAD):
-    """Expectation block of the soft-margin saddle function.
-
-    Equals E{ C[(h - C*g1/(2 chi)] 1{h chi > g1 C} + chi/(2 g1) h^2
-    1{h chi <= g1 C} } with h = (|sqrt(g1^2+g2^2) G + N| - thr)_+, which
-    collapses to (chi/g1) * E rho_k(h) for the Huber threshold
-    k = g1*C/chi.
-    """
-    if chi <= 0.0 or cost <= 0.0:
-        raise ValueError("chi and cost must be positive")
-    if g1 <= 0.0:
-        raise ValueError("g1 must be positive (the g1 = 0 branch is separate)")
-    k = g1 * cost / chi
-    s = math.hypot(g1, g2)
-    return (chi / g1) * e_hinge_huber(s, thr, k, noise, quad)
-
-
-# ---------------------------------------------------------------------------
-# Deterministic maximization values used as dual-side oracles.
-# ---------------------------------------------------------------------------
-
-def lemma_max_value(a, m, eps):
-    """max over {||u||_2 = m} of u.a - eps*||u||_1  =  m * sqrt(sum (|a_i|-eps)_+^2)."""
-    if m <= 0.0:
-        raise ValueError("m must be strictly positive")
-    a = np.asarray(a, dtype=float)
-    return float(m * np.sqrt(np.sum(np.maximum(np.abs(a) - eps, 0.0) ** 2)))
-
-
-def boxed_max_chi_objective(b, beta, tau, chi):
-    """The concave chi-parameterization of the box-constrained maximum.
-
-    psi(chi) = sum_i [ b_i^2 chi / (2 beta)            if b_i chi / beta <= tau
-                       b_i tau - beta tau^2 / (2 chi)  otherwise ] - beta chi / 2
-    """
-    if chi <= 0.0:
-        raise ValueError("chi must be positive")
-    if beta <= 0.0:
-        raise ValueError("chi-form requires beta > 0")
-    b = np.asarray(b, dtype=float)
-    small = b * chi / beta <= tau
-    terms = np.where(small, b * b * chi / (2.0 * beta), b * tau - beta * tau * tau / (2.0 * chi))
-    return float(np.sum(terms) - 0.5 * beta * chi)
-
-
-def boxed_max_value(b, beta, tau):
-    """max over {|u_i| <= tau} of sum b_i |u_i| - beta * ||u||_2.
-
-    For beta = 0 the maximum is tau * sum b_i; for beta > 0 it equals the
-    supremum over chi > 0 of ``boxed_max_chi_objective`` (concave in chi),
-    located here by expanding golden-section search.
-    """
-    if tau <= 0.0:
-        raise ValueError("tau must be strictly positive")
-    if beta < 0.0:
-        raise ValueError("beta must be nonnegative")
-    b = np.asarray(b, dtype=float)
-    if np.any(b < 0.0):
-        raise ValueError("b entries must be nonnegative")
-    if beta == 0.0:
-        return float(tau * np.sum(b))
-    if not np.any(b > 0.0):
-        return 0.0
-
-    def psi(chi):
-        return boxed_max_chi_objective(b, beta, tau, chi)
-
-    lo, hi = 1e-8, 1.0
-    while psi(hi) >= psi(hi / 2.0) and hi < 1e14:
-        hi *= 4.0
-    _, val = golden_section_max(psi, lo, hi, tol=1e-12 * hi)
-    return float(max(val, 0.0))

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtr, stdtr
 
 
 GAUSSIAN = "standard_gaussian"
@@ -95,32 +94,6 @@ def sample_noise(model: NoiseModel, count: int, seed) -> np.ndarray:
     per-trial streams can be derived order-independently via spawn keys.
     """
     return sample_noise_rng(model, count, _rng_from_seed(seed))
-
-
-def noise_pdf(model: NoiseModel, x):
-    """Density of the noise at ``x`` (scalar or array).
-
-    The scale-mixture density is the Student-t density with ``dof``
-    degrees of freedom (the mixing variable integrates out).
-    """
-    x = np.asarray(x, dtype=float)
-    if model.kind == GAUSSIAN:
-        out = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    else:
-        d = model.dof
-        log_norm = gammaln((d + 1.0) / 2.0) - gammaln(d / 2.0) - 0.5 * np.log(d * np.pi)
-        out = np.exp(log_norm - 0.5 * (d + 1.0) * np.log1p(x * x / d))
-    return out if out.ndim else float(out)
-
-
-def noise_cdf(model: NoiseModel, x):
-    """Cumulative distribution of the noise at ``x`` (scalar or array)."""
-    x = np.asarray(x, dtype=float)
-    if model.kind == GAUSSIAN:
-        out = ndtr(x)
-    else:
-        out = stdtr(model.dof, x)
-    return out if out.ndim else float(out)
 
 
 def noise_second_moment(model: NoiseModel) -> float:

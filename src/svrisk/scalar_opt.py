@@ -1,9 +1,9 @@
-"""Scalar minimization/maximization and root bracketing helpers.
+"""Scalar minimization and root bracketing helpers.
 
 Small, deterministic routines used throughout the asymptotic calculators:
 golden-section search on unimodal functions, geometric bracket expansion,
-and bracketed root finding (bisection, and Brent's method with a bisection
-safeguard).  No randomness, no global state.
+and bracketed root finding (Brent's method with a bisection safeguard).
+No randomness, no global state.
 """
 
 from __future__ import annotations
@@ -52,12 +52,6 @@ def golden_section_min(f, lo, hi, tol=1e-10, max_iter=400):
     return d, fd
 
 
-def golden_section_max(f, lo, hi, tol=1e-10, max_iter=400):
-    """Maximize a unimodal ``f`` on [lo, hi]; returns (x, f(x))."""
-    x, fneg = golden_section_min(lambda t: -f(t), lo, hi, tol=tol, max_iter=max_iter)
-    return x, -fneg
-
-
 def expand_bracket_min(f, x0=1.0, grow=2.0, cap=1e12):
     """Expand the right endpoint until ``f`` has started to increase.
 
@@ -73,34 +67,6 @@ def expand_bracket_min(f, x0=1.0, grow=2.0, cap=1e12):
         f_prev = f_hi
         f_hi = f(hi)
     return hi, f_hi, f_hi <= f_prev
-
-
-def bisect_root(f, lo, hi, f_lo=None, f_hi=None, tol=1e-13, max_iter=200):
-    """Root of ``f`` on [lo, hi] by bisection; f(lo), f(hi) must differ in sign.
-
-    Tolerance is absolute on the interval width with a small relative floor.
-    """
-    a, b = float(lo), float(hi)
-    fa = f(a) if f_lo is None else f_lo
-    fb = f(b) if f_hi is None else f_hi
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        raise ValueError("bisect_root: no sign change on the bracket")
-    for _ in range(max_iter):
-        m = 0.5 * (a + b)
-        if (b - a) <= tol + 1e-15 * (abs(a) + abs(b)):
-            return m
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0.0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
 
 
 def brent_root(f, lo, hi, f_lo=None, f_hi=None, xtol=1e-13):

@@ -16,7 +16,7 @@ certified exactly: the tube is empty iff some direction v with X v = 0
 has y'v - eps ||v||_1 > 0 (the dual objective then grows linearly along
 v forever).  Once the iterate norm starts running away, its normalized
 projection onto the Gram null space is tested against that criterion;
-the ``infeas_norm_cap`` rule (norm past the cap with a climbing
+the norm-cap rule (norm past _INFEAS_NORM_CAP * sqrt(n) with a climbing
 objective) is kept as a fallback.
 """
 
@@ -27,6 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .noise import NoiseModel, sample_noise_rng, standard_gaussian
+
+_STEP_GROWTH = 1.3  # step growth every third iteration
+_STEP_SHRINK = 0.5  # backtracking factor
+_INFEAS_NORM_CAP = 1e6  # times sqrt(n): the divergence fallback of a hard solve
+_POLISH_EVERY = 250  # iterations between active-set polish attempts
 
 
 @dataclass
@@ -77,10 +82,6 @@ class SolverConfig:
 
     max_iters: int = 100_000
     tol: float = 1e-8
-    step_growth: float = 1.3
-    step_shrink: float = 0.5
-    infeas_norm_cap: float | None = None  # default 1e6 * sqrt(n)
-    polish_every: int = 250
     record_objective: bool = False
 
 
@@ -210,7 +211,7 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig):
     k = x.T @ x
     lam = _spectral_norm(k) / p
     step = 1.0 / max(lam, 1e-12)
-    cap = cfg.infeas_norm_cap if cfg.infeas_norm_cap is not None else 1e6 * np.sqrt(n)
+    cap = _INFEAS_NORM_CAP * np.sqrt(n)
     runaway_trigger = 100.0 * np.sqrt(n) * (1.0 + float(np.abs(y).max()))
 
     def objective(u):
@@ -255,12 +256,12 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig):
             if smooth_cand >= f_v_smooth + grad @ diff - 0.5 / step * (diff @ diff) - 1e-12 * abs(f_v_smooth):
                 accepted = cand
                 break
-            step *= cfg.step_shrink
+            step *= _STEP_SHRINK
         if accepted is None:
             accepted = cand
         grow_since += 1
         if grow_since >= 3:
-            step *= cfg.step_growth
+            step *= _STEP_GROWTH
             grow_since = 0
 
         f_new = objective(accepted)
@@ -297,7 +298,7 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig):
                 status = "converged"
                 iterations = it
                 break
-            if it % cfg.polish_every == 0 or it == cfg.max_iters:
+            if it % _POLISH_EVERY == 0 or it == cfg.max_iters:
                 cand = _polish(best_u, k, y, p, eps, box)
                 if cand is not None:
                     f_cand = objective(cand)
@@ -328,8 +329,9 @@ def solve_hard_svr(data: Dataset, eps, cfg: SolverConfig = DEFAULT_CONFIG):
 
     status "converged" certifies primal feasibility (max violation <=
     tol) and a relative duality gap <= tol; "infeasible" certifies dual
-    divergence (iterate norm past infeas_norm_cap with climbing
-    objective), which for this problem means the tube is empty.
+    divergence (a Gram null-space certificate, or the iterate norm past
+    _INFEAS_NORM_CAP * sqrt(n) with a climbing objective), which for this
+    problem means the tube is empty.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")

@@ -147,6 +147,7 @@ def test_criterion_6_impulsive_noise_comparison():
 def test_criterion_7_oracle_equivalences():
     with _Criterion(7, "oracle equivalences", 300.0):
         from scipy.optimize import minimize
+        from tests_support import boxed_max_value, lemma_max_value
         rng = np.random.default_rng(1234)
         # sphere / box maximizers against brute force (dim <= 6, 100 each)
         for _ in range(100):
@@ -154,7 +155,7 @@ def test_criterion_7_oracle_equivalences():
             a = rng.normal(size=n) * rng.uniform(0.5, 2.0)
             m = float(rng.uniform(0.2, 2.0))
             eps = float(rng.uniform(0.0, 1.2))
-            want = sv.lemma_max_value(a, m, eps)
+            want = lemma_max_value(a, m, eps)
             coef = np.abs(a) - eps
             best = 0.0
             for _ in range(4):
@@ -176,7 +177,7 @@ def test_criterion_7_oracle_equivalences():
             b = np.abs(rng.normal(size=n))
             beta = float(rng.uniform(0.05, 2.0))
             tau = float(rng.uniform(0.2, 2.0))
-            want = sv.boxed_max_value(b, beta, tau)
+            want = boxed_max_value(b, beta, tau)
             best = 0.0
             for _ in range(4):
                 u0 = rng.uniform(0.0, tau, size=n)

@@ -32,6 +32,12 @@ class TestDeltaStarCommand:
         assert code == 0
         assert float(out.strip()) == pytest.approx(1.0, abs=1e-6)
 
+    def test_nan_input_usage_error(self, capsys):
+        for argv in (("--eps", "nan"), ("--eps", "1", "--sigma", "nan")):
+            code, out, _ = run_cli(capsys, "delta-star", *argv)
+            assert code == 1, argv
+            assert out == ""
+
     def test_scale_invariant_outputs_identical(self, capsys):
         _, out_a, _ = run_cli(capsys, "delta-star", "--eps", "0.1", "--sigma", "0.1")
         _, out_b, _ = run_cli(capsys, "delta-star", "--eps", "0.2", "--sigma", "0.2")
@@ -68,6 +74,15 @@ class TestRiskCommand:
         assert code == 0
         risk = float(out.splitlines()[0].split()[1])
         assert risk == pytest.approx(1.0, rel=1e-2)
+
+    def test_non_finite_input_usage_error(self, capsys):
+        for argv in (("hsvr", "--delta", "nan", "--eps", "1"),
+                     ("ssvr", "--delta", "nan", "--eps", "1", "--cost", "1"),
+                     ("hsvr", "--delta", "1", "--eps", "inf")):
+            code, out, err = run_cli(capsys, "risk", *argv)
+            assert code == 1, argv
+            assert out == ""
+            assert "must be finite" in err
 
     def test_missing_flag_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "risk", "hsvr", "--delta", "1")
@@ -199,15 +214,23 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.ini"
-        # [quadrature] takes abs_tol only
+        # [quadrature] takes abs_tol only; the sweep's estimator, swept
+        # variable and theory switch are flags only
         for text in ("[problem]\nepsilon = 0.5\n",
                      "[quadrature]\ngauss_nodes_g = 64\n",
-                     "[quadrature]\nmixture_nodes = 20\n"):
+                     "[quadrature]\nmixture_nodes = 20\n",
+                     "[sweep]\nestimator = hsvr\n",
+                     "[sweep]\nswept = delta\n",
+                     "[sweep]\ntheory = false\n"):
             cfg.write_text(text)
             code, _, err = run_cli(capsys, "delta-star", "--config", str(cfg),
                                    "--eps", "1")
             assert code == 1
             assert "unknown config key" in err
+        cfg.write_text("[output]\npath = wanted.csv\n")
+        code, _, err = run_cli(capsys, "delta-star", "--config", str(cfg), "--eps", "1")
+        assert code == 1
+        assert "unknown config section [output]" in err
 
     def test_abs_tol_reaches_the_solver(self, capsys, tmp_path, monkeypatch):
         seen = []

@@ -12,29 +12,29 @@ from scipy.special import gammaln, ndtr
 from svrisk import (
     DEFAULT_QUAD,
     QuadratureSpec,
-    boxed_max_chi_objective,
-    boxed_max_value,
     count_expectations,
     e_hinge_abs,
-    e_hinge_huber,
     e_hinge_moments,
     e_hinge_sq,
     e_tail_prob,
     hinge_sq_mean,
-    lemma_max_value,
-    noise_pdf,
     scale_mixture,
-    soft_expectation,
     standard_gaussian,
 )
 from svrisk.expectations import _mixing_rule
 
 from tests_support import (
+    boxed_max_chi_objective,
+    boxed_max_value,
     closed_form_hinge_sq,
+    e_hinge_huber,
     e_hinge_sq_quad2d,
     gauss_hinge_abs,
     gauss_hinge_huber,
     gauss_hinge_sq,
+    lemma_max_value,
+    noise_pdf,
+    soft_expectation,
 )
 
 GAUSS = standard_gaussian()

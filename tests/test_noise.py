@@ -8,13 +8,13 @@ from scipy.stats import invgamma
 from svrisk import (
     InvalidNoiseModel,
     NoiseModel,
-    noise_cdf,
-    noise_pdf,
     noise_second_moment,
     sample_noise,
     scale_mixture,
     standard_gaussian,
 )
+
+from tests_support import noise_cdf, noise_pdf
 
 
 class TestModelValidation:

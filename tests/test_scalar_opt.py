@@ -5,13 +5,9 @@ import math
 
 import pytest
 
-from svrisk.scalar_opt import (
-    bisect_root,
-    brent_root,
-    expand_bracket_min,
-    golden_section_max,
-    golden_section_min,
-)
+from svrisk.scalar_opt import brent_root, expand_bracket_min, golden_section_min
+
+from tests_support import bisect_root, golden_section_max
 
 
 def test_golden_quadratic():

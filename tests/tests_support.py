@@ -8,17 +8,27 @@ from scipy.optimize import linprog, minimize
 from scipy.special import gammaln, ndtr, stdtr
 
 from svrisk.asymptotics import (
+    _HSVR_XTOL,
     AsymptoticSolution,
+    HsvrProblem,
+    SsvrProblem,
     _chi_level,
     _cosine_limit,
     _dbar_g1_zero,
-    d_value,
-    dbar_value,
+    _g1_edge,
     delta_star,
 )
-from svrisk.expectations import DEFAULT_QUAD, e_hinge_sq
-from svrisk.noise import noise_pdf
-from svrisk.scalar_opt import bisect_root, golden_section_min
+from svrisk.expectations import (
+    DEFAULT_QUAD,
+    _count,
+    _gauss0_hinge_sq,
+    _gauss0_scalar,
+    _h2_from,
+    _mixing_rule,
+    e_hinge_sq,
+)
+from svrisk.noise import GAUSSIAN, NoiseModel
+from svrisk.scalar_opt import brent_root, golden_section_min
 
 _G1_CAP = 1e6
 
@@ -31,6 +41,191 @@ def closed_form_hinge_sq(s0, c):
     q = ndtr(-a)
     ph = math.exp(-a * a / 2) / math.sqrt(2 * math.pi)
     return 2 * ((s0 * s0 + c * c) * q - s0 * c * ph)
+
+
+# ---------------------------------------------------------------------------
+# Functions that no production path calls, kept here as oracles and as the
+# definitions the tests check: the noise density and cdf, the Huber
+# functional and the soft saddle function Dbar, the hard constraint D,
+# two deterministic max-value formulas, and the bisection and golden-max
+# searches.
+# ---------------------------------------------------------------------------
+
+def golden_section_max(f, lo, hi, tol=1e-10, max_iter=400):
+    """Maximize a unimodal ``f`` on [lo, hi]; returns (x, f(x))."""
+    x, fneg = golden_section_min(lambda t: -f(t), lo, hi, tol=tol, max_iter=max_iter)
+    return x, -fneg
+
+
+def bisect_root(f, lo, hi, f_lo=None, f_hi=None, tol=1e-13, max_iter=200):
+    """Root of ``f`` on [lo, hi] by bisection; f(lo), f(hi) must differ in sign.
+
+    Tolerance is absolute on the interval width with a small relative floor.
+    """
+    a, b = float(lo), float(hi)
+    fa = f(a) if f_lo is None else f_lo
+    fb = f(b) if f_hi is None else f_hi
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if fa * fb > 0.0:
+        raise ValueError("bisect_root: no sign change on the bracket")
+    for _ in range(max_iter):
+        m = 0.5 * (a + b)
+        if (b - a) <= tol + 1e-15 * (abs(a) + abs(b)):
+            return m
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if fa * fm < 0.0:
+            b, fb = m, fm
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)
+
+
+def noise_pdf(model: NoiseModel, x):
+    """Density of the noise at ``x`` (scalar or array).
+
+    The scale-mixture density is the Student-t density with ``dof``
+    degrees of freedom (the mixing variable integrates out).
+    """
+    x = np.asarray(x, dtype=float)
+    if model.kind == GAUSSIAN:
+        out = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+    else:
+        d = model.dof
+        log_norm = gammaln((d + 1.0) / 2.0) - gammaln(d / 2.0) - 0.5 * np.log(d * np.pi)
+        out = np.exp(log_norm - 0.5 * (d + 1.0) * np.log1p(x * x / d))
+    return out if out.ndim else float(out)
+
+
+def noise_cdf(model: NoiseModel, x):
+    """Cumulative distribution of the noise at ``x`` (scalar or array)."""
+    x = np.asarray(x, dtype=float)
+    if model.kind == GAUSSIAN:
+        out = ndtr(x)
+    else:
+        out = stdtr(model.dof, x)
+    return out if out.ndim else float(out)
+
+
+def e_hinge_huber(s, c, k, noise, quad=DEFAULT_QUAD):
+    """E rho_k((|s*G + N| - c)_+) with rho_k the Huber function."""
+    s, c, k = float(s), float(c), float(k)
+    if s < 0 or c < 0 or k < 0:
+        raise ValueError("s, c, k must be nonnegative")
+    _count()
+    # rho_k(h) = h^2/2 - (h - k)_+^2/2, so E rho_k(h) = (H2(c) - H2(c+k))/2
+    if noise.is_gaussian:
+        sd = math.hypot(s, 1.0)
+        return 0.5 * (_h2_from(sd, c, *_gauss0_scalar(sd, c))
+                      - _h2_from(sd, c + k, *_gauss0_scalar(sd, c + k)))
+    # on the mixture the s^2 + tau asymptotes of the two terms cancel
+    rule = _mixing_rule(noise.dof, quad.abs_tol)
+    sd = np.sqrt(s * s + rule.tau)
+    return 0.5 * float(rule.w @ (_gauss0_hinge_sq(sd, c) - _gauss0_hinge_sq(sd, c + k)))
+
+
+def soft_expectation(g1, g2, chi, cost, thr, noise, quad=DEFAULT_QUAD):
+    """Expectation block of the soft-margin saddle function.
+
+    Equals E{ C[(h - C*g1/(2 chi)] 1{h chi > g1 C} + chi/(2 g1) h^2
+    1{h chi <= g1 C} } with h = (|sqrt(g1^2+g2^2) G + N| - thr)_+, which
+    collapses to (chi/g1) * E rho_k(h) for the Huber threshold
+    k = g1*C/chi.
+    """
+    if chi <= 0.0 or cost <= 0.0:
+        raise ValueError("chi and cost must be positive")
+    if g1 <= 0.0:
+        raise ValueError("g1 must be positive (the g1 = 0 branch is separate)")
+    k = g1 * cost / chi
+    s = math.hypot(g1, g2)
+    return (chi / g1) * e_hinge_huber(s, thr, k, noise, quad)
+
+
+def d_value(g1, g2, prob: HsvrProblem, quad=DEFAULT_QUAD):
+    """Constraint function D(g1, g2); the feasible region is {D <= 0}.
+
+    Jointly convex, even in g2, and D(0, g2) >= 0 for every g2.
+    """
+    s = math.hypot(g1, g2)
+    c = prob.eps / prob.sigma
+    return math.sqrt(prob.delta) * math.sqrt(
+        max(e_hinge_sq(s, c, prob.noise, quad), 0.0)
+    ) - g1
+
+
+def dbar_value(g1, g2, chi, prob: SsvrProblem, quad=DEFAULT_QUAD):
+    """Saddle function of the soft problem at (g1 > 0, g2, chi > 0).
+
+    Concave in chi for fixed (g1, g2); its sup over chi is jointly convex
+    in (g1, g2).  The g1 = 0 slice is handled by ``_dbar_g1_zero``.
+    """
+    if chi <= 0.0:
+        raise ValueError("chi must be positive")
+    if g1 <= 0.0:
+        raise ValueError("g1 must be positive; use the g1 = 0 branch")
+    sigma = prob.sigma
+    thr = prob.eps / sigma
+    b = prob.beta / sigma
+    expect = soft_expectation(g1, g2, chi, prob.cost, thr, prob.noise, quad)
+    return (prob.delta / sigma) * expect - g1 * chi / (2.0 * sigma) \
+        + 0.5 * g1 * g1 + 0.5 * (g2 - b) ** 2
+
+
+def lemma_max_value(a, m, eps):
+    """max over {||u||_2 = m} of u.a - eps*||u||_1  =  m * sqrt(sum (|a_i|-eps)_+^2)."""
+    if m <= 0.0:
+        raise ValueError("m must be strictly positive")
+    a = np.asarray(a, dtype=float)
+    return float(m * np.sqrt(np.sum(np.maximum(np.abs(a) - eps, 0.0) ** 2)))
+
+
+def boxed_max_chi_objective(b, beta, tau, chi):
+    """The concave chi-parameterization of the box-constrained maximum.
+
+    psi(chi) = sum_i [ b_i^2 chi / (2 beta)            if b_i chi / beta <= tau
+                       b_i tau - beta tau^2 / (2 chi)  otherwise ] - beta chi / 2
+    """
+    if chi <= 0.0:
+        raise ValueError("chi must be positive")
+    if beta <= 0.0:
+        raise ValueError("chi-form requires beta > 0")
+    b = np.asarray(b, dtype=float)
+    small = b * chi / beta <= tau
+    terms = np.where(small, b * b * chi / (2.0 * beta), b * tau - beta * tau * tau / (2.0 * chi))
+    return float(np.sum(terms) - 0.5 * beta * chi)
+
+
+def boxed_max_value(b, beta, tau):
+    """max over {|u_i| <= tau} of sum b_i |u_i| - beta * ||u||_2.
+
+    For beta = 0 the maximum is tau * sum b_i; for beta > 0 it equals the
+    supremum over chi > 0 of ``boxed_max_chi_objective`` (concave in chi),
+    located here by expanding golden-section search.
+    """
+    if tau <= 0.0:
+        raise ValueError("tau must be strictly positive")
+    if beta < 0.0:
+        raise ValueError("beta must be nonnegative")
+    b = np.asarray(b, dtype=float)
+    if np.any(b < 0.0):
+        raise ValueError("b entries must be nonnegative")
+    if beta == 0.0:
+        return float(tau * np.sum(b))
+    if not np.any(b > 0.0):
+        return 0.0
+
+    def psi(chi):
+        return boxed_max_chi_objective(b, beta, tau, chi)
+
+    lo, hi = 1e-8, 1.0
+    while psi(hi) >= psi(hi / 2.0) and hi < 1e14:
+        hi *= 4.0
+    _, val = golden_section_max(psi, lo, hi, tol=1e-12 * hi)
+    return float(max(val, 0.0))
 
 
 # Closed forms for V ~ N(mu, s^2) with mu an array and s, c, k scalars,
@@ -478,3 +673,33 @@ def hsvr_risk_golden(prob, quad=DEFAULT_QUAD):
             "d_residual": d_value(g1_opt, g2_opt, prob, quad),
         },
     )
+
+
+def hsvr_risk_gated(prob, quad=DEFAULT_QUAD):
+    """(feasible, risk) of the hard SVR with feasibility gated by ``delta_star``.
+
+    The reference for the feasibility rule of ``svrisk.hsvr_risk``: the
+    problem counts as feasible only when delta < delta_star(eps, sigma)
+    (a golden search over t) and the g2 = 0 slice has a Newton edge; the
+    risk then comes from the same KKT solve as in ``hsvr_risk``, the edge
+    ``_g1_edge`` inside a Brent root of the g2 fixed point.
+    """
+    if not prob.delta < delta_star(prob.eps, prob.sigma, prob.noise, quad):
+        return False, None
+    b = prob.beta / prob.sigma
+    edges = {}
+
+    def residual(g2):
+        edges[g2] = edge = _g1_edge(prob, g2, quad)
+        if edge is None:
+            return 1.0
+        return g2 - b * (1.0 - prob.delta * edge[1])
+
+    f0 = residual(0.0)
+    if edges[0.0] is None:
+        return False, None
+    g2 = 0.0
+    if f0 < 0.0:
+        g2 = brent_root(residual, 0.0, b, f_lo=f0, xtol=_HSVR_XTOL * max(1.0, b))
+    g1 = edges[g2][0]
+    return True, prob.sigma ** 2 * (g1 ** 2 + g2 ** 2)
