@@ -288,7 +288,7 @@ def cmd_sweep(args, cfg):
     out = [(r.swept_value, r.theory_risk, r.theory_cosine, r.mean_risk,
             r.stderr_risk, r.mean_cosine, r.feasibility_rate, r.trials_used)
            for r in rows]
-    write_csv(args.output, meta, columns, out)
+    write_csv(args.output, meta + _unconverged_meta(rows), columns, out)
     return EXIT_OK
 
 
@@ -304,13 +304,10 @@ def _meta(args, params):
     return [f"svrisk {__version__}", f"command {' '.join(sys.argv[1:])}", items]
 
 
-def _empirical_point(estimator, p, trials, base_seed, noise, **params):
-    spec = SweepSpec(estimator=estimator, swept="delta",
-                     grid=(params["delta"],),
-                     fixed={k: v for k, v in params.items() if k != "delta"},
-                     p=p, trials=trials, base_seed=base_seed, theory=False,
-                     noise=noise)
-    return run_sweep(spec)[0]
+def _unconverged_meta(rows):
+    """A metadata line counting the fits left out of the means, if any."""
+    k = sum(r.unconverged for r in rows)
+    return [f"unconverged={k}"] if k else []
 
 
 def cmd_figure(args, cfg):
@@ -325,13 +322,26 @@ def cmd_figure(args, cfg):
     out = args.output or f"fig{fid}.csv"
     meta = _meta(args, {"figure": fid, "p": p, "trials": trials, "base_seed": seed})
     g = standard_gaussian()
+    emp_rows = []
+
+    def empirical(estimator, noise, **params):
+        spec = SweepSpec(estimator=estimator, swept="delta",
+                         grid=(params["delta"],),
+                         fixed={k: v for k, v in params.items() if k != "delta"},
+                         p=p, trials=trials, base_seed=seed, theory=False,
+                         noise=noise)
+        emp_rows.append(run_sweep(spec)[0])
+        return emp_rows[-1]
+
+    def write(cols, rows):
+        write_csv(out, meta + _unconverged_meta(emp_rows), cols, rows)
 
     if fid == "1":
         eps_grid = grid or tuple(np.round(np.arange(0.05, 1.51, 0.05), 10))
         sigmas = (0.1, 0.2, 0.5, 1.0)
         cols = ["eps"] + [f"delta_star_sigma{s}" for s in sigmas]
         rows = [[e] + [delta_star(e, s, g, quad) for s in sigmas] for e in eps_grid]
-        write_csv(out, meta, cols, rows)
+        write(cols, rows)
         return EXIT_OK
 
     if fid == "2":
@@ -349,11 +359,10 @@ def cmd_figure(args, cfg):
             row = [d]
             for b in betas:
                 sol = hsvr_risk(HsvrProblem(d, 1.0, b, 1.0, g), quad)
-                emp = _empirical_point("hsvr", p, trials, seed, g,
-                                       delta=d, sigma=1.0, beta=b, eps=1.0)
+                emp = empirical("hsvr", g, delta=d, sigma=1.0, beta=b, eps=1.0)
                 row += [sol.risk, sol.cosine, emp.mean_risk, emp.stderr_risk, b * b]
             rows.append(row)
-        write_csv(out, meta, cols, rows)
+        write(cols, rows)
         return EXIT_OK
 
     if fid in ("3a", "3b"):
@@ -368,12 +377,11 @@ def cmd_figure(args, cfg):
             row = [e]
             for s in sigmas:
                 sol = hsvr_risk(HsvrProblem(delta, s, 1.0, e, g), quad)
-                emp = _empirical_point("hsvr", p, trials, seed, g,
-                                       delta=delta, sigma=s, beta=1.0, eps=e)
+                emp = empirical("hsvr", g, delta=delta, sigma=s, beta=1.0, eps=e)
                 row += [sol.risk if sol.feasible else None,
                         emp.mean_risk, emp.stderr_risk]
             rows.append(row)
-        write_csv(out, meta, cols, rows)
+        write(cols, rows)
         return EXIT_OK
 
     if fid == "4":
@@ -392,7 +400,7 @@ def cmd_figure(args, cfg):
                     row.append(None)
             row.append(tune_hsvr(d, 1.0, 1.0, g, quad)[1])
             rows.append(row)
-        write_csv(out, meta, cols, rows)
+        write(cols, rows)
         return EXIT_OK
 
     if fid in ("5a", "5b"):
@@ -405,10 +413,9 @@ def cmd_figure(args, cfg):
             eps = v if fid == "5a" else 0.6
             cost = 2.4 if fid == "5a" else v
             sol = ssvr_risk(SsvrProblem(2.0, 1.0, 1.0, eps, g, cost=cost), quad)
-            emp = _empirical_point("ssvr", p, trials, seed, g,
-                                   delta=2.0, sigma=1.0, beta=1.0, eps=eps, cost=cost)
+            emp = empirical("ssvr", g, delta=2.0, sigma=1.0, beta=1.0, eps=eps, cost=cost)
             rows.append([v, sol.risk, emp.mean_risk, emp.stderr_risk])
-        write_csv(out, meta, cols, rows)
+        write(cols, rows)
         return EXIT_OK
 
     if fid == "6":
@@ -428,7 +435,7 @@ def cmd_figure(args, cfg):
                 np.log(0.01), np.log(1e3), tol=1e-3)
             row.append(r_opt)
             rows.append(row)
-        write_csv(out, meta, cols, rows)
+        write(cols, rows)
         return EXIT_OK
 
     # figures 7a / 7b: impulsive-noise comparison with oracle-tuned estimators
@@ -442,17 +449,15 @@ def cmd_figure(args, cfg):
     for d in delta_grid:
         eps_h, risk_h = tune_hsvr(d, 1.0, 1.0, noise, quad)
         eps_s, cost_s, risk_s = tune_ssvr(d, 1.0, 1.0, noise, quad)
-        emp_h = _empirical_point("hsvr", p, trials, seed, noise,
-                                 delta=d, sigma=1.0, beta=1.0, eps=eps_h)
-        emp_s = _empirical_point("ssvr", p, trials, seed, noise,
-                                 delta=d, sigma=1.0, beta=1.0, eps=eps_s, cost=cost_s)
-        emp_r = _empirical_point("ridge_oracle", p, trials, seed, noise,
-                                 delta=d, sigma=1.0, beta=1.0)
+        emp_h = empirical("hsvr", noise, delta=d, sigma=1.0, beta=1.0, eps=eps_h)
+        emp_s = empirical("ssvr", noise,
+                          delta=d, sigma=1.0, beta=1.0, eps=eps_s, cost=cost_s)
+        emp_r = empirical("ridge_oracle", noise, delta=d, sigma=1.0, beta=1.0)
         rows.append([d, risk_h, risk_s, emp_r.mean_risk,
                      emp_h.mean_risk, emp_h.stderr_risk,
                      emp_s.mean_risk, emp_s.stderr_risk,
                      emp_r.mean_risk, emp_r.stderr_risk])
-    write_csv(out, meta, cols, rows)
+    write(cols, rows)
     return EXIT_OK
 
 

@@ -78,8 +78,10 @@ class SweepSpec:
 class SweepRow:
     """Aggregated results at one grid point.
 
-    Risk statistics are over feasible trials only; feasibility_rate counts
-    all trials.  stderr is 0.0 for a single trial; fields are None when
+    Risk statistics are over the trials_used trials whose fit converged;
+    feasibility_rate counts every trial not certified infeasible, and
+    unconverged counts the fits that stopped at max_iters (left out of
+    the means).  stderr is 0.0 for a single trial; fields are None when
     unavailable (no theory curve, all trials infeasible, ...).
     """
 
@@ -91,6 +93,7 @@ class SweepRow:
     mean_cosine: float | None
     feasibility_rate: float
     trials_used: int
+    unconverged: int
 
 
 def _theory_point(spec: SweepSpec, params, quad):
@@ -113,7 +116,12 @@ def _theory_point(spec: SweepSpec, params, quad):
 
 
 def _run_trial(spec: SweepSpec, params, grid_index, trial_index):
-    """One dataset + fit; returns (risk, cosine, feasible)."""
+    """One dataset + fit; returns (risk, cosine, status).
+
+    status is the fit's ("converged", "infeasible" or "max_iters");
+    the closed-form estimators always report "converged".  Risk and
+    cosine are None unless the fit converged.
+    """
     ss = np.random.SeedSequence(spec.base_seed, spawn_key=(grid_index, trial_index))
     data = generate_dataset(spec.p, params["delta"], params["beta"],
                             params["sigma"], spec.noise, seed=ss)
@@ -121,29 +129,32 @@ def _run_trial(spec: SweepSpec, params, grid_index, trial_index):
         w = np.zeros(spec.p)
     elif spec.estimator == "ridge_oracle":
         _, w = oracle_ridge(data)
-    elif spec.estimator == "hsvr":
-        fit = solve_hard_svr(data, params["eps"], spec.solver)
-        if fit.status == "infeasible":
-            return None, None, False
-        w = fit.weights
     else:
-        fit = solve_soft_svr(data, params["eps"], params["cost"], spec.solver)
+        if spec.estimator == "hsvr":
+            fit = solve_hard_svr(data, params["eps"], spec.solver)
+        else:
+            fit = solve_soft_svr(data, params["eps"], params["cost"], spec.solver)
+        if fit.status != "converged":
+            return None, None, fit.status
         w = fit.weights
-    return prediction_risk(w, data.truth), cosine_similarity(w, data.truth), True
+    return prediction_risk(w, data.truth), cosine_similarity(w, data.truth), "converged"
 
 
 def _sweep_point(spec: SweepSpec, gi, quad):
     value = spec.grid[gi]
     params = spec.params_at(value)
     theory_risk, theory_cos = _theory_point(spec, params, quad)
-    risks, cosines, feasible_count = [], [], 0
+    risks, cosines, infeasible, unconverged = [], [], 0, 0
     for ti in range(spec.trials):
-        risk, cos, ok = _run_trial(spec, params, gi, ti)
-        if ok:
-            feasible_count += 1
+        risk, cos, status = _run_trial(spec, params, gi, ti)
+        if status == "converged":
             risks.append(risk)
             if cos is not None:
                 cosines.append(cos)
+        elif status == "infeasible":
+            infeasible += 1
+        else:
+            unconverged += 1
     m = len(risks)
     if m == 0:
         mean_risk = stderr = mean_cos = None
@@ -158,8 +169,9 @@ def _sweep_point(spec: SweepSpec, gi, quad):
         mean_risk=mean_risk,
         stderr_risk=stderr,
         mean_cosine=mean_cos,
-        feasibility_rate=feasible_count / spec.trials,
+        feasibility_rate=(spec.trials - infeasible) / spec.trials,
         trials_used=m,
+        unconverged=unconverged,
     )
 
 

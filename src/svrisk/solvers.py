@@ -14,10 +14,12 @@ polish that solves the support KKT system exactly once it stabilizes.
 An infeasible hard instance has an unbounded dual.  Unboundedness is
 certified exactly: the tube is empty iff some direction v with X v = 0
 has y'v - eps ||v||_1 > 0 (the dual objective then grows linearly along
-v forever).  Once the iterate norm starts running away, its normalized
-projection onto the Gram null space is tested against that criterion;
-the norm-cap rule (norm past _INFEAS_NORM_CAP * sqrt(n) with a climbing
-objective) is kept as a fallback.
+v forever).  A projector onto null(X) is factored once per hard solve,
+and every 25-iteration check projects the iterate with it and tests the
+projection against that criterion; no other rule returns "infeasible".
+The same checks watch the sign pattern of the iterate (and, for the soft
+problem, which coordinates sit on the box), and the polish is tried once
+that pattern has held for two checks in a row.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from .noise import NoiseModel, sample_noise_rng, standard_gaussian
 
 _STEP_GROWTH = 1.3  # step growth every third iteration
 _STEP_SHRINK = 0.5  # backtracking factor
-_INFEAS_NORM_CAP = 1e6  # times sqrt(n): the divergence fallback of a hard solve
-_POLISH_EVERY = 250  # iterations between active-set polish attempts
+_CHECK_EVERY = 25  # iterations between convergence, certificate and pattern checks
+_POLISH_AFTER = 2  # checks the active pattern must hold before a polish
 
 
 @dataclass
@@ -61,7 +63,8 @@ class Dataset:
 class SvrFit:
     """Solver output: primal weights, dual vector, and certificates.
 
-    status: "converged", "infeasible" (hard tube, dual diverged) or
+    status: "converged", "infeasible" (hard tube; the null(X) projection
+    of dual is a Farkas direction proving the tube empty) or
     "max_iters".  kkt_residual is the relative duality gap at exit;
     constraint_violation is max (|residual| - eps)_+ for the hard tube
     and the box overshoot for the soft one.
@@ -147,31 +150,38 @@ def _dual_objective(u, k, y, p, eps):
     return float(-0.5 * (u @ (k @ u)) / p + (y @ u) / sp - eps * np.abs(u).sum() / sp)
 
 
-def _polish(u, k, y, p, eps, box):
-    """Solve the KKT system on the current support; None if it is invalid.
+def _active_pattern(u, box):
+    """Per-coordinate pattern of a dual iterate, as int8.
+
+    0 off the support (|u_i| <= 1e-9 max |u|), sign(u_i) on it, and
+    2 sign(u_i) where a soft coordinate sits on the box.
+    """
+    mag = np.abs(u)
+    pattern = np.sign(u) * (mag > 1e-9 * max(mag.max(), 1e-30))
+    if box is not None:
+        pattern *= 1.0 + (mag >= box * (1.0 - 1e-9))
+    return pattern.astype(np.int8)
+
+
+def _polish(pattern, k, y, p, eps, box):
+    """Solve the KKT system on an active pattern; None if it is invalid.
 
     Free support coordinates satisfy residual_i = eps * sign(u_i); soft
-    coordinates pinned at the box stay there.  The resulting candidate is
-    accepted by the caller only if it improves the duality gap.
+    coordinates pinned at the box stay there.  The candidate depends on
+    the pattern alone; the caller accepts it only if it does not lower
+    the dual objective.
     """
     sp = np.sqrt(p)
-    scale = max(np.abs(u).max(), 1e-30)
-    active = np.abs(u) > 1e-9 * scale
-    if box is not None:
-        at_box = active & (np.abs(u) >= box * (1.0 - 1e-9))
-        free = active & ~at_box
-    else:
-        at_box = np.zeros_like(active)
-        free = active
-    idx = np.flatnonzero(free)
-    if idx.size == 0 or idx.size > k.shape[0]:
+    idx = np.flatnonzero(np.abs(pattern) == 1)
+    if idx.size == 0:
         return None
-    sgn = np.sign(u[idx])
+    sgn = pattern[idx].astype(float)
     rhs = sp * (y[idx] - eps * sgn)
-    u_new = np.zeros_like(u)
+    u_new = np.zeros(len(pattern))
     if box is not None:
-        u_new[at_box] = np.sign(u[at_box]) * box
-        rhs = rhs - k[np.ix_(idx, np.flatnonzero(at_box))] @ u_new[at_box]
+        at_box = np.flatnonzero(np.abs(pattern) == 2)
+        u_new[at_box] = np.sign(pattern[at_box]) * box
+        rhs = rhs - k[np.ix_(idx, at_box)] @ u_new[at_box]
     try:
         sol = np.linalg.solve(k[np.ix_(idx, idx)], rhs)
     except np.linalg.LinAlgError:
@@ -184,23 +194,49 @@ def _polish(u, k, y, p, eps, box):
     return u_new
 
 
-def _null_space_certificate(k, y, eps, u, lam_max, sp):
-    """Exact unboundedness test along the iterate's runaway direction.
+def _null_projector(x, k):
+    """Factors (a, b) such that u - a @ (b @ u) projects u onto null(X).
 
-    Projects u/|u| onto the null space of the Gram matrix; if the
-    projection v satisfies y'v - eps*||v||_1 > 0 the dual objective grows
-    linearly along v, so the tube is empty.  Returns True when certified.
+    None when null(X) = {0}, which holds when the smaller Gram matrix
+    (X'X = k for n <= p, XX' otherwise) has a Cholesky factor.  With
+    n > p and a full-rank design the factors are X' and (XX')^-1 X, so a
+    projection costs two matrix-vector products.  A rank-deficient design
+    (for instance duplicated samples) takes its range basis from an
+    eigendecomposition of k instead.
     """
+    p, n = x.shape
+    try:
+        if n <= p:
+            np.linalg.cholesky(k)
+            return None
+        gram = x @ x.T
+        np.linalg.cholesky(gram)
+        return x.T, np.linalg.solve(gram, x)
+    except np.linalg.LinAlgError:
+        pass
     evals, vecs = np.linalg.eigh(k)
-    null = vecs[:, evals < 1e-10 * max(lam_max, 1.0)]
-    if null.shape[1] == 0:
+    span = vecs[:, evals > 1e-10 * max(evals[-1], 1.0)]
+    return span, span.T
+
+
+def _farkas_direction(projector, u, x, y, eps):
+    """True when the null(X) projection v of u proves the tube empty.
+
+    Requires y'v - eps ||v||_1 > 1e-8 ||v||_1 (1 + max|y|), a leak
+    ||X v|| <= 1e-8 ||X||_F ||v|| and ||v|| >= 1e-6 ||u||, so that v is
+    an exact Farkas direction up to round-off: for every w,
+    max_i |y_i - x_i'w| >= (y'v - w'Xv) / ||v||_1 > eps.
+    """
+    a, b = projector
+    v = u - a @ (b @ u)
+    nv = float(np.linalg.norm(v))
+    if nv == 0.0 or nv < 1e-6 * float(np.linalg.norm(u)):
         return False
-    v = null @ (null.T @ (u / np.linalg.norm(u)))
-    nv = np.linalg.norm(v)
-    if nv < 1e-6:
+    l1 = float(np.abs(v).sum())
+    gain = float(y @ v) - eps * l1
+    if not gain > 1e-8 * l1 * (1.0 + float(np.abs(y).max())):
         return False
-    gain = float(y @ v) - eps * float(np.abs(v).sum())
-    return gain > 1e-8 * nv * (1.0 + float(np.linalg.norm(y)))
+    return float(np.linalg.norm(x @ v)) <= 1e-8 * float(np.linalg.norm(x)) * nv
 
 
 def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig):
@@ -211,8 +247,7 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig):
     k = x.T @ x
     lam = _spectral_norm(k) / p
     step = 1.0 / max(lam, 1e-12)
-    cap = _INFEAS_NORM_CAP * np.sqrt(n)
-    runaway_trigger = 100.0 * np.sqrt(n) * (1.0 + float(np.abs(y).max()))
+    projector = _null_projector(x, k) if box is None else None
 
     def objective(u):
         return _dual_objective(u, k, y, p, eps)
@@ -240,6 +275,7 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig):
     status = "max_iters"
     iterations = cfg.max_iters
     trace = [best_f] if cfg.record_objective else None
+    pattern, held, polished = None, 0, None
 
     for it in range(1, cfg.max_iters + 1):
         r_v = y - (k @ v) / sp
@@ -279,39 +315,38 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig):
         u, f_u = accepted, f_new
         t_momentum = t_next
 
-        if box is None:
-            u_norm = np.linalg.norm(u)
-            if u_norm > cap and f_new >= best_f * (1.0 - 1e-12):
-                status = "infeasible"
-                iterations = it
-                break
-            if u_norm > runaway_trigger and it % 250 == 0:
-                if _null_space_certificate(k, y, eps, u, lam * p, sp):
-                    status = "infeasible"
+        if it % _CHECK_EVERY and it != cfg.max_iters:
+            continue
+        if projector is not None and _farkas_direction(projector, u, x, y, eps):
+            best_u = u  # the certified iterate is the one returned
+            status = "infeasible"
+            iterations = it
+            break
+        w, r, viol, gap, dval = primal_gap(best_u)
+        if gap <= cfg.tol and viol <= cfg.tol:
+            status = "converged"
+            iterations = it
+            break
+        current = _active_pattern(best_u, box)
+        held = held + 1 if np.array_equal(current, pattern) else 0
+        pattern = current
+        # a pattern already polished would give the same candidate again
+        if held < _POLISH_AFTER or np.array_equal(pattern, polished):
+            continue
+        polished = pattern
+        cand = _polish(pattern, k, y, p, eps, box)
+        if cand is not None:
+            f_cand = objective(cand)
+            if f_cand >= best_f - 1e-12 * max(1.0, abs(best_f)):
+                _, _, viol_c, gap_c, _ = primal_gap(cand)
+                if gap_c <= cfg.tol and viol_c <= cfg.tol:
+                    best_u, best_f = cand, f_cand
+                    status = "converged"
                     iterations = it
                     break
-
-        check = (it % 25 == 0) or it == cfg.max_iters
-        if check:
-            w, r, viol, gap, dval = primal_gap(best_u)
-            if gap <= cfg.tol and viol <= cfg.tol:
-                status = "converged"
-                iterations = it
-                break
-            if it % _POLISH_EVERY == 0 or it == cfg.max_iters:
-                cand = _polish(best_u, k, y, p, eps, box)
-                if cand is not None:
-                    f_cand = objective(cand)
-                    if f_cand >= best_f - 1e-12 * max(1.0, abs(best_f)):
-                        _, _, viol_c, gap_c, _ = primal_gap(cand)
-                        if gap_c <= cfg.tol and viol_c <= cfg.tol:
-                            best_u, best_f = cand, f_cand
-                            status = "converged"
-                            iterations = it
-                            break
-                        if f_cand > best_f:
-                            best_u, best_f = cand, f_cand
-                            u, v, f_u, t_momentum = cand, cand.copy(), f_cand, 1.0
+                if f_cand > best_f:
+                    best_u, best_f = cand, f_cand
+                    u, v, f_u, t_momentum = cand, cand.copy(), f_cand, 1.0
 
     u = best_u
     w, r, viol, gap, dval = primal_gap(u)
@@ -328,10 +363,9 @@ def solve_hard_svr(data: Dataset, eps, cfg: SolverConfig = DEFAULT_CONFIG):
     """Minimum-norm weights keeping every residual inside the eps tube.
 
     status "converged" certifies primal feasibility (max violation <=
-    tol) and a relative duality gap <= tol; "infeasible" certifies dual
-    divergence (a Gram null-space certificate, or the iterate norm past
-    _INFEAS_NORM_CAP * sqrt(n) with a climbing objective), which for this
-    problem means the tube is empty.
+    tol) and a relative duality gap <= tol; "infeasible" certifies that
+    the tube is empty: the projection v of the returned dual onto null(X)
+    has X v = 0 and y'v > eps ||v||_1 (tested every 25 iterations).
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")

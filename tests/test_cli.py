@@ -16,7 +16,7 @@ from svrisk import (
     scale_mixture,
     standard_gaussian,
 )
-from svrisk import cli
+from svrisk import SolverConfig, cli, montecarlo
 from svrisk.cli import main
 
 
@@ -169,6 +169,25 @@ class TestSweepCommand:
         run_cli(capsys, *self.ARGS, "--output", str(a))
         run_cli(capsys, *self.ARGS, "--output", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unconverged_fits_flagged_in_metadata(self, capsys, monkeypatch):
+        _, out, _ = run_cli(capsys, *self.ARGS)
+        assert "unconverged" not in out
+        real = montecarlo.solve_soft_svr
+
+        def stopped(data, eps, cost, cfg):
+            return real(data, eps, cost, SolverConfig(max_iters=5))
+
+        monkeypatch.setattr(montecarlo, "solve_soft_svr", stopped)
+        code, out, _ = run_cli(capsys, "sweep", "ssvr", "--swept", "cost",
+                               "--grid", "1 2", "--delta", "2", "--eps", "0.5",
+                               "--p", "10", "--trials", "2", "--no-theory")
+        assert code == 0
+        assert "# unconverged=4\n" in out
+        code, out, _ = run_cli(capsys, "figure", "5b", "--grid", "1",
+                               "--p", "10", "--trials", "3", "--output", "-")
+        assert code == 0
+        assert "# unconverged=3\n" in out
 
 
 class TestFigureCommand:

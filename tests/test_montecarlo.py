@@ -109,6 +109,7 @@ class TestHsvrSweep:
         assert row.mean_risk is None
         assert row.theory_risk is None  # limit is infeasible there too
         assert row.trials_used == 0
+        assert row.unconverged == 0  # certified infeasible, not unconverged
 
     def test_theory_and_empirics_close_midrange(self):
         spec = small_spec(
@@ -118,6 +119,20 @@ class TestHsvrSweep:
         assert row.feasibility_rate == 1.0
         assert row.mean_risk == pytest.approx(row.theory_risk,
                                               abs=4 * row.stderr_risk + 0.01)
+
+
+class TestUnconvergedFits:
+    def test_stopped_fits_counted_and_left_out_of_means(self):
+        for estimator, fixed in (("hsvr", {"sigma": 1.0, "beta": 1.0, "eps": 0.5}),
+                                 ("ssvr", {"sigma": 1.0, "beta": 1.0, "eps": 0.5,
+                                           "cost": 2.0})):
+            spec = small_spec(estimator=estimator, fixed=fixed, theory=False,
+                              solver=SolverConfig(max_iters=5))
+            for row in run_sweep(spec):
+                assert row.unconverged == spec.trials
+                assert row.trials_used == 0
+                assert row.mean_risk is None and row.stderr_risk is None
+                assert row.feasibility_rate == 1.0
 
 
 class TestEpsSweep:

@@ -9,6 +9,7 @@ import pytest
 from svrisk import (
     SolverConfig,
     cosine_similarity,
+    delta_star,
     estimate_noise_signal,
     generate_dataset,
     oracle_ridge,
@@ -121,6 +122,75 @@ class TestHardSvr:
             fit.weights, data.features @ fit.dual / np.sqrt(data.p))
 
 
+def farkas_margin(data, eps, dual):
+    """(gain, leak) of the null(X) projection of dual, by least squares.
+
+    gain = y'v - eps ||v||_1 relative to ||v||_1 (1 + max|y|); leak =
+    ||X v|| relative to ||X||_F ||v||.  A Farkas direction has gain > 0
+    and leak ~ 0.
+    """
+    x, y = data.features, data.responses
+    u = dual / np.linalg.norm(dual)
+    coef, *_ = np.linalg.lstsq(x.T, u, rcond=None)
+    v = u - x.T @ coef
+    l1 = float(np.abs(v).sum())
+    gain = (float(y @ v) - eps * l1) / (l1 * (1.0 + float(np.abs(y).max())))
+    leak = float(np.linalg.norm(x @ v)) / (np.linalg.norm(x) * np.linalg.norm(v))
+    return gain, leak
+
+
+class TestInfeasibilityCertificate:
+    def test_every_infeasible_verdict_carries_a_farkas_direction(self):
+        dstar = delta_star(1.0, 1.0, GAUSS)
+        infeasible = 0
+        for seed in range(20):
+            data = generate_dataset(100, 1.1 * dstar, 1.0, 1.0, GAUSS, seed=seed)
+            fit = solve_hard_svr(data, 1.0)
+            if fit.status != "infeasible":
+                continue
+            infeasible += 1
+            gain, leak = farkas_margin(data, 1.0, fit.dual)
+            assert gain > 1e-8 and leak <= 1e-8
+        assert infeasible >= 15
+
+    def test_verdicts_agree_with_lp_around_delta_star(self):
+        dstar = delta_star(1.0, 1.0, GAUSS)
+        verdicts = set()
+        for f in (0.9, 1.0, 1.1):
+            for seed in range(10):
+                data = generate_dataset(40, f * dstar, 1.0, 1.0, GAUSS, seed=seed)
+                feas = lp_feasible(data.features, data.responses, 1.0)
+                fit = solve_hard_svr(data, 1.0)
+                assert fit.status == ("converged" if feas else "infeasible")
+                verdicts.add(feas)
+        assert verdicts == {True, False}
+
+    def test_duplicated_samples_with_fewer_samples_than_features(self):
+        # x_1 = x_2 with conflicting responses: no w fits both within eps,
+        # although n < p; the Gram matrix is singular
+        x = np.array([[1.0, 1.0], [0.5, 0.5], [-2.0, -2.0]])
+        data = tiny_dataset(x, [0.0, 3.0])
+        fit = solve_hard_svr(data, 1.0)
+        assert fit.status == "infeasible"
+        gain, leak = farkas_margin(data, 1.0, fit.dual)
+        assert gain > 1e-8 and leak <= 1e-8
+        # eps = 2 makes the same design feasible
+        assert solve_hard_svr(data, 2.0).status == "converged"
+
+    def test_certified_within_a_few_checks(self):
+        dstar = delta_star(1.0, 1.0, GAUSS)
+        iters = []
+        for seed in range(10):
+            data = generate_dataset(200, 1.1 * dstar, 1.0, 1.0, GAUSS, seed=seed)
+            fit = solve_hard_svr(data, 1.0)
+            if fit.status == "infeasible":
+                iters.append(fit.iterations)
+        assert len(iters) >= 8
+        assert np.median(iters) <= 250
+        data = generate_dataset(200, 1.1 * dstar, 1.0, 1.0, GAUSS, seed=0)
+        assert solve_hard_svr(data, 1.0).iterations == solve_hard_svr(data, 1.0).iterations
+
+
 class TestSoftSvr:
     def test_large_cost_matches_hard(self):
         data = generate_dataset(40, 0.8, 1.0, 0.3, GAUSS, seed=15)
@@ -172,6 +242,21 @@ class TestDualMonotonicity:
                     solve_soft_svr(data, 0.4, 2.0, cfg)):
             assert fit.objective_trace is not None
             assert np.all(np.diff(fit.objective_trace) >= 0.0)
+
+
+class TestPolishGate:
+    def test_polish_as_soon_as_the_pattern_holds(self):
+        # the sign/box pattern settles within a few checks at these
+        # settings; a fixed 250-iteration polish period would read 250
+        iters = []
+        for seed in range(4):
+            data = generate_dataset(200, 1.0, 1.0, 1.0, GAUSS, seed=seed)
+            hard = solve_hard_svr(data, 1.0)
+            data = generate_dataset(200, 2.0, 1.0, 1.0, GAUSS, seed=seed)
+            soft = solve_soft_svr(data, 0.6, 2.4)
+            assert hard.status == soft.status == "converged"
+            iters += [hard.iterations, soft.iterations]
+        assert np.median(iters) <= 150
 
 
 class TestRidge:
