@@ -35,6 +35,7 @@ from .montecarlo import SweepSpec, run_sweep
 from .noise import NoiseModel, scale_mixture, standard_gaussian
 from .scalar_opt import golden_section_min
 from .solvers import (
+    DEFAULT_CONFIG,
     UnsupportedRegime,
     estimate_noise_signal,
     generate_dataset,
@@ -288,7 +289,7 @@ def cmd_sweep(args, cfg):
     out = [(r.swept_value, r.theory_risk, r.theory_cosine, r.mean_risk,
             r.stderr_risk, r.mean_cosine, r.feasibility_rate, r.trials_used)
            for r in rows]
-    write_csv(args.output, meta + _unconverged_meta(rows), columns, out)
+    write_csv(args.output, meta + _fit_meta(rows, spec.solver.tol), columns, out)
     return EXIT_OK
 
 
@@ -304,10 +305,20 @@ def _meta(args, params):
     return [f"svrisk {__version__}", f"command {' '.join(sys.argv[1:])}", items]
 
 
-def _unconverged_meta(rows):
-    """A metadata line counting the fits left out of the means, if any."""
+def _fit_meta(rows, tol):
+    """Metadata lines flagging the fits behind the means, if any need it.
+
+    unconverged=k counts the fits left out of the means; worst_gap is
+    written only when some fit in the means has a duality gap above tol.
+    """
+    lines = []
     k = sum(r.unconverged for r in rows)
-    return [f"unconverged={k}"] if k else []
+    if k:
+        lines.append(f"unconverged={k}")
+    gap = max((r.worst_gap for r in rows if r.worst_gap is not None), default=0.0)
+    if gap > tol:
+        lines.append(f"worst_gap={fmt(gap)}")
+    return lines
 
 
 def cmd_figure(args, cfg):
@@ -334,7 +345,7 @@ def cmd_figure(args, cfg):
         return emp_rows[-1]
 
     def write(cols, rows):
-        write_csv(out, meta + _unconverged_meta(emp_rows), cols, rows)
+        write_csv(out, meta + _fit_meta(emp_rows, DEFAULT_CONFIG.tol), cols, rows)
 
     if fid == "1":
         eps_grid = grid or tuple(np.round(np.arange(0.05, 1.51, 0.05), 10))

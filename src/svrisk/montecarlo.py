@@ -81,8 +81,11 @@ class SweepRow:
     Risk statistics are over the trials_used trials whose fit converged;
     feasibility_rate counts every trial not certified infeasible, and
     unconverged counts the fits that stopped at max_iters (left out of
-    the means).  stderr is 0.0 for a single trial; fields are None when
-    unavailable (no theory curve, all trials infeasible, ...).
+    the means).  worst_gap is the largest relative duality gap
+    (kkt_residual) among the converged fits, None for the closed-form
+    estimators and when no fit converged.  stderr is 0.0 for a single
+    trial; fields are None when unavailable (no theory curve, all trials
+    infeasible, ...).
     """
 
     swept_value: float
@@ -94,6 +97,7 @@ class SweepRow:
     feasibility_rate: float
     trials_used: int
     unconverged: int
+    worst_gap: float | None
 
 
 def _theory_point(spec: SweepSpec, params, quad):
@@ -116,15 +120,16 @@ def _theory_point(spec: SweepSpec, params, quad):
 
 
 def _run_trial(spec: SweepSpec, params, grid_index, trial_index):
-    """One dataset + fit; returns (risk, cosine, status).
+    """One dataset + fit; returns (risk, cosine, status, gap).
 
     status is the fit's ("converged", "infeasible" or "max_iters");
-    the closed-form estimators always report "converged".  Risk and
-    cosine are None unless the fit converged.
+    the closed-form estimators always report "converged", with gap None.
+    Risk and cosine are None unless the fit converged.
     """
     ss = np.random.SeedSequence(spec.base_seed, spawn_key=(grid_index, trial_index))
     data = generate_dataset(spec.p, params["delta"], params["beta"],
                             params["sigma"], spec.noise, seed=ss)
+    gap = None
     if spec.estimator == "null":
         w = np.zeros(spec.p)
     elif spec.estimator == "ridge_oracle":
@@ -135,22 +140,25 @@ def _run_trial(spec: SweepSpec, params, grid_index, trial_index):
         else:
             fit = solve_soft_svr(data, params["eps"], params["cost"], spec.solver)
         if fit.status != "converged":
-            return None, None, fit.status
-        w = fit.weights
-    return prediction_risk(w, data.truth), cosine_similarity(w, data.truth), "converged"
+            return None, None, fit.status, None
+        w, gap = fit.weights, fit.kkt_residual
+    return (prediction_risk(w, data.truth), cosine_similarity(w, data.truth),
+            "converged", gap)
 
 
 def _sweep_point(spec: SweepSpec, gi, quad):
     value = spec.grid[gi]
     params = spec.params_at(value)
     theory_risk, theory_cos = _theory_point(spec, params, quad)
-    risks, cosines, infeasible, unconverged = [], [], 0, 0
+    risks, cosines, gaps, infeasible, unconverged = [], [], [], 0, 0
     for ti in range(spec.trials):
-        risk, cos, status = _run_trial(spec, params, gi, ti)
+        risk, cos, status, gap = _run_trial(spec, params, gi, ti)
         if status == "converged":
             risks.append(risk)
             if cos is not None:
                 cosines.append(cos)
+            if gap is not None:
+                gaps.append(gap)
         elif status == "infeasible":
             infeasible += 1
         else:
@@ -172,6 +180,7 @@ def _sweep_point(spec: SweepSpec, gi, quad):
         feasibility_rate=(spec.trials - infeasible) / spec.trials,
         trials_used=m,
         unconverged=unconverged,
+        worst_gap=max(gaps) if gaps else None,
     )
 
 

@@ -8,8 +8,9 @@ maximized over all of R^n for the hard tube constraint and over the box
 |u_i| <= C/sqrt(p) for the soft one.  The primal weights are recovered as
 w = X u / sqrt(p).  The maximization uses accelerated proximal gradient
 ascent (soft-threshold prox, box clipping for the soft case) with a
-monotone safeguard and growth/backtracking steps, plus an active-set
-polish that solves the support KKT system exactly once it stabilizes.
+monotone safeguard and growth/backtracking steps.  An iteration makes one
+n x n product for the gradient and one per backtracking trial (usually a
+single trial), whose value the objective reuses.
 
 An infeasible hard instance has an unbounded dual.  Unboundedness is
 certified exactly: the tube is empty iff some direction v with X v = 0
@@ -17,13 +18,21 @@ has y'v - eps ||v||_1 > 0 (the dual objective then grows linearly along
 v forever).  A projector onto null(X) is factored once per hard solve,
 and every 25-iteration check projects the iterate with it and tests the
 projection against that criterion; no other rule returns "infeasible".
+
 The same checks watch the sign pattern of the iterate (and, for the soft
-problem, which coordinates sit on the box), and the polish is tried once
-that pattern has held for two checks in a row.
+problem, which coordinates sit on the box).  At the first check, and
+whenever the pattern has held for one check, a polish solves the KKT
+system on that pattern and repairs the pattern from the solution, as a
+primal-dual active-set method does (Hintermueller, Ito & Kunisch, 2002):
+up to four repairs, until the pattern stops changing.  Its candidate is
+accepted only if the dual objective does not fall and the duality gap and
+violation are within tol, so most fits stop at the first check.  The
+forced check at max_iters tests convergence but does not polish.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +42,7 @@ from .noise import NoiseModel, sample_noise_rng, standard_gaussian
 _STEP_GROWTH = 1.3  # step growth every third iteration
 _STEP_SHRINK = 0.5  # backtracking factor
 _CHECK_EVERY = 25  # iterations between convergence, certificate and pattern checks
-_POLISH_AFTER = 2  # checks the active pattern must hold before a polish
+_POLISH_REPAIRS = 4  # pattern repairs after a polish's first KKT solve
 
 
 @dataclass
@@ -67,7 +76,9 @@ class SvrFit:
     of dual is a Farkas direction proving the tube empty) or
     "max_iters".  kkt_residual is the relative duality gap at exit;
     constraint_violation is max (|residual| - eps)_+ for the hard tube
-    and the box overshoot for the soft one.
+    and the box overshoot for the soft one.  polish_solves counts the
+    active-set KKT solves, pattern repairs included, made beside the
+    iterations of gradient ascent.
     """
 
     weights: np.ndarray
@@ -76,6 +87,7 @@ class SvrFit:
     iterations: int
     kkt_residual: float
     constraint_violation: float
+    polish_solves: int = 0
     objective_trace: np.ndarray | None = None
 
 
@@ -164,54 +176,68 @@ def _active_pattern(u, box):
 
 
 def _polish(pattern, k, y, p, eps, box):
-    """Solve the KKT system on an active pattern; None if it is invalid.
+    """Primal-dual active-set solve from a starting pattern.
 
-    Free support coordinates satisfy residual_i = eps * sign(u_i); soft
-    coordinates pinned at the box stay there.  The candidate depends on
-    the pattern alone; the caller accepts it only if it does not lower
-    the dual objective.
+    Returns (candidate, solves).  Free coordinates (|pattern| = 1) satisfy
+    r_i = eps * sign(u_i), with r = y - k u / sqrt(p); soft coordinates on
+    the box (|pattern| = 2) stay there; the rest are 0.  After each KKT
+    solve the pattern is repaired: a free coordinate whose sign flipped
+    goes to 0, one past the box is pinned at it, a box coordinate with
+    r_i s_i < eps is freed, and a zero coordinate with |r_i| > eps enters
+    with sign(r_i).  The candidate is returned once the pattern stops
+    changing, within _POLISH_REPAIRS repairs; otherwise (or when a system
+    is singular) it is None.  The caller accepts it only if it does not
+    lower the dual objective and certifies it.
     """
     sp = np.sqrt(p)
-    idx = np.flatnonzero(np.abs(pattern) == 1)
-    if idx.size == 0:
-        return None
-    sgn = pattern[idx].astype(float)
-    rhs = sp * (y[idx] - eps * sgn)
-    u_new = np.zeros(len(pattern))
-    if box is not None:
-        at_box = np.flatnonzero(np.abs(pattern) == 2)
-        u_new[at_box] = np.sign(pattern[at_box]) * box
-        rhs = rhs - k[np.ix_(idx, at_box)] @ u_new[at_box]
-    try:
-        sol = np.linalg.solve(k[np.ix_(idx, idx)], rhs)
-    except np.linalg.LinAlgError:
-        return None
-    if np.any(np.sign(sol) * sgn < 0.0):
-        return None
-    if box is not None and np.any(np.abs(sol) > box * (1.0 + 1e-9)):
-        return None
-    u_new[idx] = sol
-    return u_new
+    solves = 0
+    for _ in range(_POLISH_REPAIRS + 1):
+        idx = np.flatnonzero(np.abs(pattern) == 1)
+        sgn = pattern[idx].astype(float)
+        rhs = sp * (y[idx] - eps * sgn)
+        u_new = np.zeros(len(pattern))
+        if box is not None:
+            at_box = np.flatnonzero(np.abs(pattern) == 2)
+            s_box = np.sign(pattern[at_box]).astype(float)
+            u_new[at_box] = s_box * box
+            rhs = rhs - k[np.ix_(idx, at_box)] @ u_new[at_box]
+        if idx.size:
+            solves += 1
+            try:
+                u_new[idx] = np.linalg.solve(k[np.ix_(idx, idx)], rhs)
+            except np.linalg.LinAlgError:
+                return None, solves
+        r = y - k @ u_new / sp
+        sol = u_new[idx]
+        repaired = np.where(np.abs(r) > eps, np.sign(r), 0.0)  # zeros entering
+        repaired[idx] = np.where(np.sign(sol) == sgn, sgn, 0.0)
+        if box is not None:
+            repaired[idx] *= 1.0 + (np.abs(sol) > box)
+            repaired[at_box] = s_box * (1.0 + (r[at_box] * s_box >= eps))
+        repaired = repaired.astype(np.int8)
+        if np.array_equal(repaired, pattern):
+            return u_new, solves
+        pattern = repaired
+    return None, solves
 
 
-def _null_projector(x, k):
+def _null_projector(x, k, gram):
     """Factors (a, b) such that u - a @ (b @ u) projects u onto null(X).
 
-    None when null(X) = {0}, which holds when the smaller Gram matrix
-    (X'X = k for n <= p, XX' otherwise) has a Cholesky factor.  With
-    n > p and a full-rank design the factors are X' and (XX')^-1 X, so a
-    projection costs two matrix-vector products.  A rank-deficient design
-    (for instance duplicated samples) takes its range basis from an
-    eigendecomposition of k instead.
+    gram is XX' when n > p and None otherwise.  None when null(X) = {0},
+    which holds when the smaller Gram matrix (X'X = k for n <= p, XX'
+    otherwise) has a Cholesky factor.  With n > p and a full-rank design
+    the factors are X' and (XX')^-1 X, so a projection costs two
+    matrix-vector products.  A rank-deficient design (for instance
+    duplicated samples) takes its range basis from an eigendecomposition
+    of k instead.
     """
-    p, n = x.shape
     try:
-        if n <= p:
+        if gram is None:
             np.linalg.cholesky(k)
             return None
-        gram = x @ x.T
         np.linalg.cholesky(gram)
-        return x.T, np.linalg.solve(gram, x)
+        return x.T, np.linalg.inv(gram) @ x
     except np.linalg.LinAlgError:
         pass
     evals, vecs = np.linalg.eigh(k)
@@ -245,9 +271,10 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig):
     p, n = data.p, data.n
     sp = np.sqrt(p)
     k = x.T @ x
-    lam = _spectral_norm(k) / p
+    gram = x @ x.T if n > p else None  # the smaller Gram matrix, if not k
+    lam = _spectral_norm(k if gram is None else gram) / p
     step = 1.0 / max(lam, 1e-12)
-    projector = _null_projector(x, k) if box is None else None
+    projector = _null_projector(x, k, gram) if box is None else None
 
     def objective(u):
         return _dual_objective(u, k, y, p, eps)
@@ -275,12 +302,12 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig):
     status = "max_iters"
     iterations = cfg.max_iters
     trace = [best_f] if cfg.record_objective else None
-    pattern, held, polished = None, 0, None
+    pattern, polished, polish_solves = None, set(), 0
 
     for it in range(1, cfg.max_iters + 1):
-        r_v = y - (k @ v) / sp
-        grad = r_v / sp
-        f_v_smooth = float(-0.5 * (v @ (k @ v)) / p + (y @ v) / sp)
+        kv = k @ v
+        grad = (y - kv / sp) / sp
+        f_v_smooth = float(-0.5 * (v @ kv) / p + (y @ v) / sp)
         # backtracking on the smooth majorization, with growth after streaks
         accepted = None
         for _ in range(60):
@@ -300,7 +327,8 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig):
             step *= _STEP_GROWTH
             grow_since = 0
 
-        f_new = objective(accepted)
+        # the objective of the last trial, which is the accepted point
+        f_new = smooth_cand - eps * np.abs(accepted).sum() / sp
         # monotone safeguard: continue momentum from the trial point but
         # report/keep the best iterate so the dual value never decreases
         if f_new >= best_f:
@@ -327,14 +355,18 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig):
             status = "converged"
             iterations = it
             break
+        if it % _CHECK_EVERY:
+            continue  # the forced check at max_iters does not polish
         current = _active_pattern(best_u, box)
-        held = held + 1 if np.array_equal(current, pattern) else 0
+        held = pattern is None or np.array_equal(current, pattern)
         pattern = current
+        # polish at the first check and once the pattern holds for a check;
         # a pattern already polished would give the same candidate again
-        if held < _POLISH_AFTER or np.array_equal(pattern, polished):
+        if not held or pattern.tobytes() in polished:
             continue
-        polished = pattern
-        cand = _polish(pattern, k, y, p, eps, box)
+        polished.add(pattern.tobytes())
+        cand, solves = _polish(pattern, k, y, p, eps, box)
+        polish_solves += solves
         if cand is not None:
             f_cand = objective(cand)
             if f_cand >= best_f - 1e-12 * max(1.0, abs(best_f)):
@@ -355,8 +387,14 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig):
         weights=w, dual=u, status=status, iterations=iterations,
         kkt_residual=gap,
         constraint_violation=viol if box is None else box_over,
+        polish_solves=polish_solves,
         objective_trace=None if trace is None else np.asarray(trace),
     )
+
+
+def _check_eps(eps):
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError("eps must be finite and nonnegative")
 
 
 def solve_hard_svr(data: Dataset, eps, cfg: SolverConfig = DEFAULT_CONFIG):
@@ -367,8 +405,7 @@ def solve_hard_svr(data: Dataset, eps, cfg: SolverConfig = DEFAULT_CONFIG):
     the tube is empty: the projection v of the returned dual onto null(X)
     has X v = 0 and y'v > eps ||v||_1 (tested every 25 iterations).
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    _check_eps(eps)
     return _solve_dual(data, eps, box=None, cfg=cfg)
 
 
@@ -377,10 +414,9 @@ def solve_soft_svr(data: Dataset, eps, cost, cfg: SolverConfig = DEFAULT_CONFIG)
 
     The dual adds the box |u_i| <= C/sqrt(p); always feasible.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if cost <= 0:
-        raise ValueError("cost must be positive")
+    _check_eps(eps)
+    if not (math.isfinite(cost) and cost > 0):
+        raise ValueError("cost must be finite and positive")
     box = cost / np.sqrt(data.p)
     return _solve_dual(data, eps, box=box, cfg=cfg)
 

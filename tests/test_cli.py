@@ -108,6 +108,15 @@ class TestSolveCommand:
         assert code == 0
         assert "status converged" in out
 
+    def test_non_finite_input_usage_error(self, capsys):
+        for argv in (("hsvr", "--eps", "nan"),
+                     ("ssvr", "--eps", "0.5", "--cost", "nan")):
+            code, out, err = run_cli(capsys, "solve", *argv, "--delta", "0.5",
+                                     "--p", "10")
+            assert code == 1, argv
+            assert out == ""
+            assert "must be finite" in err
+
     def test_ridge_solve(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "ridge", "--delta", "2.0",
                                "--sigma", "0.5", "--p", "50", "--seed", "1")
@@ -188,6 +197,22 @@ class TestSweepCommand:
                                "--p", "10", "--trials", "3", "--output", "-")
         assert code == 0
         assert "# unconverged=3\n" in out
+
+    def test_worst_gap_flagged_only_above_tol(self, capsys, monkeypatch):
+        argv = ("sweep", "ssvr", "--swept", "cost", "--grid", "1 2", "--delta", "2",
+                "--eps", "0.5", "--p", "10", "--trials", "2", "--no-theory")
+        _, out, _ = run_cli(capsys, *argv)
+        assert "worst_gap" not in out
+        real = montecarlo.solve_soft_svr
+
+        def loose(data, eps, cost, cfg):
+            return real(data, eps, cost, SolverConfig(tol=1e-3))
+
+        monkeypatch.setattr(montecarlo, "solve_soft_svr", loose)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        line = [l for l in out.splitlines() if l.startswith("# worst_gap=")]
+        assert len(line) == 1 and 1e-8 < float(line[0].split("=")[1]) <= 1e-3
 
 
 class TestFigureCommand:

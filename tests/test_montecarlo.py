@@ -97,6 +97,19 @@ class TestDeterminism:
             assert p20 == p21
         assert rows20[0].mean_risk != rows21[0].mean_risk  # 5th trial contributes
 
+    def test_worst_gap_repeats_for_a_seed(self):
+        for estimator, fixed in (("hsvr", {"sigma": 1.0, "beta": 1.0, "eps": 0.5}),
+                                 ("ssvr", {"sigma": 1.0, "beta": 1.0, "eps": 0.5,
+                                           "cost": 2.0})):
+            spec = small_spec(estimator=estimator, fixed=fixed, theory=False)
+            rows = run_sweep(spec)
+            assert rows == run_sweep(spec)
+            for row in rows:
+                assert row.trials_used == spec.trials
+                assert 0.0 <= row.worst_gap <= spec.solver.tol
+        ridge = small_spec(estimator="ridge_oracle", theory=False)
+        assert all(row.worst_gap is None for row in run_sweep(ridge))
+
 
 class TestHsvrSweep:
     def test_infeasible_points_excluded_from_means(self):

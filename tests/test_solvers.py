@@ -20,7 +20,7 @@ from svrisk import (
     solve_soft_svr,
     standard_gaussian,
 )
-from svrisk.solvers import Dataset, UnsupportedRegime
+from svrisk.solvers import Dataset, UnsupportedRegime, _active_pattern, _polish
 from tests_support import lp_feasible, primal_hard_oracle, primal_soft_oracle
 
 GAUSS = standard_gaussian()
@@ -60,6 +60,20 @@ class TestGenerateDataset:
         assert np.linalg.norm(data.truth) == pytest.approx(2.5, rel=1e-12)
         fixed = generate_dataset(50, 1.0, 2.5, 1.0, GAUSS, seed=1, direction="fixed")
         assert fixed.truth[0] == 2.5 and np.all(fixed.truth[1:] == 0.0)
+
+
+class TestInputValidation:
+    def test_non_finite_eps_and_cost_rejected(self):
+        # a NaN eps slips past eps < 0 and would run to max_iters
+        data = generate_dataset(10, 1.0, 1.0, 1.0, GAUSS, seed=0)
+        for eps in (math.nan, math.inf, -0.1):
+            with pytest.raises(ValueError, match="eps must be finite"):
+                solve_hard_svr(data, eps)
+            with pytest.raises(ValueError, match="eps must be finite"):
+                solve_soft_svr(data, eps, 1.0)
+        for cost in (math.nan, math.inf, 0.0):
+            with pytest.raises(ValueError, match="cost must be finite"):
+                solve_soft_svr(data, 0.5, cost)
 
 
 class TestHardSvr:
@@ -257,6 +271,54 @@ class TestPolishGate:
             assert hard.status == soft.status == "converged"
             iters += [hard.iterations, soft.iterations]
         assert np.median(iters) <= 150
+
+    def test_most_fits_stop_at_the_first_check(self):
+        # the repaired polish certifies these fits at iteration 25; a
+        # polish that needs the pattern to hold first reads a median of 75
+        iters = []
+        for seed in range(6):
+            for delta in (0.5, 1.0):
+                data = generate_dataset(200, delta, 1.0, 1.0, GAUSS, seed=seed)
+                fit = solve_hard_svr(data, 1.0)
+                assert fit.status == "converged"
+                iters.append(fit.iterations)
+            data = generate_dataset(200, 2.0, 1.0, 1.0, GAUSS, seed=seed)
+            for cost in (0.5, 2.4):
+                fit = solve_soft_svr(data, 0.6, cost)
+                assert fit.status == "converged"
+                iters.append(fit.iterations)
+        assert np.median(iters) <= 25
+        assert max(iters) <= 50
+
+    @pytest.mark.parametrize("kind", ["hard", "soft"])
+    def test_repairs_a_corrupted_pattern(self, kind):
+        data = generate_dataset(200, 1.0 if kind == "hard" else 2.0, 1.0, 1.0,
+                                GAUSS, seed=1)
+        x, y, p = data.features, data.responses, data.p
+        k = x.T @ x
+        if kind == "hard":
+            eps, box = 1.0, None
+            fit = solve_hard_svr(data, eps)
+        else:
+            eps, box = 0.6, 2.4 / np.sqrt(p)
+            fit = solve_soft_svr(data, eps, 2.4)
+        assert fit.status == "converged" and fit.polish_solves >= 1
+        pattern = _active_pattern(fit.dual, box)
+        r = y - k @ fit.dual / np.sqrt(p)
+        corrupted = pattern.copy()
+        corrupted[np.flatnonzero(np.abs(pattern) == 1)[0]] = 0  # a true one out
+        off = np.flatnonzero(pattern == 0)[0]
+        corrupted[off] = -np.sign(r[off])  # a wrong-sign one in
+        cand, solves = _polish(corrupted, k, y, p, eps, box)
+        assert cand is not None and solves >= 2
+        np.testing.assert_allclose(cand, fit.dual, rtol=0, atol=1e-12)
+
+    def test_polish_solves_repeat_for_a_seed(self):
+        data = generate_dataset(200, 2.0, 1.0, 1.0, GAUSS, seed=3)
+        a = solve_soft_svr(data, 0.6, 100.0)
+        b = solve_soft_svr(data, 0.6, 100.0)
+        assert a.polish_solves == b.polish_solves >= 1
+        assert a.iterations == b.iterations
 
 
 class TestRidge:
