@@ -3,8 +3,8 @@
 Solves, for a given sample ratio delta = n/p, noise scale sigma, signal
 norm beta and tube half-width eps:
 
-- the hard-margin feasibility threshold delta_star (1-D convex
-  minimization) and its inverse epsilon_star;
+- the hard-margin feasibility threshold delta_star (the root of the
+  derivative of a 1-D convex function) and its inverse epsilon_star;
 - the hard-SVR limiting risk: minimize (g2 - beta/sigma)^2/2 + g1^2/2
   subject to D(g1, g2) <= 0 where
   D(g1, g2) = sqrt(delta) * sqrt(E (|sqrt(g1^2+g2^2) G + N| - eps/sigma)_+^2) - g1,
@@ -36,13 +36,14 @@ from .expectations import (
     e_hinge_abs,
     e_hinge_moments,
     e_tail_prob,
-    hinge_sq_mean,
 )
 from .noise import NoiseModel, standard_gaussian
-from .scalar_opt import brent_root, expand_bracket_min, golden_section_min
+from .scalar_opt import brent_root, expand_bracket_min, expand_bracket_root, golden_section_min
 
 _COSINE_FLOOR = 1e-6  # below this error norm the cosine limit is 0/0
 _T_CAP = 1e12
+_E_ABS_G = math.sqrt(2.0 / math.pi)  # E|G|, G standard normal
+_DSTAR_XTOL = 1e-11  # delta_star's t root tolerance, times max(1, bracket end)
 _EDGE_RTOL = 1e-15  # relative step at which the g1-edge Newton stops
 _EDGE_MAX_ITER = 200  # Newton from g1 = 0 halves its error at worst
 _HSVR_XTOL = 1e-12  # g2 root tolerance of hsvr_risk, times max(1, beta/sigma)
@@ -112,28 +113,54 @@ def _cosine_limit(g1, g2, b_over_sigma):
 # Feasibility threshold.
 # ---------------------------------------------------------------------------
 
+def _threshold_slope(t, sigma, c, noise, quad):
+    """(f'(t), f(t)) for f(t) = E (|G + t*sigma*N| - t*eps)_+^2, c = eps/sigma, t > 0.
+
+    With u = t sigma and s = 1/u, f(t) = u^2 H2(s, c), where H2 is the
+    hinge-square of s*G + N.  Stein's lemma (dH2/ds = 2 s P, P = P(|V| > c))
+    gives f'(t) = 2 sigma^2 t H2 - 2 P / t, all from one
+    ``e_hinge_moments`` call.
+    """
+    u = t * sigma
+    p, _, h2 = e_hinge_moments(1.0 / u, c, noise, quad)
+    return 2.0 * sigma * u * h2 - 2.0 * p / t, u * u * h2
+
+
 def delta_star(eps, sigma, noise=None, quad=DEFAULT_QUAD):
     """Hard-margin feasibility threshold 1 / inf_t E (|G + t*sigma*N| - t*eps)_+^2.
 
-    The objective is convex in t and even under t -> -t for symmetric
-    noise, so the search runs over t >= 0 on a geometrically expanded
-    bracket.  Returns math.inf when the infimum is numerically zero
-    (noiseless limit with eps > 0: every delta is feasible).
+    The objective f(t) is convex in t and even under t -> -t for
+    symmetric noise, so its infimum over t >= 0 is where f'(t) = 0
+    (``_threshold_slope``, one expectation call for f' and f).
+    f'(0) = -2 eps E|G| < 0: the right end of the bracket doubles from
+    t = 1 until f' > 0, and ``brent_root`` solves f'(t) = 0 on it.
+    Returns math.inf when the infimum is numerically zero (below 1e-13,
+    or f' <= 0 up to t = 1e12: the noiseless limit with eps > 0, where
+    every delta is feasible).
     """
     if not sigma > 0:  # the negated forms reject NaN too
         raise ValueError("sigma must be strictly positive")
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     noise = noise or standard_gaussian()
-
-    def objective(t):
-        return hinge_sq_mean(1.0, t * sigma, t * eps, noise, quad)
-
     if eps == 0.0:
         # E(G + t sigma N)^2 = 1 + (t sigma)^2 E N^2, minimized at t = 0
         return 1.0
-    hi, _, _ = expand_bracket_min(objective, x0=1.0, cap=_T_CAP)
-    _, fmin = golden_section_min(objective, 0.0, hi, tol=1e-11 * max(1.0, hi))
+    c = eps / sigma
+    values = {}
+
+    def slope(t):
+        df, values[t] = _threshold_slope(t, sigma, c, noise, quad)
+        return df
+
+    lo, hi, f_lo, f_hi = expand_bracket_root(slope, 0.0, 1.0, _T_CAP,
+                                             f_lo=-2.0 * eps * _E_ABS_G)
+    if f_hi <= 0.0:
+        return math.inf
+    t = brent_root(slope, lo, hi, f_lo=f_lo, f_hi=f_hi, xtol=_DSTAR_XTOL * max(1.0, hi))
+    if t not in values:  # an end the bracket supplied without a call
+        slope(t)
+    fmin = values[t]
     if fmin < 1e-13:
         return math.inf
     return 1.0 / fmin
@@ -152,15 +179,12 @@ def epsilon_star(delta, sigma, noise=None, quad=DEFAULT_QUAD):
     def gap(eps):
         return delta_star(eps, sigma, noise, quad) - delta
 
-    lo, hi = 0.0, max(sigma, 1e-3)
-    g_hi = gap(hi)
-    while g_hi <= 0.0:
-        hi *= 2.0
-        if hi > 1e9 * sigma:
-            raise RuntimeError("epsilon_star bracket expansion failed")
-        g_hi = gap(hi)
-    return brent_root(gap, lo, hi, f_lo=-delta + 1.0, f_hi=g_hi,
-                      xtol=1e-9 * max(1.0, hi))
+    # delta_star(0) = 1, so the gap starts at 1 - delta < 0
+    lo, hi, g_lo, g_hi = expand_bracket_root(gap, 0.0, max(sigma, 1e-3), 1e9 * sigma,
+                                             f_lo=1.0 - delta)
+    if g_hi <= 0.0:
+        raise RuntimeError("epsilon_star bracket expansion failed")
+    return brent_root(gap, lo, hi, f_lo=g_lo, f_hi=g_hi, xtol=1e-9 * max(1.0, hi))
 
 
 # ---------------------------------------------------------------------------

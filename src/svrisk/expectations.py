@@ -20,11 +20,17 @@ back analytically, which keeps the node count bounded as dof -> 2+.
 This is the package's one quadrature rule; Monte Carlo is never used,
 and results are deterministic to ~abs_tol.
 
+Every mixture functional comes from one fused pass over the rule
+(``_mixture_moments``): it forms sd, q = P(Z > c/sd) and phi(c/sd)
+once per node, and three weighted sums Q = sum w q,
+A = sum w sd phi and T = sum w tau q, from which the tail probability,
+hinge and hinge-square follow in closed form.
+
 ``e_hinge_moments`` evaluates the tail probability P(|V| > c) together
-with the hinge and hinge-square at one (s, c) from a single cdf/density
-pass; the first-order conditions of the hard- and soft-SVR risk problems
-need all three.  ``count_expectations`` counts the expectation evaluations
-made in a context (each public functional counts one).
+with the hinge and hinge-square at one (s, c) from a single pass; the
+first-order conditions of the hard- and soft-SVR risk problems need all
+three.  ``count_expectations`` counts the expectation evaluations made in
+a context (each public functional counts one).
 """
 
 from __future__ import annotations
@@ -100,10 +106,6 @@ def _count():
         counter.n += 1
 
 
-def _phi(z):
-    return np.exp(-0.5 * z * z) / _SQRT2PI
-
-
 # ---------------------------------------------------------------------------
 # Scale mixture: one trapezoid rule over the mixing variable.
 # ---------------------------------------------------------------------------
@@ -112,12 +114,14 @@ def _phi(z):
 class _MixingRule:
     """Nodes tau_j and weights w_j with sum_j w_j f(tau_j) ~ E f(tau).
 
-    miss1 = d/(d-2) - sum w tau is the part of E tau that the truncated
-    rule misses.
+    w2 stacks the rows w and w * tau, so that one product gives both
+    sum w q and sum w tau q.  miss1 = d/(d-2) - sum w tau is the part of
+    E tau that the truncated rule misses.
     """
 
     tau: np.ndarray
     w: np.ndarray
+    w2: np.ndarray
     miss1: float
 
 
@@ -148,12 +152,37 @@ def _mixing_rule(dof, abs_tol):
     w = np.exp(0.5 * d * (x - math.log(2.0)) - 0.5 * np.exp(x) - gammaln(0.5 * d))
     w /= w.sum()
     tau = d * np.exp(-x)
-    w.flags.writeable = tau.flags.writeable = False  # shared by every caller
-    return _MixingRule(tau, w, d / (d - 2.0) - float(w @ tau))
+    w2 = np.stack([w, w * tau])
+    for arr in (tau, w, w2):
+        arr.flags.writeable = False  # shared by every caller
+    return _MixingRule(tau, w, w2, d / (d - 2.0) - float(w @ tau))
+
+
+def _mixture_moments(s, a, c, noise, quad):
+    """(P, H1, H2) for V = s*G + a*N on the scale mixture, a > 0.
+
+    P = P(|V| > c), and H1, H2 the hinge and hinge-square.  One pass over
+    the mixing rule: given tau_j, V is normal with sd_j^2 = s^2 + a^2 tau_j
+    (formed directly: rescaling by a overflows as a -> 0),
+    q_j = P(V > c | tau_j) and phi_j = phi(c / sd_j), and three weighted
+    sums Q = sum w q, T = sum w tau q (one product with the rule's w2) and
+    A = sum w sd phi give P = 2Q, H1 = 2(A - cQ) and
+    H2 = 2((s^2 + c^2) Q + a^2 T - cA) + a^2 miss1.  The miss1 term
+    restores the truncated tail tau -> inf, where h2 ~ a^2 tau.
+    """
+    rule = _mixing_rule(noise.dof, quad.abs_tol)
+    a2 = a * a
+    sd2 = s * s + a2 * rule.tau
+    sd = np.sqrt(sd2)
+    q = ndtr(-c / sd)
+    qsum, tsum = (rule.w2 @ q).tolist()
+    asum = float(rule.w @ (sd * np.exp((-0.5 * c * c) / sd2))) / _SQRT2PI
+    return (2.0 * qsum, 2.0 * (asum - c * qsum),
+            2.0 * ((s * s + c * c) * qsum + a2 * tsum - c * asum) + a2 * rule.miss1)
 
 
 # The hinge moments of V = sd*Z, Z ~ N(0, 1), sd > 0, given q = P(Z > c/sd)
-# and ph = phi(c/sd); scalars or arrays.
+# and ph = phi(c/sd), for the Gaussian branches.
 
 def _h1_from(sd, c, q, ph):
     """E (|V| - c)_+."""
@@ -163,23 +192,6 @@ def _h1_from(sd, c, q, ph):
 def _h2_from(sd, c, q, ph):
     """E (|V| - c)_+^2."""
     return 2.0 * ((sd * sd + c * c) * q - sd * c * ph)
-
-
-def _gauss0_moments(sd, c, q, ph):
-    """(P(|V| > c), E (|V| - c)_+, E (|V| - c)_+^2)."""
-    return 2.0 * q, _h1_from(sd, c, q, ph), _h2_from(sd, c, q, ph)
-
-
-def _gauss0_hinge_sq(sd, c):
-    """E (|sd*Z| - c)_+^2 elementwise."""
-    z = c / sd
-    return _h2_from(sd, c, ndtr(-z), _phi(z))
-
-
-def _gauss0_hinge_abs(sd, c):
-    """E (|sd*Z| - c)_+ elementwise."""
-    z = c / sd
-    return _h1_from(sd, c, ndtr(-z), _phi(z))
 
 
 def _gauss0_scalar(sd, c):
@@ -203,9 +215,7 @@ def hinge_sq_mean(s, a, c, noise, quad=DEFAULT_QUAD):
         if sd == 0.0:
             return 0.0
         return _h2_from(sd, c, *_gauss0_scalar(sd, c))
-    rule = _mixing_rule(noise.dof, quad.abs_tol)
-    sd = np.sqrt(s * s + a * a * rule.tau)
-    return float(rule.w @ _gauss0_hinge_sq(sd, c)) + a * a * rule.miss1
+    return _mixture_moments(s, a, c, noise, quad)[2]
 
 
 def e_hinge_sq(s, c, noise, quad=DEFAULT_QUAD):
@@ -216,25 +226,17 @@ def e_hinge_sq(s, c, noise, quad=DEFAULT_QUAD):
 
 def e_hinge_abs(s, c, noise, quad=DEFAULT_QUAD):
     """E (|s*G + N| - c)_+."""
-    s, c = float(s), float(c)
-    if s < 0 or c < 0:
-        raise ValueError("s, c must be nonnegative")
-    _count()
-    if noise.is_gaussian:
-        sd = math.hypot(s, 1.0)
-        return _h1_from(sd, c, *_gauss0_scalar(sd, c))
-    rule = _mixing_rule(noise.dof, quad.abs_tol)
-    return float(rule.w @ _gauss0_hinge_abs(np.sqrt(s * s + rule.tau), c))
+    return e_hinge_moments(s, c, noise, quad)[1]
 
 
 def e_hinge_moments(s, c, noise, quad=DEFAULT_QUAD):
     """(P(|V| > c), E (|V| - c)_+, E (|V| - c)_+^2) for V = s*G + N.
 
     One cdf/density pass gives all three: the Gaussian branch in scalar
-    math, the scale mixture in one vector pass over the mixing rule.  The
-    hinge values equal ``e_hinge_abs`` and ``e_hinge_sq``; the tail
-    probability is the c-derivative -dH1/dc and, by Stein's lemma,
-    dH2/ds = 2 s P.
+    math, the scale mixture in one pass over the mixing rule
+    (``_mixture_moments``).  The hinge values equal ``e_hinge_abs`` and
+    ``e_hinge_sq``; the tail probability is the c-derivative -dH1/dc and,
+    by Stein's lemma, dH2/ds = 2 s P.
     """
     s, c = float(s), float(c)
     if s < 0 or c < 0:
@@ -245,14 +247,10 @@ def e_hinge_moments(s, c, noise, quad=DEFAULT_QUAD):
         # solvers, and the extra call costs about 20 % of it
         sd = math.hypot(s, 1.0)
         z = c / sd
-        return _gauss0_moments(sd, c, 0.5 * math.erfc(z / _SQRT2),
-                               math.exp(-0.5 * z * z) / _SQRT2PI)
-    rule = _mixing_rule(noise.dof, quad.abs_tol)
-    sd = np.sqrt(s * s + rule.tau)
-    z = c / sd
-    p, h1, h2 = _gauss0_moments(sd, c, ndtr(-z), _phi(z))
-    w = rule.w
-    return float(w @ p), float(w @ h1), float(w @ h2) + rule.miss1
+        q = 0.5 * math.erfc(z / _SQRT2)
+        ph = math.exp(-0.5 * z * z) / _SQRT2PI
+        return 2.0 * q, _h1_from(sd, c, q, ph), _h2_from(sd, c, q, ph)
+    return _mixture_moments(s, 1.0, c, noise, quad)
 
 
 def e_tail_prob(s, c, noise, quad=DEFAULT_QUAD):

@@ -1,8 +1,9 @@
 """Scalar minimization and root bracketing helpers.
 
 Small, deterministic routines used throughout the asymptotic calculators:
-golden-section search on unimodal functions, geometric bracket expansion,
-and bracketed root finding (Brent's method with a bisection safeguard).
+golden-section search on unimodal functions, geometric bracket expansion
+for a minimum or a root, and bracketed root finding (Brent's method with a
+bisection safeguard).
 No randomness, no global state.
 """
 
@@ -67,6 +68,25 @@ def expand_bracket_min(f, x0=1.0, grow=2.0, cap=1e12):
         f_prev = f_hi
         f_hi = f(hi)
     return hi, f_hi, f_hi <= f_prev
+
+
+def expand_bracket_root(f, lo, hi, cap, f_lo=None):
+    """Grow [lo, hi] to the right until ``f`` changes sign on it.
+
+    While f(hi) is zero or has the sign of f(lo), and hi < cap, the bracket
+    moves up to [hi, 2 * hi].  Returns (lo, hi, f(lo), f(hi)); the end
+    values differ in sign unless the cap was reached first.  ``f_lo``
+    spares the evaluation at lo when the caller already has it.
+    """
+    lo, hi = float(lo), float(hi)
+    f_lo = f(lo) if f_lo is None else f_lo
+    sign = math.copysign(1.0, f_lo)
+    f_hi = f(hi)
+    while sign * f_hi >= 0.0 and hi < cap:
+        lo, f_lo = hi, f_hi
+        hi *= 2.0
+        f_hi = f(hi)
+    return lo, hi, f_lo, f_hi
 
 
 def brent_root(f, lo, hi, f_lo=None, f_hi=None, xtol=1e-13):

@@ -185,14 +185,19 @@ def _polish(pattern, k, y, p, eps, box):
     goes to 0, one past the box is pinned at it, a box coordinate with
     r_i s_i < eps is freed, and a zero coordinate with |r_i| > eps enters
     with sign(r_i).  The candidate is returned once the pattern stops
-    changing, within _POLISH_REPAIRS repairs; otherwise (or when a system
-    is singular) it is None.  The caller accepts it only if it does not
-    lower the dual objective and certifies it.
+    changing, within _POLISH_REPAIRS repairs; otherwise it is None.  It is
+    None, before any further solve, once more than p coordinates are free:
+    K_II = X_I'X_I has rank at most p for any design, so it is then
+    singular, and ``np.linalg.solve`` would return a near-singular answer
+    instead of raising.  The caller accepts a
+    candidate only if it does not lower the dual objective and certifies it.
     """
     sp = np.sqrt(p)
     solves = 0
     for _ in range(_POLISH_REPAIRS + 1):
         idx = np.flatnonzero(np.abs(pattern) == 1)
+        if idx.size > p:
+            return None, solves
         sgn = pattern[idx].astype(float)
         rhs = sp * (y[idx] - eps * sgn)
         u_new = np.zeros(len(pattern))

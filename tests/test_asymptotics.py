@@ -21,13 +21,14 @@ from svrisk import (
     standard_gaussian,
     tune_hsvr,
 )
-from svrisk.asymptotics import _g1_edge
+from svrisk.asymptotics import _g1_edge, _threshold_slope
 from svrisk.expectations import DEFAULT_QUAD, count_expectations, e_hinge_moments
 from svrisk.scalar_opt import brent_root
 
 from tests_support import (
     d_value,
     dbar_value,
+    delta_star_golden,
     hsvr_risk_gated,
     hsvr_risk_golden,
     ssvr_risk_golden,
@@ -93,6 +94,48 @@ class TestDeltaStar:
         d3 = delta_star(1.0, 1.0, scale_mixture(3.0))
         d10 = delta_star(1.0, 1.0, scale_mixture(10.0))
         assert 1.0 < d3 < d10 < DELTA_STAR_1_1
+
+    @pytest.mark.parametrize("dof", [0, 2.1, 3.0, 10.0, 30.0],
+                             ids=["gauss", "d2.1", "d3", "d10", "d30"])
+    def test_matches_the_golden_search(self, dof):
+        # the root of f'(t) against a golden search on f(t) to 1e-11 in t;
+        # the grid holds thresholds from 1.00008 to 1.3e8 and infinite ones
+        noise = GAUSS if dof == 0 else scale_mixture(dof)
+        for eps in (0.05, 0.5, 1.0, 3.0, 20.0):
+            for sigma in (0.2, 1.0):
+                got = delta_star(eps, sigma, noise)
+                want = delta_star_golden(eps, sigma, noise)
+                if math.isinf(want):
+                    assert got == want, (eps, sigma)
+                else:
+                    assert got == pytest.approx(want, rel=1e-10), (eps, sigma)
+
+    @pytest.mark.parametrize("noise", [GAUSS, scale_mixture(2.1), scale_mixture(3.0),
+                                       scale_mixture(10.0)],
+                             ids=["gauss", "d2.1", "d3", "d10"])
+    def test_threshold_slope_matches_a_central_difference(self, noise):
+        # f(t) = E(|G + t sigma N| - t eps)_+^2 from hinge_sq_mean, against
+        # the slope delta_star solves, 2 sigma^2 t H2 - 2 P / t; its two
+        # terms each grow like 2/t as t -> 0
+        for sigma, eps in ((0.2, 0.5), (1.0, 1.0), (1.0, 0.05)):
+            def f(t):
+                return svrisk.hinge_sq_mean(1.0, t * sigma, t * eps, noise)
+
+            for t in (1e-3, 1.0, 1e3):
+                slope, value = _threshold_slope(t, sigma, eps / sigma, noise, DEFAULT_QUAD)
+                assert value == pytest.approx(f(t), rel=1e-12), (sigma, eps, t)
+                h = 1e-5 * t
+                fd = (f(t + h) - f(t - h)) / (2.0 * h)
+                assert fd == pytest.approx(slope, rel=1e-6), (sigma, eps, t)
+
+    @pytest.mark.parametrize("dof", [0, 3.0, 10.0], ids=["gauss", "d3", "d10"])
+    def test_expectation_budget(self, dof):
+        # the golden search takes 57-62 calls here
+        noise = GAUSS if dof == 0 else scale_mixture(dof)
+        for sigma in (0.2, 1.0):
+            with count_expectations() as counter:
+                delta_star(1.0, sigma, noise)
+            assert counter.n <= 20, sigma
 
 
 class TestEpsilonStar:

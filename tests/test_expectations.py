@@ -24,6 +24,10 @@ from svrisk import (
 from svrisk.expectations import _mixing_rule
 
 from tests_support import (
+    _gauss0_hinge_abs,
+    _gauss0_hinge_sq,
+    _gauss0_moments,
+    _phi,
     boxed_max_chi_objective,
     boxed_max_value,
     closed_form_hinge_sq,
@@ -300,6 +304,39 @@ class TestTailMoments:
             e_tail_prob(-0.1, 1.0, GAUSS)
         with pytest.raises(ValueError):
             e_hinge_moments(0.1, -1.0, MIX3)
+
+
+class TestFusedMixturePass:
+    """The mixture's one pass over the rule against per-node closed forms
+    summed over the same rule: the same integral, so agreement is to
+    rounding."""
+
+    @staticmethod
+    def _close(got, want):
+        # relative, with a floor far below abs_tol for values that underflow
+        return abs(got - want) <= 1e-13 * abs(want) + 1e-25
+
+    @pytest.mark.parametrize("d", [2.1, 3.0, 10.0])
+    def test_matches_the_per_node_reference(self, d):
+        noise = scale_mixture(d)
+        rule = _mixing_rule(d, DEFAULT_QUAD.abs_tol)
+        for s in (0.0, 1e-3, 1.0, 40.0):
+            for c in (0.0, 1e-3, 1.0, 20.0):
+                for a in (1e-6, 1.0, 1e3):
+                    sd = np.sqrt(s * s + a * a * rule.tau)
+                    want_h2 = float(rule.w @ _gauss0_hinge_sq(sd, c)) + a * a * rule.miss1
+                    assert self._close(hinge_sq_mean(s, a, c, noise), want_h2), (s, c, a)
+                sd = np.sqrt(s * s + rule.tau)
+                z = c / sd
+                want_p, want_h1, want_h2 = (
+                    float(rule.w @ m) for m in _gauss0_moments(sd, c, ndtr(-z), _phi(z)))
+                want_h2 += rule.miss1
+                p, h1, h2 = e_hinge_moments(s, c, noise)
+                assert self._close(p, want_p), (s, c)
+                assert self._close(h1, want_h1), (s, c)
+                assert self._close(h2, want_h2), (s, c)
+                want_abs = float(rule.w @ _gauss0_hinge_abs(sd, c))
+                assert self._close(e_hinge_abs(s, c, noise), want_abs), (s, c)
 
 
 class TestEvalCounter:

@@ -1,11 +1,16 @@
-"""Golden-section, bracket expansion, bisection and Brent's root finder
-behave on known functions."""
+"""Golden-section, bracket expansion (for a minimum or a root), bisection
+and Brent's root finder behave on known functions."""
 
 import math
 
 import pytest
 
-from svrisk.scalar_opt import brent_root, expand_bracket_min, golden_section_min
+from svrisk.scalar_opt import (
+    brent_root,
+    expand_bracket_min,
+    expand_bracket_root,
+    golden_section_min,
+)
 
 from tests_support import bisect_root, golden_section_max
 
@@ -97,3 +102,21 @@ def test_brent_requires_sign_change():
         brent_root(lambda t: t * t + 1.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         brent_root(lambda t: t, 1.0, 2.0, f_lo=1.0, f_hi=2.0)
+
+
+def test_expand_bracket_root_stops_at_the_first_sign_change():
+    f = _Counted(lambda t: t - 37.0)
+    lo, hi, f_lo, f_hi = expand_bracket_root(f, 0.0, 1.0, math.inf, f_lo=-37.0)
+    assert (lo, hi, f_lo, f_hi) == (32.0, 64.0, -5.0, 27.0)
+    assert f.points == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]  # f(0) supplied
+
+
+def test_expand_bracket_root_keeps_a_bracket_that_holds():
+    lo, hi, f_lo, f_hi = expand_bracket_root(lambda t: 1.0 - t, 0.0, 3.0, math.inf)
+    assert (lo, hi, f_lo, f_hi) == (0.0, 3.0, 1.0, -2.0)
+
+
+def test_expand_bracket_root_hits_the_cap():
+    # zero has no sign: the bracket grows past it to the cap
+    lo, hi, f_lo, f_hi = expand_bracket_root(lambda t: min(t - 4.0, 0.0), 0.0, 1.0, 100.0)
+    assert hi >= 100.0 and f_hi == 0.0 and lo == hi / 2.0

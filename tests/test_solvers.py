@@ -2,6 +2,10 @@
 feasibility detection, estimators."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,12 +317,45 @@ class TestPolishGate:
         assert cand is not None and solves >= 2
         np.testing.assert_allclose(cand, fit.dual, rtol=0, atol=1e-12)
 
+    def test_no_solve_once_the_free_set_exceeds_the_rank(self):
+        # K_II = X_I'X_I has rank <= p (here p < n): with one more free
+        # coordinate it is singular, so the polish stops before solving
+        data = generate_dataset(20, 2.0, 1.0, 1.0, GAUSS, seed=0)
+        x, y, p = data.features, data.responses, data.p
+        k = x.T @ x
+        pattern = np.zeros(data.n, dtype=np.int8)
+        pattern[:p + 1] = 1
+        assert _polish(pattern, k, y, p, 0.1, None) == (None, 0)
+        assert _polish(pattern, k, y, p, 0.1, 2.0 / np.sqrt(p)) == (None, 0)
+
     def test_polish_solves_repeat_for_a_seed(self):
         data = generate_dataset(200, 2.0, 1.0, 1.0, GAUSS, seed=3)
         a = solve_soft_svr(data, 0.6, 100.0)
         b = solve_soft_svr(data, 0.6, 100.0)
         assert a.polish_solves == b.polish_solves >= 1
         assert a.iterations == b.iterations
+
+
+def test_solves_load_no_scipy_linalg():
+    # scipy.linalg's own BLAS thread pool, beside numpy's, made p = 200
+    # solves 1.5-2.5x slower; svrisk keeps its linear algebra in numpy.
+    # Old scipy releases load scipy.linalg from scipy.special itself, which
+    # svrisk needs; the check is then on what svrisk adds.
+    code = (
+        "import sys\n"
+        "import scipy.special\n"
+        "before = 'scipy.linalg' in sys.modules\n"
+        "from svrisk import generate_dataset, solve_hard_svr, solve_soft_svr\n"
+        "data = generate_dataset(40, 2.0, 1.0, 1.0, seed=0)\n"
+        "solve_hard_svr(data, 1.0)\n"
+        "solve_soft_svr(data, 0.6, 2.4)\n"
+        "print(before, 'scipy.linalg' in sys.modules)\n"
+    )
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
+    before, after = out.stdout.split()
+    assert after == "False" or before == "True", out.stdout
 
 
 class TestRidge:

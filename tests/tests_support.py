@@ -9,6 +9,7 @@ from scipy.special import gammaln, ndtr, stdtr
 
 from svrisk.asymptotics import (
     _HSVR_XTOL,
+    _T_CAP,
     AsymptoticSolution,
     HsvrProblem,
     SsvrProblem,
@@ -21,14 +22,15 @@ from svrisk.asymptotics import (
 from svrisk.expectations import (
     DEFAULT_QUAD,
     _count,
-    _gauss0_hinge_sq,
     _gauss0_scalar,
+    _h1_from,
     _h2_from,
     _mixing_rule,
     e_hinge_sq,
+    hinge_sq_mean,
 )
-from svrisk.noise import GAUSSIAN, NoiseModel
-from svrisk.scalar_opt import brent_root, golden_section_min
+from svrisk.noise import GAUSSIAN, NoiseModel, standard_gaussian
+from svrisk.scalar_opt import brent_root, expand_bracket_min, golden_section_min
 
 _G1_CAP = 1e6
 
@@ -45,11 +47,61 @@ def closed_form_hinge_sq(s0, c):
 
 # ---------------------------------------------------------------------------
 # Functions that no production path calls, kept here as oracles and as the
-# definitions the tests check: the noise density and cdf, the Huber
-# functional and the soft saddle function Dbar, the hard constraint D,
-# two deterministic max-value formulas, and the bisection and golden-max
+# definitions the tests check: the per-node mixture helpers, the golden
+# search for delta_star, the noise density and cdf, the Huber functional
+# and the soft saddle function Dbar, the hard constraint D, two
+# deterministic max-value formulas, and the bisection and golden-max
 # searches.
 # ---------------------------------------------------------------------------
+
+_SQRT2PI = math.sqrt(2.0 * math.pi)
+
+
+def _phi(z):
+    return np.exp(-0.5 * z * z) / _SQRT2PI
+
+
+def _gauss0_moments(sd, c, q, ph):
+    """(P(|V| > c), E (|V| - c)_+, E (|V| - c)_+^2)."""
+    return 2.0 * q, _h1_from(sd, c, q, ph), _h2_from(sd, c, q, ph)
+
+
+def _gauss0_hinge_sq(sd, c):
+    """E (|sd*Z| - c)_+^2 elementwise."""
+    z = c / sd
+    return _h2_from(sd, c, ndtr(-z), _phi(z))
+
+
+def _gauss0_hinge_abs(sd, c):
+    """E (|sd*Z| - c)_+ elementwise."""
+    z = c / sd
+    return _h1_from(sd, c, ndtr(-z), _phi(z))
+
+
+def delta_star_golden(eps, sigma, noise=None, quad=DEFAULT_QUAD):
+    """Hard-margin feasibility threshold 1 / inf_t E (|G + t*sigma*N| - t*eps)_+^2.
+
+    The reference for ``svrisk.delta_star``, which solves the first-order
+    condition instead: a golden search over t >= 0 on a geometrically
+    expanded bracket.  Returns math.inf when the infimum is numerically
+    zero.
+    """
+    if not sigma > 0:
+        raise ValueError("sigma must be strictly positive")
+    if not eps >= 0:
+        raise ValueError("eps must be nonnegative")
+    noise = noise or standard_gaussian()
+
+    def objective(t):
+        return hinge_sq_mean(1.0, t * sigma, t * eps, noise, quad)
+
+    if eps == 0.0:
+        return 1.0
+    hi, _, _ = expand_bracket_min(objective, x0=1.0, cap=_T_CAP)
+    _, fmin = golden_section_min(objective, 0.0, hi, tol=1e-11 * max(1.0, hi))
+    if fmin < 1e-13:
+        return math.inf
+    return 1.0 / fmin
 
 def golden_section_max(f, lo, hi, tol=1e-10, max_iter=400):
     """Maximize a unimodal ``f`` on [lo, hi]; returns (x, f(x))."""
@@ -233,10 +285,6 @@ def boxed_max_value(b, beta, tau):
 # the production functionals and, conditioned on N = x, for the mixture.
 
 _ZMAX = 39.0  # beyond this phi underflows to exactly 0.0 in float64
-
-
-def _phi(z):
-    return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
 def _clip(z):

@@ -1,0 +1,138 @@
+"""Per-layer counts and timings of the theory layer and the dual solver.
+
+    python3 tools/layer_counts.py [--src DIR] [--fits]
+
+Prints one JSON object:
+
+- ``delta_star``: expectation calls of each ``delta_star`` call over a
+  50-case grid (Gaussian and Student-t d = 2.1, 3, 10, 30 noise;
+  eps in {0.05, 0.5, 1, 3, 20}; sigma in {0.2, 1}), and their sum;
+- ``theory_heavy``: ``expect_evals`` (or, for ``delta_star``, the counted
+  calls) of each un-jittered point of the benchmark's ``theory_heavy``
+  job list (``perfbench/workloads.py``);
+- ``us_per_call``: median microseconds of one ``e_hinge_moments`` call,
+  Gaussian and Student-t d = 3, 10, over 15 blocks of 2,000 calls;
+- with ``--fits``, ``polish``: status, iterations and KKT solves of 80 dual
+  solves at p = 200 (40 soft fits at C = 100 and, for seeds 0-9, hard
+  fits at 0.9 and 1.1 delta* and soft fits at C = 0.5 and 2.4), and a
+  hash of their weights.
+
+``--src`` points at the ``src`` directory of the checkout to measure
+(default: this one), so one harness gives before and after numbers.
+Counts repeat exactly; timings depend on the host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import statistics
+import sys
+import timeit
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def parse_args(argv):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default=str(ROOT / "src"))
+    ap.add_argument("--fits", action="store_true")
+    return ap.parse_args(argv)
+
+
+def delta_star_counts(sv):
+    cases = {}
+    for dof in (0, 2.1, 3.0, 10.0, 30.0):
+        noise = sv.standard_gaussian() if dof == 0 else sv.scale_mixture(dof)
+        for eps in (0.05, 0.5, 1.0, 3.0, 20.0):
+            for sigma in (0.2, 1.0):
+                with sv.count_expectations() as counter:
+                    sv.delta_star(eps, sigma, noise)
+                cases[f"dof={dof:g},eps={eps:g},sigma={sigma:g}"] = counter.n
+    return {"total": sum(cases.values()), "cases": cases}
+
+
+def theory_heavy_counts(sv):
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    def noise(dof):
+        return sv.standard_gaussian() if dof == 0 else sv.scale_mixture(dof)
+
+    out = {}
+    for vals, _ in workloads.HEAVY_HSVR:
+        d, s, b, e, dof = vals
+        sol = sv.hsvr_risk(sv.HsvrProblem(d, s, b, e, noise(dof)))
+        out[f"hsvr:{workloads.num(d)},{workloads.num(e)},dof={dof}"] = sol.diagnostics["expect_evals"]
+    for d, e, c, dof in workloads.HEAVY_SCAN:
+        sol = sv.ssvr_risk(sv.SsvrProblem(d, 1.0, 1.0, e, noise(dof), cost=c), tol=1e-3)
+        out[f"scan:{workloads.num(d)},{workloads.num(e)},{workloads.num(c)},dof={dof}"] = \
+            sol.diagnostics["expect_evals"]
+    for e, dof in workloads.HEAVY_DSTAR:
+        with sv.count_expectations() as counter:
+            sv.delta_star(e, 1.0, noise(dof))
+        out[f"dstar:{workloads.num(e)},dof={dof}"] = counter.n
+    return out
+
+
+def us_per_call(sv):
+    out = {}
+    for name, noise in (("gauss", sv.standard_gaussian()), ("d3", sv.scale_mixture(3.0)),
+                        ("d10", sv.scale_mixture(10.0))):
+        sv.e_hinge_moments(0.7, 0.4, noise)  # builds the cached rule
+        blocks = [timeit.timeit(lambda: sv.e_hinge_moments(0.7, 0.4, noise), number=2000)
+                  / 2000 * 1e6 for _ in range(15)]
+        out[name] = round(statistics.median(blocks), 2)
+    return out
+
+
+def polish_fits(sv):
+    import numpy as np
+
+    gauss = sv.standard_gaussian()
+    dstar = sv.delta_star(1.0, 1.0, gauss)
+    fits = []
+
+    def data(delta, seed):
+        return sv.generate_dataset(200, delta, 1.0, 1.0, gauss,
+                                   seed=np.random.SeedSequence(seed, spawn_key=(2, 0)))
+
+    for seed in range(40):
+        fits.append(sv.solve_soft_svr(data(2.0, seed), 0.6, 100.0))
+    for seed in range(10):
+        for f in (0.9, 1.1):
+            fits.append(sv.solve_hard_svr(data(f * dstar, seed), 1.0))
+        for cost in (0.5, 2.4):
+            fits.append(sv.solve_soft_svr(data(2.0, seed), 0.6, cost))
+    weights = hashlib.sha256(b"".join(fit.weights.tobytes() for fit in fits)).hexdigest()
+    return {
+        "fits": len(fits),
+        "kkt_solves": sum(fit.polish_solves for fit in fits),
+        "iterations": sum(fit.iterations for fit in fits),
+        "status": dict(sorted({s: sum(f.status == s for f in fits)
+                               for s in {f.status for f in fits}}.items())),
+        "weights_sha256": weights[:16],
+    }
+
+
+def main(argv=None):
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    sys.path.insert(0, args.src)
+    import svrisk as sv
+
+    report = {
+        "src": args.src,
+        "delta_star": delta_star_counts(sv),
+        "theory_heavy": theory_heavy_counts(sv),
+        "us_per_call": us_per_call(sv),
+    }
+    if args.fits:
+        report["polish"] = polish_fits(sv)
+    print(json.dumps(report, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
