@@ -41,13 +41,15 @@ from .noise import NoiseModel, standard_gaussian
 from .scalar_opt import brent_root, expand_bracket_min, expand_bracket_root, golden_section_min
 
 _COSINE_FLOOR = 1e-6  # below this error norm the cosine limit is 0/0
-_T_CAP = 1e12
+_T_CAP = 1e12  # where the doubling brackets of delta_star's t and ssvr_risk's g1 stop
 _E_ABS_G = math.sqrt(2.0 / math.pi)  # E|G|, G standard normal
 _DSTAR_XTOL = 1e-11  # delta_star's t root tolerance, times max(1, bracket end)
 _EDGE_RTOL = 1e-15  # relative step at which the g1-edge Newton stops
 _EDGE_MAX_ITER = 200  # Newton from g1 = 0 halves its error at worst
 _HSVR_XTOL = 1e-12  # g2 root tolerance of hsvr_risk, times max(1, beta/sigma)
 _LOG_K_CAP = 300.0  # keeps (c + k)^2 finite in the hinge moments
+_TUNE_EPS_CAP = 400.0  # tune_hsvr's largest eps, times sigma
+_TUNE_SSVR_ROUNDS = 2  # coordinate refinement rounds of tune_ssvr
 
 
 @dataclass(frozen=True)
@@ -136,12 +138,12 @@ def delta_star(eps, sigma, noise=None, quad=DEFAULT_QUAD):
     t = 1 until f' > 0, and ``brent_root`` solves f'(t) = 0 on it.
     Returns math.inf when the infimum is numerically zero (below 1e-13,
     or f' <= 0 up to t = 1e12: the noiseless limit with eps > 0, where
-    every delta is feasible).
+    every delta is feasible).  eps >= 0 and sigma > 0 must be finite.
     """
-    if not sigma > 0:  # the negated forms reject NaN too
-        raise ValueError("sigma must be strictly positive")
-    if not eps >= 0:
-        raise ValueError("eps must be nonnegative")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError("sigma must be finite and strictly positive")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError("eps must be finite and nonnegative")
     noise = noise or standard_gaussian()
     if eps == 0.0:
         # E(G + t sigma N)^2 = 1 + (t sigma)^2 E N^2, minimized at t = 0
@@ -384,8 +386,9 @@ def ssvr_risk(prob: SsvrProblem, quad=DEFAULT_QUAD, tol=1e-8):
       so the derivative is monotone; it tends to -C sqrt(delta P(|V| > c))
       / sigma as g1 -> 0, and equals g1 on the hard-feasible slice (chi* = 0,
       V = q).  For large C it jumps there, and the root lands on the jump,
-      the hard edge.  If P(|V| > c) = 0 at g1 = 0, V(., g2) increases from
-      g1 = 0, the exact g1 = 0 branch.
+      the hard edge.  ``expand_bracket_root`` brackets the root by doubling
+      from the g1 root of the previous g2.  If P(|V| > c) = 0 at g1 = 0,
+      V(., g2) increases from g1 = 0, the exact g1 = 0 branch.
     - g2: dW/dg2 = g2 / (1 - delta P_band) - beta/sigma for
       W(g2) = min_g1 V(g1, g2), whose root is the fixed point
       g2 = (beta/sigma)(1 - delta P_band), solved in that form, which stays
@@ -455,14 +458,12 @@ def _ssvr_saddle(prob, quad, tol):
         p0 = e_tail_prob(abs(g2), c, noise, quad)
         g1 = 0.0
         if p0 > 0.0:
-            # V(., g2) is convex: its slope changes sign inside the expanded bracket
-            expand_bracket_min(lambda g: at(g).value, x0=2.0 * warm_g1)
-            slopes = {g: slope(g) for g in levels}
-            lo = max((g for g, d in slopes.items() if d <= 0.0), default=0.0)
-            hi = min(g for g, d in slopes.items() if d > 0.0)
-            f_lo = slopes[lo] if lo > 0.0 else -cost * math.sqrt(delta * p0) / sigma
+            # V(., g2) is convex, so its slope rises from its g1 -> 0 limit
+            # and changes sign once
+            lo, hi, f_lo, f_hi = expand_bracket_root(
+                slope, 0.0, warm_g1, _T_CAP, f_lo=-cost * math.sqrt(delta * p0) / sigma)
             xtol = inner_tol * max(1.0, hi)
-            g1 = brent_root(slope, lo, hi, f_lo=f_lo, f_hi=slopes[hi], xtol=xtol)
+            g1 = brent_root(slope, lo, hi, f_lo=f_lo, f_hi=f_hi, xtol=xtol)
         if g1 == 0.0:  # the exact g1 = 0 branch, where chi drops out
             return 0.0, _ChiLevel(0.0, _dbar_g1_zero(g2, prob, quad), 0.0, 0.0)
         if slope(g1) < -1e-6 * g1:
@@ -509,14 +510,14 @@ def _ssvr_saddle(prob, quad, tol):
 # Hyperparameter tuning.
 # ---------------------------------------------------------------------------
 
-def tune_hsvr(delta, sigma, beta, noise=None, quad=DEFAULT_QUAD, eps_cap=None):
+def tune_hsvr(delta, sigma, beta, noise=None, quad=DEFAULT_QUAD):
     """Tube half-width minimizing the limiting hard-SVR risk.
 
-    Searches eps on (epsilon_star(delta) + margin, eps_max), expanding
-    eps_max geometrically until the risk curve has turned upward (the
-    risk tends to the null value beta^2 as eps -> inf, so a cap guards
-    heavy-tailed cases whose optimum is effectively at infinity).
-    Returns (eps_opt, risk_opt).
+    Searches eps on (epsilon_star(delta) + margin, eps_max), doubling
+    eps_max until the risk curve has turned upward.  The risk tends to the
+    null value beta^2 as eps -> inf, so eps_max stops at 400 sigma
+    (``_TUNE_EPS_CAP``): heavy-tailed cases can have their optimum
+    effectively at infinity.  Returns (eps_opt, risk_opt).
     """
     noise = noise or standard_gaussian()
     eps_lo = 0.0
@@ -528,7 +529,7 @@ def tune_hsvr(delta, sigma, beta, noise=None, quad=DEFAULT_QUAD, eps_cap=None):
         sol = hsvr_risk(HsvrProblem(delta, sigma, beta, eps, noise), quad)
         return sol.risk if sol.feasible else math.inf
 
-    cap = eps_cap if eps_cap is not None else 400.0 * sigma
+    cap = _TUNE_EPS_CAP * sigma
     # hi >= 2 eps_lo, so the first comparison point hi/2 is above eps_lo
     hi, _, _ = expand_bracket_min(risk_at, x0=max(2.0 * eps_lo, sigma), cap=cap)
     eps_opt, risk_opt = golden_section_min(risk_at, eps_lo, min(hi, cap),
@@ -536,21 +537,18 @@ def tune_hsvr(delta, sigma, beta, noise=None, quad=DEFAULT_QUAD, eps_cap=None):
     return eps_opt, risk_opt
 
 
-def tune_ssvr(delta, sigma, beta, noise=None, quad=DEFAULT_QUAD,
-              eps_grid=None, cost_grid=None, refine_iters=2):
+def tune_ssvr(delta, sigma, beta, noise=None, quad=DEFAULT_QUAD):
     """Jointly tune (eps, C) for the soft problem.
 
-    Coarse log-spaced grid scan (run at a relaxed inner tolerance — the
-    risk surface is flat near its minimum) followed by coordinate
-    golden-section refinement around the best cell.  The returned risk
-    never exceeds any coarse-grid risk.  Returns (eps_opt, cost_opt,
-    risk_opt).
+    A 6 x 6 scan of eps = 0.05 sigma 4^j and C = 0.05 4^j (j = 0..5), run
+    at a relaxed inner tolerance because the risk surface is flat near its
+    minimum, followed by two rounds of coordinate golden-section
+    refinement in log space around the best cell.  The returned risk
+    never exceeds any scanned risk.  Returns (eps_opt, cost_opt, risk_opt).
     """
     noise = noise or standard_gaussian()
-    if eps_grid is None:
-        eps_grid = [0.05 * sigma * 4.0 ** j for j in range(6)]  # 0.05..51.2 sigma
-    if cost_grid is None:
-        cost_grid = [0.05 * 4.0 ** j for j in range(6)]
+    eps_grid = [0.05 * sigma * 4.0 ** j for j in range(6)]  # 0.05..51.2 sigma
+    cost_grid = [0.05 * 4.0 ** j for j in range(6)]
 
     scan_tol = 1e-3  # the risk surface is quadratically flat near its min
 
@@ -569,7 +567,7 @@ def tune_ssvr(delta, sigma, beta, noise=None, quad=DEFAULT_QUAD,
     le, lc = math.log(best[0]), math.log(best[1])
     v = best[2]
     span = math.log(4.0)
-    for it in range(refine_iters):
+    for _ in range(_TUNE_SSVR_ROUNDS):
         le_prev, lc_prev = le, lc
         le, v = golden_section_min(lambda t: risk_at(math.exp(t), math.exp(lc)),
                                    le - span, le + span, tol=1e-2)

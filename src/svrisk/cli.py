@@ -229,13 +229,21 @@ def cmd_solve(args, cfg):
 
 def cmd_estimate(args, cfg):
     try:
-        table = np.loadtxt(args.file, delimiter=",", skiprows=1, ndmin=2)
         with open(args.file, encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
+            lines = [line for line in fh if line.strip()]
     except OSError as exc:
         raise CliError(f"cannot read {args.file}: {exc}")
     if header[0] != "y" or len(header) < 2:
         raise CliError("estimate input must have header y,x1,...,xp")
+    if not lines:
+        raise CliError(f"{args.file} has no data rows")
+    table = np.loadtxt(lines, delimiter=",", ndmin=2)
+    if table.shape[1] != len(header):
+        raise CliError(f"{args.file}: rows have {table.shape[1]} values, "
+                       f"the header names {len(header)}")
+    if not np.isfinite(table).all():
+        raise CliError(f"{args.file} holds a non-finite value")
     y = table[:, 0]
     x = table[:, 1:].T  # p x n
     try:
@@ -476,11 +484,19 @@ def cmd_figure(args, cfg):
 # Parser wiring.
 # ---------------------------------------------------------------------------
 
-def _add_common(sp):
+def _add_config(sp):
     sp.add_argument("--config", help="INI config file; flags override it")
+
+
+def _add_noise(sp):
     sp.add_argument("--noise", choices=["gaussian", "mixture"], default=None)
     sp.add_argument("--dof", type=float, default=None)
     sp.add_argument("--sigma", type=float, default=None)
+
+
+def _add_common(sp):
+    _add_config(sp)
+    _add_noise(sp)
     sp.add_argument("--beta", type=float, default=None)
 
 
@@ -491,7 +507,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("delta-star", help="hard-tube feasibility threshold")
-    _add_common(sp)
+    _add_config(sp)
+    _add_noise(sp)
     sp.add_argument("--eps", type=float, default=None)
     sp.set_defaults(handler=cmd_delta_star)
 
@@ -522,7 +539,6 @@ def build_parser():
 
     sp = sub.add_parser("estimate", help="noise/signal power from a CSV (header y,x1,...,xp)")
     sp.add_argument("file")
-    _add_common(sp)
     sp.set_defaults(handler=cmd_estimate)
 
     sp = sub.add_parser("sweep", help="theory + Monte Carlo sweep to CSV")
@@ -542,7 +558,7 @@ def build_parser():
 
     sp = sub.add_parser("figure", help="reproduce a preset table")
     sp.add_argument("id", help=f"one of {', '.join(FIGURE_IDS)}")
-    _add_common(sp)
+    _add_config(sp)
     sp.add_argument("--grid", help="override the preset grid")
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--trials", type=int, default=None)

@@ -193,17 +193,12 @@ def feasibility_curve(p, eps, sigma, noise, delta_grid, trials, base_seed,
                       cfg: SolverConfig = DEFAULT_CONFIG):
     """Empirical hard-tube feasibility rate at each delta in the grid.
 
-    Rate = fraction of seeds whose hard solve did not certify infeasible.
-    Returns a list of (delta, rate) pairs.
+    Rate = fraction of seeds whose hard solve did not certify infeasible,
+    from an hsvr ``run_sweep`` over delta (beta = 1, no theory), so the
+    seeds and datasets are the sweep's.  ``delta_grid`` must be strictly
+    increasing.  Returns a list of (delta, rate) pairs.
     """
-    rows = []
-    for gi, delta in enumerate(delta_grid):
-        feasible = 0
-        for ti in range(trials):
-            ss = np.random.SeedSequence(base_seed, spawn_key=(gi, ti))
-            data = generate_dataset(p, delta, 1.0, sigma, noise, seed=ss)
-            fit = solve_hard_svr(data, eps, cfg)
-            if fit.status != "infeasible":
-                feasible += 1
-        rows.append((float(delta), feasible / trials))
-    return rows
+    spec = SweepSpec("hsvr", "delta", delta_grid,
+                     {"sigma": sigma, "beta": 1.0, "eps": eps}, p=p, trials=trials,
+                     base_seed=base_seed, theory=False, noise=noise, solver=cfg)
+    return [(r.swept_value, r.feasibility_rate) for r in run_sweep(spec)]

@@ -53,18 +53,18 @@ def golden_section_min(f, lo, hi, tol=1e-10, max_iter=400):
     return d, fd
 
 
-def expand_bracket_min(f, x0=1.0, grow=2.0, cap=1e12):
-    """Expand the right endpoint until ``f`` has started to increase.
+def expand_bracket_min(f, x0=1.0, cap=1e12):
+    """Double the right endpoint until ``f`` has started to increase.
 
     For a convex ``f`` on [0, inf) this certifies the minimizer lies in
     [0, hi].  Returns (hi, f(hi), exhausted) where ``exhausted`` means the
     cap was hit while f was still decreasing (minimum possibly at +inf).
     """
     hi = float(x0)
-    f_prev = f(hi / grow)
+    f_prev = f(hi / 2.0)
     f_hi = f(hi)
     while f_hi <= f_prev and hi < cap:
-        hi *= grow
+        hi *= 2.0
         f_prev = f_hi
         f_hi = f(hi)
     return hi, f_hi, f_hi <= f_prev

@@ -43,6 +43,7 @@ _STEP_GROWTH = 1.3  # step growth every third iteration
 _STEP_SHRINK = 0.5  # backtracking factor
 _CHECK_EVERY = 25  # iterations between convergence, certificate and pattern checks
 _POLISH_REPAIRS = 4  # pattern repairs after a polish's first KKT solve
+_RIDGE_LAMBDAS = np.logspace(-4.0, 6.0, 60)  # oracle_ridge's coarse grid
 
 
 @dataclass
@@ -103,13 +104,18 @@ class SolverConfig:
 DEFAULT_CONFIG = SolverConfig()
 
 
-def generate_dataset(p, delta, beta, sigma, noise=None, seed=0, direction="random"):
+def generate_dataset(p, delta, beta, sigma, noise=None, seed=0):
     """i.i.d. standard-normal design with n = floor(delta * p) samples.
 
-    The ground truth has norm exactly ``beta``; direction "random" places
-    it uniformly on the sphere (the limit theory depends only on the
-    norm), "fixed" uses the first basis vector for reproducibility.
+    The ground truth has norm exactly ``beta`` and a direction uniform on
+    the sphere (the limit theory depends only on the norm).  delta, sigma
+    and beta must be finite, sigma and beta nonnegative: a NaN sigma or
+    beta would send the dual solver to its iteration cap.
     """
+    if not all(map(math.isfinite, (delta, sigma, beta))):
+        raise ValueError("delta, sigma, beta must be finite")
+    if sigma < 0 or beta < 0:
+        raise ValueError("sigma, beta must be nonnegative")
     noise = noise or standard_gaussian()
     n = int(np.floor(delta * p))
     if n < 1:
@@ -120,14 +126,8 @@ def generate_dataset(p, delta, beta, sigma, noise=None, seed=0, direction="rando
         ss = np.random.SeedSequence(int(seed))
     kid_x, kid_dir, kid_noise = ss.spawn(3)
     x = np.random.default_rng(kid_x).standard_normal((p, n))
-    if direction == "random":
-        v = np.random.default_rng(kid_dir).standard_normal(p)
-        truth = beta * v / np.linalg.norm(v)
-    elif direction == "fixed":
-        truth = np.zeros(p)
-        truth[0] = beta
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
+    v = np.random.default_rng(kid_dir).standard_normal(p)
+    truth = beta * v / np.linalg.norm(v)
     draws = sample_noise_rng(noise, n, np.random.default_rng(kid_noise))
     y = x.T @ truth + sigma * draws
     return Dataset(features=x, responses=y, truth=truth, sigma=sigma, seed=seed,
@@ -432,27 +432,23 @@ def solve_soft_svr(data: Dataset, eps, cost, cfg: SolverConfig = DEFAULT_CONFIG)
 
 def solve_ridge(data: Dataset, lam):
     """Ridge weights (XX' + lam I)^-1 X y for the model y = X'w."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError("lam must be finite and positive")
     x, y = data.features, data.responses
     gram = x @ x.T
     gram[np.diag_indices_from(gram)] += lam
     return np.linalg.solve(gram, x @ y)
 
 
-def oracle_ridge(data: Dataset, lambda_grid=None):
+def oracle_ridge(data: Dataset):
     """Ridge tuned against the true risk ||w - truth||^2 (simulation oracle).
 
-    Default grid: 60 log-spaced lambdas in [1e-4, 1e6], refined once
-    around the argmin.  The upper end must clear p * (effective noise
-    variance) / signal power, the scale of the optimal penalty here; a
-    cap of 1e2 misses it badly for heavy-tailed noise.  Returns
-    (lambda_opt, weights).
+    Grid: 60 log-spaced lambdas in [1e-4, 1e6], refined once around the
+    argmin.  The upper end must clear p * (effective noise variance) /
+    signal power, the scale of the optimal penalty here; a cap of 1e2
+    misses it badly for heavy-tailed noise.  Returns (lambda_opt, weights).
     """
     x, y = data.features, data.responses
-    if lambda_grid is None:
-        lambda_grid = np.logspace(-4.0, 6.0, 60)
-    lambda_grid = np.asarray(lambda_grid, dtype=float)
     evals, vecs = np.linalg.eigh(x @ x.T)
     c = vecs.T @ (x @ y)
     t = vecs.T @ data.truth
@@ -460,16 +456,15 @@ def oracle_ridge(data: Dataset, lambda_grid=None):
     def risk_of(lam):
         return float(np.sum((c / (evals + lam) - t) ** 2))
 
-    risks = np.array([risk_of(l) for l in lambda_grid])
+    risks = np.array([risk_of(l) for l in _RIDGE_LAMBDAS])
     j = int(np.argmin(risks))
-    lam_best, best = lambda_grid[j], risks[j]
-    lo = lambda_grid[max(j - 1, 0)]
-    hi = lambda_grid[min(j + 1, len(lambda_grid) - 1)]
-    if hi > lo:
-        for lam in np.logspace(np.log10(lo), np.log10(hi), 20):
-            r = risk_of(lam)
-            if r < best:
-                lam_best, best = lam, r
+    lam_best, best = _RIDGE_LAMBDAS[j], risks[j]
+    lo = _RIDGE_LAMBDAS[max(j - 1, 0)]
+    hi = _RIDGE_LAMBDAS[min(j + 1, len(_RIDGE_LAMBDAS) - 1)]
+    for lam in np.logspace(np.log10(lo), np.log10(hi), 20):
+        r = risk_of(lam)
+        if r < best:
+            lam_best, best = lam, r
     w = vecs @ (c / (evals + lam_best))
     return float(lam_best), w
 

@@ -137,6 +137,12 @@ class TestDeltaStar:
                 delta_star(1.0, sigma, noise)
             assert counter.n <= 20, sigma
 
+    def test_non_finite_inputs_rejected(self):
+        for eps, sigma in ((1.0, math.inf), (math.inf, 1.0), (1.0, math.nan),
+                           (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="must be finite"):
+                delta_star(eps, sigma, GAUSS)
+
 
 class TestEpsilonStar:
     def test_at_most_one_gives_zero(self):
@@ -342,6 +348,12 @@ class TestSsvrFirstOrderConditions:
         hard = hsvr_risk(HsvrProblem(1.0, 0.5, 1.0, 0.4, GAUSS))
         assert hard.diagnostics["expect_evals"] > 0
         assert hsvr_risk(HsvrProblem(10.0, 1.0, 1.0, 0.1, GAUSS)).diagnostics["expect_evals"] > 0
+
+    def test_expectation_budget(self):
+        # the benchmark's SSVR_POINT (294 calls): the g1 bracket stops at
+        # the first point where dV/dg1 > 0
+        sol = ssvr_risk(SsvrProblem(2.0, 1.0, 1.0, 0.6, GAUSS, cost=2.4))
+        assert sol.diagnostics["expect_evals"] <= 310
 
     def test_edge_regimes_return_certified_values(self):
         # C -> 0 and delta -> 0 make g1 and k tiny, where E min(h, k)^2

@@ -21,7 +21,10 @@ from svrisk.cli import main
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -42,6 +45,12 @@ class TestDeltaStarCommand:
         _, out_a, _ = run_cli(capsys, "delta-star", "--eps", "0.1", "--sigma", "0.1")
         _, out_b, _ = run_cli(capsys, "delta-star", "--eps", "0.2", "--sigma", "0.2")
         assert out_a == out_b
+
+    def test_takes_no_beta(self, capsys):
+        code, out, err = run_cli(capsys, "delta-star", "--eps", "1", "--beta", "2")
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --beta 2" in err
 
     def test_wrapper_identity(self, capsys):
         code, out, _ = run_cli(capsys, "delta-star", "--eps", "1", "--sigma", "1",
@@ -154,6 +163,26 @@ class TestEstimateCommand:
         code, out, _ = run_cli(capsys, "estimate", str(path))
         assert code == 2
 
+    def test_malformed_table_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        rows = [f"{i},{i % 3},{i * i % 5}" for i in range(8)]
+        for text, message in (
+                ("y,x1\n" + "\n".join(rows) + "\n", "header names 2"),
+                ("y,x1\n1,2\nnan,3\n4,5\n5,1\n", "non-finite"),
+                ("y,x1\n", "no data rows")):
+            path.write_text(text)
+            code, out, err = run_cli(capsys, "estimate", str(path))
+            assert code == 1, text
+            assert out == ""
+            assert message in err
+
+    def test_takes_no_problem_flags(self, capsys, tmp_path):
+        path = self._write_csv(tmp_path, p=5, delta=3.0, sigma=1.0)
+        code, out, err = run_cli(capsys, "estimate", str(path), "--sigma", "2")
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --sigma 2" in err
+
 
 class TestSweepCommand:
     ARGS = ("sweep", "null", "--swept", "delta", "--grid", "0.5 1.0",
@@ -233,6 +262,15 @@ class TestFigureCommand:
         code, _, err = run_cli(capsys, "figure", "9z")
         assert code == 1
         assert "unknown figure id" in err
+
+    def test_takes_no_problem_flags(self, capsys):
+        # the presets fix their noise and parameters
+        code, out, err = run_cli(capsys, "figure", "2", "--noise", "mixture",
+                                 "--dof", "3", "--grid", "0.5", "--p", "20",
+                                 "--trials", "1", "--output", "-")
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
 
     def test_figure_4_theory_columns(self, capsys, tmp_path):
         out_path = tmp_path / "fig4.csv"

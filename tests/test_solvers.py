@@ -62,8 +62,6 @@ class TestGenerateDataset:
     def test_truth_norm_and_direction_modes(self):
         data = generate_dataset(50, 1.0, 2.5, 1.0, GAUSS, seed=1)
         assert np.linalg.norm(data.truth) == pytest.approx(2.5, rel=1e-12)
-        fixed = generate_dataset(50, 1.0, 2.5, 1.0, GAUSS, seed=1, direction="fixed")
-        assert fixed.truth[0] == 2.5 and np.all(fixed.truth[1:] == 0.0)
 
 
 class TestInputValidation:
@@ -78,6 +76,22 @@ class TestInputValidation:
         for cost in (math.nan, math.inf, 0.0):
             with pytest.raises(ValueError, match="cost must be finite"):
                 solve_soft_svr(data, 0.5, cost)
+
+    def test_non_finite_or_negative_data_parameters_rejected(self):
+        # a NaN sigma or beta reaches the responses and the dual solver runs
+        # to max_iters; sigma = 0 (noiseless) stays valid
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                generate_dataset(20, bad, 1.0, 1.0, GAUSS, seed=0)
+            with pytest.raises(ValueError, match="must be finite"):
+                generate_dataset(20, 0.5, bad, 1.0, GAUSS, seed=0)
+            with pytest.raises(ValueError, match="must be finite"):
+                generate_dataset(20, 0.5, 1.0, bad, GAUSS, seed=0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            generate_dataset(20, 0.5, -1.0, 1.0, GAUSS, seed=0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            generate_dataset(20, 0.5, 1.0, -1.0, GAUSS, seed=0)
+        assert generate_dataset(20, 0.5, 1.0, 0.0, GAUSS, seed=0).sigma == 0.0
 
 
 class TestHardSvr:
@@ -368,6 +382,12 @@ class TestRidge:
         data = generate_dataset(30, 2.0, 1.0, 0.0, GAUSS, seed=6)
         w = solve_ridge(data, 1e-8)
         np.testing.assert_allclose(w, data.truth, atol=1e-4)
+
+    def test_lambda_must_be_finite_and_positive(self):
+        data = generate_dataset(20, 2.0, 1.0, 0.5, GAUSS, seed=2)
+        for lam in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="lam must be finite"):
+                solve_ridge(data, lam)
 
     def test_oracle_beats_fixed_lambdas(self):
         data = generate_dataset(80, 1.5, 1.0, 1.0, GAUSS, seed=8)

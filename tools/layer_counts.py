@@ -10,6 +10,12 @@ Prints one JSON object:
 - ``theory_heavy``: ``expect_evals`` (or, for ``delta_star``, the counted
   calls) of each un-jittered point of the benchmark's ``theory_heavy``
   job list (``perfbench/workloads.py``);
+- ``ssvr``: ``expect_evals``, ``value_evals`` and the risk (``repr``) of
+  each ``ssvr_risk`` solve over a 72-case grid, delta in {1.5, 2, 3.8} x
+  eps in {0.2, 0.8} x C in {0.8, 12.8, 100, 1e6} x {Gaussian, d = 3,
+  d = 10}, at tol 1e-8 and at tol 1e-3, and at the benchmark's
+  ``GAUSS_SCAN`` and ``HEAVY_SCAN`` (tol 1e-3) and ``SSVR_POINT`` (default
+  tol) points; sums of both counts, and the sorted ``diagnostics`` keys;
 - ``us_per_call``: median microseconds of one ``e_hinge_moments`` call,
   Gaussian and Student-t d = 3, 10, over 15 blocks of 2,000 calls;
 - with ``--fits``, ``polish``: status, iterations and KKT solves of 80 dual
@@ -77,6 +83,42 @@ def theory_heavy_counts(sv):
     return out
 
 
+def ssvr_counts(sv):
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    def noise(dof):
+        return sv.standard_gaussian() if dof == 0 else sv.scale_mixture(dof)
+
+    cases, keys = {}, set()
+
+    def solve(label, d, e, c, dof, **kw):
+        sol = sv.ssvr_risk(sv.SsvrProblem(d, 1.0, 1.0, e, noise(dof), cost=c), **kw)
+        keys.update(sol.diagnostics)
+        cases[label] = [sol.diagnostics["expect_evals"], sol.diagnostics["value_evals"],
+                        repr(sol.risk)]
+
+    for tol in (1e-8, 1e-3):
+        for dof in (0, 3, 10):
+            for d in (1.5, 2.0, 3.8):
+                for e in (0.2, 0.8):
+                    for c in (0.8, 12.8, 100.0, 1e6):
+                        solve(f"grid:tol={tol:g},dof={dof},{d:g},{e:g},{c:g}",
+                              d, e, c, dof, tol=tol)
+    for name, points in (("gauss_scan", workloads.GAUSS_SCAN),
+                         ("heavy_scan", workloads.HEAVY_SCAN)):
+        for d, e, c, dof in points:
+            solve(f"{name}:{d:g},{e:g},{c:g},dof={dof}", d, e, c, dof, tol=1e-3)
+    d, e, c, dof = workloads.SSVR_POINT
+    solve(f"ssvr_point:{d:g},{e:g},{c:g},dof={dof}", d, e, c, dof)
+    return {
+        "expect_evals": sum(v[0] for v in cases.values()),
+        "value_evals": sum(v[1] for v in cases.values()),
+        "diagnostics_keys": sorted(keys),
+        "cases": cases,
+    }
+
+
 def us_per_call(sv):
     out = {}
     for name, noise in (("gauss", sv.standard_gaussian()), ("d3", sv.scale_mixture(3.0)),
@@ -126,6 +168,7 @@ def main(argv=None):
         "src": args.src,
         "delta_star": delta_star_counts(sv),
         "theory_heavy": theory_heavy_counts(sv),
+        "ssvr": ssvr_counts(sv),
         "us_per_call": us_per_call(sv),
     }
     if args.fits:
