@@ -510,6 +510,13 @@ def _ssvr_saddle(prob, quad, tol):
 # Hyperparameter tuning.
 # ---------------------------------------------------------------------------
 
+def _check_tune_delta(delta):
+    # before epsilon_star, whose bracket would take delta = inf for a
+    # sign change and fail with a message that does not name delta
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError("delta must be finite and strictly positive")
+
+
 def tune_hsvr(delta, sigma, beta, noise=None, quad=DEFAULT_QUAD):
     """Tube half-width minimizing the limiting hard-SVR risk.
 
@@ -519,6 +526,7 @@ def tune_hsvr(delta, sigma, beta, noise=None, quad=DEFAULT_QUAD):
     (``_TUNE_EPS_CAP``): heavy-tailed cases can have their optimum
     effectively at infinity.  Returns (eps_opt, risk_opt).
     """
+    _check_tune_delta(delta)
     noise = noise or standard_gaussian()
     eps_lo = 0.0
     if delta > 1.0:
@@ -546,6 +554,7 @@ def tune_ssvr(delta, sigma, beta, noise=None, quad=DEFAULT_QUAD):
     refinement in log space around the best cell.  The returned risk
     never exceeds any scanned risk.  Returns (eps_opt, cost_opt, risk_opt).
     """
+    _check_tune_delta(delta)
     noise = noise or standard_gaussian()
     eps_grid = [0.05 * sigma * 4.0 ** j for j in range(6)]  # 0.05..51.2 sigma
     cost_grid = [0.05 * 4.0 ** j for j in range(6)]

@@ -7,8 +7,8 @@ Exit codes: 0 success, 1 usage/config error, 2 mathematically
 infeasible or unsupported regime.
 
 A config file (INI sections [problem], [sweep], [quadrature]) may supply
-any value; command-line flags override it.  Unknown keys are
-rejected.
+any value the subcommand reads; command-line flags override it.  Unknown
+keys, and keys the subcommand would ignore, are rejected.
 """
 
 from __future__ import annotations
@@ -56,6 +56,16 @@ _CONFIG_SCHEMA = {
     "sweep": {"grid", "p", "trials", "base_seed"},
     "quadrature": {"abs_tol"},
 }
+_QUAD_KEYS = {"quadrature": {"abs_tol"}}
+# the config keys each subcommand reads; a config naming any other exits 1
+_CONFIG_READS = {
+    "delta-star": {"problem": {"eps", "sigma", "noise", "dof"}, **_QUAD_KEYS},
+    "risk": {"problem": _CONFIG_SCHEMA["problem"], **_QUAD_KEYS},
+    "tune": {"problem": {"delta", "sigma", "beta", "noise", "dof"}, **_QUAD_KEYS},
+    "solve": {"problem": _CONFIG_SCHEMA["problem"]},
+    "sweep": _CONFIG_SCHEMA,
+    "figure": {"sweep": {"p", "trials", "base_seed"}, **_QUAD_KEYS},
+}
 
 
 class CliError(Exception):
@@ -76,12 +86,14 @@ def fmt(x) -> str:
     return f"{float(x):.9g}"
 
 
-def load_config(path) -> dict:
-    """Read an INI config, validating sections and keys against the schema."""
+def load_config(path, command) -> dict:
+    """Read an INI config, validating sections and keys against the schema
+    and against what ``command`` reads (a value it would ignore exits 1)."""
     cp = configparser.ConfigParser()
     read = cp.read(path)
     if not read:
         raise CliError(f"config file not found: {path}")
+    reads = _CONFIG_READS[command]
     out = {}
     for section in cp.sections():
         if section not in _CONFIG_SCHEMA:
@@ -89,6 +101,10 @@ def load_config(path) -> dict:
         for key, value in cp.items(section):
             if key not in _CONFIG_SCHEMA[section]:
                 raise CliError(f"unknown config key {key!r} in [{section}]")
+            if section not in reads:
+                raise CliError(f"svrisk {command} reads no config section [{section}]")
+            if key not in reads[section]:
+                raise CliError(f"svrisk {command} reads no config key {key!r} in [{section}]")
             out[key] = value
     return out
 
@@ -310,7 +326,7 @@ FIGURE_IDS = ("1", "2", "3a", "3b", "4", "5a", "5b", "6", "7a", "7b")
 
 def _meta(args, params):
     items = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
-    return [f"svrisk {__version__}", f"command {' '.join(sys.argv[1:])}", items]
+    return [f"svrisk {__version__}", f"command {' '.join(args.argv)}", items]
 
 
 def _fit_meta(rows, tol):
@@ -571,9 +587,11 @@ def build_parser():
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    args.argv = argv  # the command line that CSV metadata records
     try:
-        cfg = load_config(args.config) if getattr(args, "config", None) else {}
+        cfg = load_config(args.config, args.command) if getattr(args, "config", None) else {}
         return args.handler(args, cfg)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ from svrisk import (
     ssvr_risk,
     standard_gaussian,
     tune_hsvr,
+    tune_ssvr,
 )
 from svrisk.asymptotics import _g1_edge, _threshold_slope
 from svrisk.expectations import DEFAULT_QUAD, count_expectations, e_hinge_moments
@@ -491,6 +492,14 @@ class TestHsvrFirstOrderConditions:
 
 
 class TestTuneHsvr:
+    @pytest.mark.parametrize("tune", [tune_hsvr, tune_ssvr])
+    def test_non_finite_or_non_positive_delta_rejected(self, tune):
+        # checked before epsilon_star, whose bracket would fail without
+        # naming delta
+        for bad in (math.inf, math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="delta must be finite"):
+                tune(bad, 1.0, 1.0, GAUSS)
+
     def test_monotone_improvement_in_delta(self):
         # with the tube width tuned at each delta, more samples always help
         risks = [tune_hsvr(d, 1.0, 1.0, GAUSS)[1] for d in (1.0, 2.0, 4.0)]

@@ -109,6 +109,15 @@ class TestTuneCommand:
         assert float(lines["eps_opt"]) > 0.0
 
 
+    def test_non_finite_delta_usage_error(self, capsys):
+        for estimator in ("hsvr", "ssvr"):
+            for bad in ("inf", "nan", "0"):
+                code, out, err = run_cli(capsys, "tune", estimator, "--delta", bad)
+                assert code == 1
+                assert out == ""
+                assert "delta must be finite" in err
+
+
 class TestSolveCommand:
     def test_hard_solve(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "hsvr", "--delta", "0.5",
@@ -202,10 +211,14 @@ class TestSweepCommand:
         assert len(rows) == 3
         assert float(rows[1][3]) == pytest.approx(1.0)
 
-    def test_byte_identical_reruns(self, capsys, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_cli(capsys, *self.ARGS, "--output", str(a))
-        run_cli(capsys, *self.ARGS, "--output", str(b))
+    def test_byte_identical_reruns(self, capsys, tmp_path, monkeypatch):
+        # the same command line in two directories: the "# command" line
+        # records the output path as given
+        for run in ("a", "b"):
+            (tmp_path / run).mkdir()
+            monkeypatch.chdir(tmp_path / run)
+            run_cli(capsys, *self.ARGS, "--output", "out.csv")
+        a, b = tmp_path / "a" / "out.csv", tmp_path / "b" / "out.csv"
         assert a.read_bytes() == b.read_bytes()
 
     def test_unconverged_fits_flagged_in_metadata(self, capsys, monkeypatch):
@@ -272,6 +285,35 @@ class TestFigureCommand:
         assert out == ""
         assert "unrecognized arguments" in err
 
+    def test_config_problem_section_rejected(self, capsys, tmp_path):
+        # the presets fix their noise and parameters, so a config's
+        # [problem] section, or a [sweep] grid, would be ignored
+        cfg = tmp_path / "fig.ini"
+        argv = ("figure", "2", "--grid", "0.5", "--p", "20", "--trials", "1",
+                "--config", str(cfg), "--output", "-")
+        cfg.write_text("[problem]\nnoise = mixture\ndof = 3\nsigma = 7\nbeta = 9\n")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "reads no config section [problem]" in err
+        cfg.write_text("[sweep]\ngrid = 0.3 0.6\n")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "reads no config key 'grid' in [sweep]" in err
+        cfg.write_text("[sweep]\nbase_seed = 3\n[quadrature]\nabs_tol = 1e-9\n")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert "base_seed=3" in out
+
+    def test_command_line_recorded_from_parsed_argv(self, capsys):
+        # main([...]) called in-process records its own argv, not the
+        # interpreter's
+        argv = ("figure", "2", "--grid", "0.5", "--p", "20", "--trials", "1",
+                "--output", "-")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[1] == "# command " + " ".join(argv)
+
     def test_figure_4_theory_columns(self, capsys, tmp_path):
         out_path = tmp_path / "fig4.csv"
         code, _, _ = run_cli(capsys, "figure", "4", "--grid", "0.5",
@@ -330,6 +372,20 @@ class TestConfigFile:
         assert seen == [QuadratureSpec(abs_tol=1e-12)]
         want = delta_star(0.8, 1.0, scale_mixture(3.0), QuadratureSpec(abs_tol=1e-12))
         assert out.strip() == f"{want:.9g}"
+
+    def test_keys_a_subcommand_ignores_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.ini"
+        for command, text in ((("tune", "hsvr", "--delta", "2"), "[problem]\neps = 0.5\n"),
+                              (("delta-star", "--eps", "1"), "[problem]\ndelta = 2\n"),
+                              (("solve", "hsvr", "--delta", "0.5", "--eps", "1",
+                                "--p", "10"), "[quadrature]\nabs_tol = 1e-9\n"),
+                              (("solve", "hsvr", "--delta", "0.5", "--eps", "1",
+                                "--p", "10"), "[sweep]\np = 20\n")):
+            cfg.write_text(text)
+            code, out, err = run_cli(capsys, *command, "--config", str(cfg))
+            assert code == 1
+            assert out == ""
+            assert f"svrisk {command[0]} reads no config" in err
 
     def test_missing_config_rejected(self, capsys):
         code, _, err = run_cli(capsys, "delta-star", "--eps", "1",

@@ -24,7 +24,14 @@ from svrisk import (
     solve_soft_svr,
     standard_gaussian,
 )
-from svrisk.solvers import Dataset, UnsupportedRegime, _active_pattern, _polish
+from svrisk import solvers
+from svrisk.solvers import (
+    Dataset,
+    UnsupportedRegime,
+    _active_pattern,
+    _polish,
+    _spectral_norm,
+)
 from tests_support import lp_feasible, primal_hard_oracle, primal_soft_oracle
 
 GAUSS = standard_gaussian()
@@ -348,6 +355,71 @@ class TestPolishGate:
         b = solve_soft_svr(data, 0.6, 100.0)
         assert a.polish_solves == b.polish_solves >= 1
         assert a.iterations == b.iterations
+
+
+def near_threshold(f, seed):
+    """Hard-fit instance at f * delta*(1, 1): p = 200, eps = sigma = beta = 1."""
+    return generate_dataset(200, f * delta_star(1.0, 1.0, GAUSS), 1.0, 1.0, GAUSS,
+                            seed=np.random.SeedSequence(seed, spawn_key=(0, 0)))
+
+
+class TestDualCost:
+    @pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
+    def test_stopped_spectral_estimate(self, delta):
+        # n < p, n = p, n > p: the solver's smaller Gram matrix
+        for seed in range(5):
+            x = generate_dataset(200, delta, 1.0, 1.0, GAUSS, seed=seed).features
+            gram = x.T @ x if x.shape[1] <= x.shape[0] else x @ x.T
+            lam, products = _spectral_norm(gram)
+            top = np.linalg.eigvalsh(gram)[-1]
+            assert 0.95 * top <= lam <= top * (1.0 + 1e-12)
+            assert products <= 60
+
+    def test_one_gram_product_per_iteration(self):
+        # a backtracking trial or a polish candidate adds one; the
+        # extrapolated point's product is a combination of earlier ones
+        data = generate_dataset(200, 2.0, 1.0, 1.0, GAUSS, seed=0)
+        for fit in (solve_soft_svr(data, 0.6, 2.4), solve_soft_svr(data, 0.6, 100.0),
+                    solve_hard_svr(near_threshold(1.1, 3), 1.0)):
+            assert fit.iterations < fit.gram_products < 1.5 * fit.iterations
+
+    def test_projector_built_only_for_a_farkas_test(self, monkeypatch):
+        built = []
+        real = solvers._null_projector
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(solvers, "_null_projector", counting)
+        fit = solve_hard_svr(near_threshold(0.9, 0), 1.0)
+        assert fit.status == "converged" and fit.iterations == 25
+        assert built == [] and fit.projector_builds == 0
+        fit = solve_hard_svr(near_threshold(1.1, 1), 1.0)
+        assert fit.status == "infeasible"
+        assert len(built) == fit.projector_builds == 1
+
+    def test_near_threshold_hard_fits_stop_early(self):
+        # the polish's one-at-a-time safeguard; without it these fits
+        # reached 100-275 iterations
+        iters = []
+        for seed in range(20):
+            fit = solve_hard_svr(near_threshold(0.9, seed), 1.0)
+            assert fit.status == "converged"
+            iters.append(fit.iterations)
+        assert max(iters) <= 50
+
+    def test_verdicts_above_threshold_carry_farkas_directions(self):
+        # tests_support.lp_feasible confirms each verdict (about 0.6 s per
+        # instance, too slow to repeat here)
+        feasible = {0, 12, 14, 16}
+        for seed in range(20):
+            data = near_threshold(1.1, seed)
+            fit = solve_hard_svr(data, 1.0)
+            assert fit.status == ("converged" if seed in feasible else "infeasible")
+            if fit.status == "infeasible":
+                gain, leak = farkas_margin(data, 1.0, fit.dual)
+                assert gain > 1e-8 and leak <= 1e-8
 
 
 def test_solves_load_no_scipy_linalg():

@@ -21,7 +21,14 @@ Prints one JSON object:
 - with ``--fits``, ``polish``: status, iterations and KKT solves of 80 dual
   solves at p = 200 (40 soft fits at C = 100 and, for seeds 0-9, hard
   fits at 0.9 and 1.1 delta* and soft fits at C = 0.5 and 2.4), and a
-  hash of their weights.
+  hash of their weights; ``near_threshold``: the same for 40 hard fits
+  at p = 200, eps = sigma = beta = 1, 0.9 and 1.1 delta*,
+  ``SeedSequence(s, spawn_key=(0, 0))`` for s = 0-19.  Both sections
+  list, per fit, [status, iterations, KKT solves, n x n Gram products of
+  the gradient phase, products of the step-size estimate, null(X)
+  projector builds] and sum each count: the gradient/polish split of
+  every solve.  The last three read null for a checkout whose ``SvrFit``
+  does not count them.
 
 ``--src`` points at the ``src`` directory of the checkout to measure
 (default: this one), so one harness gives before and after numbers.
@@ -130,12 +137,33 @@ def us_per_call(sv):
     return out
 
 
+WORK = ("polish_solves", "gram_products", "spectral_products", "projector_builds")
+
+
+def fit_summary(fits, labels):
+    per_fit = {label: [fit.status, fit.iterations] + [getattr(fit, name, None) for name in WORK]
+               for label, fit in zip(labels, fits)}
+    weights = hashlib.sha256(b"".join(fit.weights.tobytes() for fit in fits)).hexdigest()
+    sums = {name: (sum(getattr(fit, name) for fit in fits) if hasattr(fits[0], name)
+                   else None) for name in WORK}
+    return {
+        "fits": len(fits),
+        "kkt_solves": sums.pop("polish_solves"),
+        "iterations": sum(fit.iterations for fit in fits),
+        **sums,
+        "status": dict(sorted({s: sum(f.status == s for f in fits)
+                               for s in {f.status for f in fits}}.items())),
+        "weights_sha256": weights[:16],
+        "per_fit": per_fit,
+    }
+
+
 def polish_fits(sv):
     import numpy as np
 
     gauss = sv.standard_gaussian()
     dstar = sv.delta_star(1.0, 1.0, gauss)
-    fits = []
+    fits, labels = [], []
 
     def data(delta, seed):
         return sv.generate_dataset(200, delta, 1.0, 1.0, gauss,
@@ -143,20 +171,30 @@ def polish_fits(sv):
 
     for seed in range(40):
         fits.append(sv.solve_soft_svr(data(2.0, seed), 0.6, 100.0))
+        labels.append(f"soft:C=100,seed={seed}")
     for seed in range(10):
         for f in (0.9, 1.1):
             fits.append(sv.solve_hard_svr(data(f * dstar, seed), 1.0))
+            labels.append(f"hard:{f}dstar,seed={seed}")
         for cost in (0.5, 2.4):
             fits.append(sv.solve_soft_svr(data(2.0, seed), 0.6, cost))
-    weights = hashlib.sha256(b"".join(fit.weights.tobytes() for fit in fits)).hexdigest()
-    return {
-        "fits": len(fits),
-        "kkt_solves": sum(fit.polish_solves for fit in fits),
-        "iterations": sum(fit.iterations for fit in fits),
-        "status": dict(sorted({s: sum(f.status == s for f in fits)
-                               for s in {f.status for f in fits}}.items())),
-        "weights_sha256": weights[:16],
-    }
+            labels.append(f"soft:C={cost},seed={seed}")
+    return fit_summary(fits, labels)
+
+
+def near_threshold_fits(sv):
+    import numpy as np
+
+    gauss = sv.standard_gaussian()
+    dstar = sv.delta_star(1.0, 1.0, gauss)
+    fits, labels = [], []
+    for f in (0.9, 1.1):
+        for seed in range(20):
+            data = sv.generate_dataset(200, f * dstar, 1.0, 1.0, gauss,
+                                       seed=np.random.SeedSequence(seed, spawn_key=(0, 0)))
+            fits.append(sv.solve_hard_svr(data, 1.0))
+            labels.append(f"hard:{f}dstar,seed={seed}")
+    return fit_summary(fits, labels)
 
 
 def main(argv=None):
@@ -173,6 +211,7 @@ def main(argv=None):
     }
     if args.fits:
         report["polish"] = polish_fits(sv)
+        report["near_threshold"] = near_threshold_fits(sv)
     print(json.dumps(report, indent=1))
     return 0
 
