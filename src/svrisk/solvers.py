@@ -12,8 +12,11 @@ monotone safeguard and growth/backtracking steps.  An iteration makes
 one n x n product per backtracking trial (usually a single trial): the
 accepted trial's product gives the objective, and the gradient at the
 extrapolated point v = a + m (a - u) is (1 + m) k a - m k u, from the
-products of the last two accepted iterates.  The step starts from a
-Lanczos estimate of the largest eigenvalue, stopped once it settles.
+products of the last two accepted iterates.  The step starts from the
+leading-order largest eigenvalue of X'X for an i.i.d. design, (mean
+squared entry) (sqrt n + sqrt p)^2 (Geman, 1980), and backtracking
+settles it: a step that starts too large costs one product per halving,
+once, and one that starts too small is recovered by the growth.
 
 An infeasible hard instance has an unbounded dual.  Unboundedness is
 certified exactly: the tube is empty iff some direction v with X v = 0
@@ -53,8 +56,6 @@ _STEP_GROWTH = 1.3  # step growth every third iteration
 _STEP_SHRINK = 0.5  # backtracking factor
 _CHECK_EVERY = 25  # iterations between convergence, certificate and pattern checks
 _POLISH_REPAIRS = 30  # pattern repairs after a polish's first KKT solve
-_SPECTRAL_RTOL = 1e-4  # relative rise that stops the step-size estimate
-_SPECTRAL_MAX_PRODUCTS = 120
 _RIDGE_LAMBDAS = np.logspace(-4.0, 6.0, 60)  # oracle_ridge's coarse grid
 
 
@@ -94,9 +95,7 @@ class SvrFit:
     repairs included (each with one more product by the n x n Gram
     matrix); gram_products the n x n products of the gradient phase, one
     per backtracking trial plus one per polish candidate scored;
-    spectral_products those of the step-size estimate (with the smaller
-    Gram matrix); projector_builds whether the null(X) projector was
-    factored (0 or 1).
+    projector_builds whether the null(X) projector was factored (0 or 1).
     """
 
     weights: np.ndarray
@@ -107,7 +106,6 @@ class SvrFit:
     constraint_violation: float
     polish_solves: int = 0
     gram_products: int = 0
-    spectral_products: int = 0
     projector_builds: int = 0
     objective_trace: np.ndarray | None = None
 
@@ -157,43 +155,6 @@ def generate_dataset(p, delta, beta, sigma, noise=None, seed=0):
 # ---------------------------------------------------------------------------
 # Dual ascent machinery.
 # ---------------------------------------------------------------------------
-
-def _spectral_norm(k):
-    """Largest eigenvalue of the PSD Gram matrix by the Lanczos method.
-
-    Returns (estimate, products).  The estimate is the largest eigenvalue
-    of the Lanczos tridiagonal Q'kQ, so it never exceeds lambda_max
-    (Cauchy interlacing) and never falls from one product to the next; it
-    stops once a product raises it by at most _SPECTRAL_RTOL relative.
-    On Gaussian designs at p = 100-200 that takes 10-30 products and
-    leaves it within 5 % of lambda_max in all but about one design in
-    1,000 (a start vector nearly orthogonal to the top eigenvector); the
-    ascent's backtracking absorbs the rest, since its step only needs to
-    be of the order of 1/lambda_max.  A power iteration stopped once
-    successive estimates agree within 1e-3 lands 5-15 % low on about one
-    design in 60, where the top eigenvalues lie close together.
-    """
-    n = k.shape[0]
-    q = np.ones(n) / np.sqrt(n)
-    q_prev = np.zeros(n)
-    alpha, beta = [], []
-    lam = 0.0
-    for products in range(1, _SPECTRAL_MAX_PRODUCTS + 1):
-        w = k @ q
-        alpha.append(float(q @ w))
-        w -= alpha[-1] * q
-        if beta:
-            w -= beta[-1] * q_prev
-        b = float(np.linalg.norm(w))
-        theta = float(np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, 1)
-                                         + np.diag(beta, -1))[-1])
-        if theta - lam <= _SPECTRAL_RTOL * theta or b <= 1e-12 * theta:
-            return theta, products
-        lam = theta
-        beta.append(b)
-        q_prev, q = q, w / b
-    return lam, _SPECTRAL_MAX_PRODUCTS
-
 
 def _soft_threshold(v, thr):
     return np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
@@ -250,11 +211,11 @@ def _polish(pattern, k, y, p, eps, box):
             at_box = np.flatnonzero(np.abs(pattern) == 2)
             s_box = np.sign(pattern[at_box]).astype(float)
             u_new[at_box] = s_box * box
-            rhs = rhs - k[np.ix_(idx, at_box)] @ u_new[at_box]
+            rhs = rhs - k.take(idx, 0).take(at_box, 1) @ u_new[at_box]
         if idx.size:
             solves += 1
             try:
-                u_new[idx] = np.linalg.solve(k[np.ix_(idx, idx)], rhs)
+                u_new[idx] = np.linalg.solve(k.take(idx, 0).take(idx, 1), rhs)
             except np.linalg.LinAlgError:
                 return None, solves
         r = y - k @ u_new / sp
@@ -282,21 +243,22 @@ def _polish(pattern, k, y, p, eps, box):
     return None, solves
 
 
-def _null_projector(x, k, gram):
+def _null_projector(x, k):
     """Factors (a, b) such that u - a @ (b @ u) projects u onto null(X).
 
-    gram is XX' when n > p and None otherwise.  None when null(X) = {0},
-    which holds when the smaller Gram matrix (X'X = k for n <= p, XX'
-    otherwise) has a Cholesky factor.  With n > p and a full-rank design
-    the factors are X' and (XX')^-1 X, so a projection costs two
-    matrix-vector products.  A rank-deficient design (for instance
+    k is X'X.  None when null(X) = {0}, which holds when the smaller Gram
+    matrix (k for n <= p, XX' otherwise, formed here) has a Cholesky
+    factor.  With n > p and a full-rank design the factors are X' and
+    (XX')^-1 X, so a projection costs two matrix-vector products.  A rank-deficient design (for instance
     duplicated samples) takes its range basis from an eigendecomposition
     of k instead.
     """
+    p, n = x.shape
     try:
-        if gram is None:
+        if n <= p:
             np.linalg.cholesky(k)
             return None
+        gram = x @ x.T
         np.linalg.cholesky(gram)
         return x.T, np.linalg.inv(gram) @ x
     except np.linalg.LinAlgError:
@@ -332,8 +294,7 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig):
     p, n = data.p, data.n
     sp = np.sqrt(p)
     k = x.T @ x
-    gram = x @ x.T if n > p else None  # the smaller Gram matrix, if not k
-    lam, spectral_products = _spectral_norm(k if gram is None else gram)
+    lam = np.trace(k) / (n * p) * (np.sqrt(n) + np.sqrt(p)) ** 2  # ~ lambda_max(k)
     step = 1.0 / max(lam / p, 1e-12)
     projector, projector_builds = None, 0  # built at the first Farkas test
     gram_products = 0
@@ -442,7 +403,7 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig):
         # nor the polish has converged; the projector is factored on demand
         if box is None:
             if not projector_builds:
-                projector = _null_projector(x, k, gram)
+                projector = _null_projector(x, k)
                 projector_builds = 1
             if projector is not None and _farkas_direction(projector, u, x, y, eps):
                 best_u, best_f = u, f_u  # the certified iterate is the one returned
@@ -461,7 +422,7 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig):
         kkt_residual=gap,
         constraint_violation=viol if box is None else box_over,
         polish_solves=polish_solves, gram_products=gram_products,
-        spectral_products=spectral_products, projector_builds=projector_builds,
+        projector_builds=projector_builds,
         objective_trace=None if trace is None else np.asarray(trace),
     )
 

@@ -29,8 +29,8 @@ from svrisk.solvers import (
     Dataset,
     UnsupportedRegime,
     _active_pattern,
+    _null_projector,
     _polish,
-    _spectral_norm,
 )
 from tests_support import lp_feasible, primal_hard_oracle, primal_soft_oracle
 
@@ -364,17 +364,6 @@ def near_threshold(f, seed):
 
 
 class TestDualCost:
-    @pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
-    def test_stopped_spectral_estimate(self, delta):
-        # n < p, n = p, n > p: the solver's smaller Gram matrix
-        for seed in range(5):
-            x = generate_dataset(200, delta, 1.0, 1.0, GAUSS, seed=seed).features
-            gram = x.T @ x if x.shape[1] <= x.shape[0] else x @ x.T
-            lam, products = _spectral_norm(gram)
-            top = np.linalg.eigvalsh(gram)[-1]
-            assert 0.95 * top <= lam <= top * (1.0 + 1e-12)
-            assert products <= 60
-
     def test_one_gram_product_per_iteration(self):
         # a backtracking trial or a polish candidate adds one; the
         # extrapolated point's product is a combination of earlier ones
@@ -420,6 +409,78 @@ class TestDualCost:
             if fit.status == "infeasible":
                 gain, leak = farkas_margin(data, 1.0, fit.dual)
                 assert gain > 1e-8 and leak <= 1e-8
+
+
+def designed(x, seed, sigma=1.0):
+    """Dataset on a fixed design: a unit-norm truth and N(0, sigma^2) noise."""
+    rng = np.random.default_rng(seed)
+    truth = rng.standard_normal(x.shape[0])
+    truth /= np.linalg.norm(truth)
+    y = x.T @ truth + sigma * rng.standard_normal(x.shape[1])
+    return tiny_dataset(x, y, truth, sigma)
+
+
+class TestClosedFormStart:
+    """Designs on which the step's start, (mean squared entry) (sqrt n +
+    sqrt p)^2, is far from lambda_max(X'X): the fits keep their verdicts
+    and their oracle weights."""
+
+    @staticmethod
+    def check(data, eps, soft=False):
+        """Returns lambda_max over the start."""
+        x, y = data.features, data.responses
+        p, n = x.shape
+        lam = float((x * x).sum()) / (n * p) * (math.sqrt(n) + math.sqrt(p)) ** 2
+        top = np.linalg.eigvalsh(x.T @ x)[-1]
+        # no x1.3 growth acts before iteration 4, so every extra product of
+        # the first three halves a start that was too large
+        first = solve_hard_svr(data, eps, SolverConfig(max_iters=3))
+        assert first.gram_products - first.iterations <= math.log2(top / lam) + 2
+        fit = solve_hard_svr(data, eps)
+        if lp_feasible(x, y, eps):
+            assert fit.status == "converged"
+            np.testing.assert_allclose(fit.weights, primal_hard_oracle(x, y, eps), atol=1e-5)
+        else:
+            assert fit.status == "infeasible"
+            gain, leak = farkas_margin(data, eps, fit.dual)
+            assert gain > 1e-8 and leak <= 1e-8
+        if soft:
+            fit = solve_soft_svr(data, eps, 2.0)
+            assert fit.status == "converged"
+            np.testing.assert_allclose(fit.weights, primal_soft_oracle(x, y, eps, 2.0),
+                                       atol=1e-5)
+        return top / lam
+
+    def test_spiked_design_starts_low(self):
+        # one feature row scaled x10 puts lambda_max 3-9x above the start
+        for seed in range(2):
+            rng = np.random.default_rng(seed)
+            for p, n in ((20, 14), (30, 60)):
+                x = rng.standard_normal((p, n))
+                x[0] *= 10.0
+                assert self.check(designed(x, seed), 1.0, soft=n < p) > 2.5
+
+    def test_orthonormal_rows_start_high(self):
+        # XX' = I: lambda_max = 1 against a start of (1 + sqrt(p/n))^2
+        for seed in range(2):
+            rng = np.random.default_rng(seed)
+            for p, n in ((20, 20), (20, 40)):
+                x = np.linalg.qr(rng.standard_normal((n, p)))[0].T
+                assert self.check(designed(x, seed, 0.3), 0.3, soft=n == p) < 0.5
+
+    def test_duplicated_samples_take_the_eigh_projector(self):
+        # n <= p with a repeated sample: k is singular, so the projector
+        # comes from its eigendecomposition; both verdicts occur
+        verdicts = set()
+        for seed in range(3):
+            base = np.random.default_rng(seed).standard_normal((20, 12))
+            x = np.concatenate([base, base[:, :4]], axis=1)
+            assert _null_projector(x, x.T @ x) is not None
+            for eps in (0.5, 2.0):
+                data = designed(x, seed)
+                self.check(data, eps, soft=eps == 0.5)
+                verdicts.add(lp_feasible(x, data.responses, eps))
+        assert verdicts == {True, False}
 
 
 def test_solves_load_no_scipy_linalg():

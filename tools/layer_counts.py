@@ -25,10 +25,10 @@ Prints one JSON object:
   at p = 200, eps = sigma = beta = 1, 0.9 and 1.1 delta*,
   ``SeedSequence(s, spawn_key=(0, 0))`` for s = 0-19.  Both sections
   list, per fit, [status, iterations, KKT solves, n x n Gram products of
-  the gradient phase, products of the step-size estimate, null(X)
-  projector builds] and sum each count: the gradient/polish split of
-  every solve.  The last three read null for a checkout whose ``SvrFit``
-  does not count them.
+  the gradient phase, null(X) projector builds] and sum each count: the
+  gradient/polish split of every solve.  The last two read null for a
+  checkout whose ``SvrFit`` does not count them; a checkout whose
+  ``SvrFit`` has a counter named in ``LEGACY`` gets it appended.
 
 ``--src`` points at the ``src`` directory of the checkout to measure
 (default: this one), so one harness gives before and after numbers.
@@ -137,15 +137,17 @@ def us_per_call(sv):
     return out
 
 
-WORK = ("polish_solves", "gram_products", "spectral_products", "projector_builds")
+WORK = ("polish_solves", "gram_products", "projector_builds")
+LEGACY = ("spectral_products",)  # step-size estimate products, before the closed-form start
 
 
 def fit_summary(fits, labels):
-    per_fit = {label: [fit.status, fit.iterations] + [getattr(fit, name, None) for name in WORK]
+    work = WORK + tuple(name for name in LEGACY if hasattr(fits[0], name))
+    per_fit = {label: [fit.status, fit.iterations] + [getattr(fit, name, None) for name in work]
                for label, fit in zip(labels, fits)}
     weights = hashlib.sha256(b"".join(fit.weights.tobytes() for fit in fits)).hexdigest()
     sums = {name: (sum(getattr(fit, name) for fit in fits) if hasattr(fits[0], name)
-                   else None) for name in WORK}
+                   else None) for name in work}
     return {
         "fits": len(fits),
         "kkt_solves": sums.pop("polish_solves"),
