@@ -249,9 +249,9 @@ def _null_projector(x, k):
     k is X'X.  None when null(X) = {0}, which holds when the smaller Gram
     matrix (k for n <= p, XX' otherwise, formed here) has a Cholesky
     factor.  With n > p and a full-rank design the factors are X' and
-    (XX')^-1 X, so a projection costs two matrix-vector products.  A rank-deficient design (for instance
-    duplicated samples) takes its range basis from an eigendecomposition
-    of k instead.
+    (XX')^-1 X, so a projection costs two matrix-vector products.  A
+    rank-deficient design (for instance duplicated samples) takes its
+    range basis from an eigendecomposition of k instead.
     """
     p, n = x.shape
     try:

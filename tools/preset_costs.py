@@ -1,6 +1,6 @@
 """Wall time and dual-solver work of each default ``svrisk figure`` preset.
 
-    python3 tools/preset_costs.py [--src DIR] [--presets 2 3a ...] [--csv-dir DIR]
+    python3 tools/preset_costs.py [--src DIR] [--csv-dir DIR]
 
 Runs ``svrisk figure <id>`` with its default grid, p, trials and seed, one
 preset per fresh interpreter, with the svrisk under ``--src`` (default:
@@ -67,7 +67,6 @@ print(json.dumps({
 def parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(ROOT / "src"))
-    ap.add_argument("--presets", nargs="+", choices=PRESETS, default=list(PRESETS))
     ap.add_argument("--csv-dir", default=None)
     return ap.parse_args(argv)
 
@@ -84,7 +83,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         csv_dir = args.csv_dir or tmp
         os.makedirs(csv_dir, exist_ok=True)
-        report = {preset: run_preset(src, preset, csv_dir) for preset in args.presets}
+        report = {preset: run_preset(src, preset, csv_dir) for preset in PRESETS}
     cols = ("wall_s", "fits", "dual_s", "iterations", "kkt_solves", "max_iters")
     print(f"{'preset':>6} " + " ".join(f"{c:>10}" for c in cols))
     for preset, row in report.items():
