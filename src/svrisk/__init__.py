@@ -4,7 +4,6 @@ from .noise import (
     InvalidNoiseModel,
     NoiseModel,
     noise_second_moment,
-    sample_noise,
     scale_mixture,
     standard_gaussian,
 )
@@ -12,10 +11,7 @@ from .expectations import (
     DEFAULT_QUAD,
     QuadratureSpec,
     count_expectations,
-    e_hinge_abs,
     e_hinge_moments,
-    e_hinge_sq,
-    e_tail_prob,
     hinge_sq_mean,
 )
 from .asymptotics import (
@@ -62,10 +58,7 @@ __all__ = [
     "cosine_similarity",
     "count_expectations",
     "delta_star",
-    "e_hinge_abs",
     "e_hinge_moments",
-    "e_hinge_sq",
-    "e_tail_prob",
     "epsilon_star",
     "estimate_noise_signal",
     "feasibility_curve",
@@ -76,7 +69,6 @@ __all__ = [
     "oracle_ridge",
     "prediction_risk",
     "run_sweep",
-    "sample_noise",
     "scale_mixture",
     "solve_hard_svr",
     "solve_ridge",

@@ -30,15 +30,9 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .expectations import (
-    DEFAULT_QUAD,
-    count_expectations,
-    e_hinge_abs,
-    e_hinge_moments,
-    e_tail_prob,
-)
+from .expectations import DEFAULT_QUAD, count_expectations, e_hinge_moments
 from .noise import NoiseModel, standard_gaussian
-from .scalar_opt import brent_root, expand_bracket_min, expand_bracket_root, golden_section_min
+from .scalar_opt import brent_root, expand_bracket_root, golden_section_min
 
 _COSINE_FLOOR = 1e-6  # below this error norm the cosine limit is 0/0
 _T_CAP = 1e12  # where the doubling brackets of delta_star's t and ssvr_risk's g1 stop
@@ -302,8 +296,8 @@ def _dbar_g1_zero(g2, prob, quad):
     sigma = prob.sigma
     thr = prob.eps / sigma
     b = prob.beta / sigma
-    return (prob.cost * prob.delta / sigma) * e_hinge_abs(abs(g2), thr, prob.noise, quad) \
-        + 0.5 * (g2 - b) ** 2
+    h1 = e_hinge_moments(abs(g2), thr, prob.noise, quad)[1]
+    return (prob.cost * prob.delta / sigma) * h1 + 0.5 * (g2 - b) ** 2
 
 
 class _ChiLevel(NamedTuple):
@@ -455,7 +449,7 @@ def _ssvr_saddle(prob, quad, tol):
         def slope(g1):
             return d_g1(g1, at(g1))
 
-        p0 = e_tail_prob(abs(g2), c, noise, quad)
+        p0 = e_hinge_moments(abs(g2), c, noise, quad)[0]
         g1 = 0.0
         if p0 > 0.0:
             # V(., g2) is convex, so its slope rises from its g1 -> 0 limit
@@ -533,13 +527,21 @@ def tune_hsvr(delta, sigma, beta, noise=None, quad=DEFAULT_QUAD):
         e_star = epsilon_star(delta, sigma, noise, quad)
         eps_lo = e_star + max(1e-3 * sigma, 1e-2 * e_star)
 
+    risks = {}
+
     def risk_at(eps):
-        sol = hsvr_risk(HsvrProblem(delta, sigma, beta, eps, noise), quad)
-        return sol.risk if sol.feasible else math.inf
+        if eps not in risks:
+            sol = hsvr_risk(HsvrProblem(delta, sigma, beta, eps, noise), quad)
+            risks[eps] = sol.risk if sol.feasible else math.inf
+        return risks[eps]
 
     cap = _TUNE_EPS_CAP * sigma
-    # hi >= 2 eps_lo, so the first comparison point hi/2 is above eps_lo
-    hi, _, _ = expand_bracket_min(risk_at, x0=max(2.0 * eps_lo, sigma), cap=cap)
+    # double hi until the risk has turned upward, R(hi) > R(hi/2): the
+    # first sign change of R(e) - R(e/2), which is <= 0 before the turn
+    # (f_lo = -1 gives that sign); hi >= 2 eps_lo, so hi/2 is above eps_lo
+    hi = max(2.0 * eps_lo, sigma)
+    _, hi, _, _ = expand_bracket_root(lambda e: risk_at(e) - risk_at(e / 2.0),
+                                      hi / 2.0, hi, cap, f_lo=-1.0)
     eps_opt, risk_opt = golden_section_min(risk_at, eps_lo, min(hi, cap),
                                            tol=1e-7 * max(1.0, hi))
     return eps_opt, risk_opt

@@ -8,17 +8,16 @@ V = s*G + a*N with G standard normal and N from a ``NoiseModel``:
 - tail probability P(|V| > c)
 
 For Gaussian noise V is normal and every value has a closed form through
-the normal cdf, evaluated in scalar ``math`` (the hinge and hinge-square
-forms ``_h1_from``/``_h2_from`` are written once).  The scale mixture is
-N = sqrt(tau) * Z with tau = d / chi^2_d, so given tau, V is normal with
-sd sqrt(s^2 + a^2 tau) and each functional is the zero-mean Gaussian
-closed form averaged over tau.  That average is one fixed trapezoid rule
-in x = log chi^2_d, cached per (dof, abs_tol); the integrand is smooth
-in x, so the rule converges exponentially (Trefethen & Weideman, SIAM
-Rev. 2014).  The part of E tau that the truncated rule misses is added
-back analytically, which keeps the node count bounded as dof -> 2+.
-This is the package's one quadrature rule; Monte Carlo is never used,
-and results are deterministic to ~abs_tol.
+the normal cdf, written once, in scalar ``math``, in ``e_hinge_moments``.
+The scale mixture is N = sqrt(tau) * Z with tau = d / chi^2_d, so given
+tau, V is normal with sd sqrt(s^2 + a^2 tau) and each functional is the
+zero-mean Gaussian closed form averaged over tau.  That average is one
+fixed trapezoid rule in x = log chi^2_d, cached per (dof, abs_tol); the
+integrand is smooth in x, so the rule converges exponentially (Trefethen
+& Weideman, SIAM Rev. 2014).  The part of E tau that the truncated rule
+misses is added back analytically, which keeps the node count bounded as
+dof -> 2+.  This is the package's one quadrature rule; Monte Carlo is
+never used, and results are deterministic to ~abs_tol.
 
 Every mixture functional comes from one fused pass over the rule
 (``_mixture_moments``): it forms sd, q = P(Z > c/sd) and phi(c/sd)
@@ -26,11 +25,20 @@ once per node, and three weighted sums Q = sum w q,
 A = sum w sd phi and T = sum w tau q, from which the tail probability,
 hinge and hinge-square follow in closed form.
 
-``e_hinge_moments`` evaluates the tail probability P(|V| > c) together
-with the hinge and hinge-square at one (s, c) from a single pass; the
-first-order conditions of the hard- and soft-SVR risk problems need all
-three.  ``count_expectations`` counts the expectation evaluations made in
-a context (each public functional counts one).
+Two public functionals are built on these forms:
+
+- ``e_hinge_moments(s, c, noise)``, the package's one expectation entry
+  point: the tail probability P(|V| > c), hinge and hinge-square at
+  a = 1 from a single pass.  The first-order conditions of the hard- and
+  soft-SVR risk problems need all three, so the risk solvers call only
+  this.
+- ``hinge_sq_mean(s, a, c, noise)``, the hinge-square for a general
+  noise coefficient a: the objective E (|G + t sigma N| - t eps)_+^2 of
+  delta_star's definition at (1, t sigma, t eps).  Its normal branch is
+  ``e_hinge_moments`` rescaled by sd = hypot(s, a).
+
+``count_expectations`` counts the expectation evaluations made in a
+context (each call of a public functional counts one).
 """
 
 from __future__ import annotations
@@ -44,8 +52,11 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln, ndtr
 
+from .noise import standard_gaussian
+
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
+_STANDARD_NORMAL = standard_gaussian()
 
 
 @dataclass(frozen=True)
@@ -131,7 +142,7 @@ def _mixing_rule(dof, abs_tol):
 
     As x -> -inf (tau -> inf) the hinge-square grows like
     s^2 + a^2 tau + O(sqrt(tau)) and the hinge like sqrt(tau);
-    ``hinge_sq_mean`` restores the a^2 tau part exactly through miss1.
+    ``_mixture_moments`` restores the a^2 tau part exactly through miss1.
     What is left decays against the density like exp((d-1)/2 x), and x_lo
     puts that tail below abs_tol * 1e-4, so the node count stays bounded
     as dof -> 2+.  Outside [log(d - 12 sqrt(2d)),
@@ -182,7 +193,7 @@ def _mixture_moments(s, a, c, noise, quad):
 
 
 # The hinge moments of V = sd*Z, Z ~ N(0, 1), sd > 0, given q = P(Z > c/sd)
-# and ph = phi(c/sd), for the Gaussian branches.
+# and ph = phi(c/sd), for the Gaussian branch.
 
 def _h1_from(sd, c, q, ph):
     """E (|V| - c)_+."""
@@ -194,57 +205,23 @@ def _h2_from(sd, c, q, ph):
     return 2.0 * ((sd * sd + c * c) * q - sd * c * ph)
 
 
-def _gauss0_scalar(sd, c):
-    """(q, ph) = (P(Z > c/sd), phi(c/sd)) for one sd > 0, in scalar math."""
-    z = c / sd
-    return 0.5 * math.erfc(z / _SQRT2), math.exp(-0.5 * z * z) / _SQRT2PI
-
-
 # ---------------------------------------------------------------------------
 # Public expectation operations.
 # ---------------------------------------------------------------------------
-
-def hinge_sq_mean(s, a, c, noise, quad=DEFAULT_QUAD):
-    """E (|s*G + a*N| - c)_+^2 with G ~ N(0,1) independent of N ~ noise."""
-    s, a, c = float(s), float(a), float(c)
-    if s < 0 or a < 0 or c < 0:
-        raise ValueError("s, a, c must be nonnegative")
-    _count()
-    if noise.is_gaussian or a == 0.0:  # V is normal with sd = hypot(s, a)
-        sd = math.hypot(s, a)
-        if sd == 0.0:
-            return 0.0
-        return _h2_from(sd, c, *_gauss0_scalar(sd, c))
-    return _mixture_moments(s, a, c, noise, quad)[2]
-
-
-def e_hinge_sq(s, c, noise, quad=DEFAULT_QUAD):
-    """E (|s*G + N| - c)_+^2, the core functional of the deterministic risk
-    problems (noise coefficient fixed to 1)."""
-    return hinge_sq_mean(s, 1.0, c, noise, quad)
-
-
-def e_hinge_abs(s, c, noise, quad=DEFAULT_QUAD):
-    """E (|s*G + N| - c)_+."""
-    return e_hinge_moments(s, c, noise, quad)[1]
-
 
 def e_hinge_moments(s, c, noise, quad=DEFAULT_QUAD):
     """(P(|V| > c), E (|V| - c)_+, E (|V| - c)_+^2) for V = s*G + N.
 
     One cdf/density pass gives all three: the Gaussian branch in scalar
     math, the scale mixture in one pass over the mixing rule
-    (``_mixture_moments``).  The hinge values equal ``e_hinge_abs`` and
-    ``e_hinge_sq``; the tail probability is the c-derivative -dH1/dc and,
-    by Stein's lemma, dH2/ds = 2 s P.
+    (``_mixture_moments``).  The tail probability is the c-derivative
+    -dH1/dc and, by Stein's lemma, dH2/ds = 2 s P.
     """
     s, c = float(s), float(c)
     if s < 0 or c < 0:
         raise ValueError("s, c must be nonnegative")
     _count()
     if noise.is_gaussian:
-        # _gauss0_scalar inlined: this is the inner loop of both risk
-        # solvers, and the extra call costs about 20 % of it
         sd = math.hypot(s, 1.0)
         z = c / sd
         q = 0.5 * math.erfc(z / _SQRT2)
@@ -253,6 +230,18 @@ def e_hinge_moments(s, c, noise, quad=DEFAULT_QUAD):
     return _mixture_moments(s, 1.0, c, noise, quad)
 
 
-def e_tail_prob(s, c, noise, quad=DEFAULT_QUAD):
-    """P(|s*G + N| > c)."""
-    return e_hinge_moments(s, c, noise, quad)[0]
+def hinge_sq_mean(s, a, c, noise, quad=DEFAULT_QUAD):
+    """E (|s*G + a*N| - c)_+^2 with G ~ N(0,1) independent of N ~ noise."""
+    s, a, c = float(s), float(a), float(c)
+    if s < 0 or a < 0 or c < 0:
+        raise ValueError("s, a, c must be nonnegative")
+    if noise.is_gaussian or a == 0.0:  # V is normal with sd = hypot(s, a)
+        sd = math.hypot(s, a)
+        # past c = 40 sd the tail underflows and the value is exactly 0
+        # (also for sd = 0), while c / sd could overflow
+        if c < 40.0 * sd:
+            return sd * sd * e_hinge_moments(0.0, c / sd, _STANDARD_NORMAL)[2]
+        _count()
+        return 0.0
+    _count()
+    return _mixture_moments(s, a, c, noise, quad)[2]

@@ -65,13 +65,6 @@ def scale_mixture(dof: float) -> NoiseModel:
     return NoiseModel(SCALE_MIXTURE, dof=float(dof))
 
 
-def _rng_from_seed(seed) -> np.random.Generator:
-    """Build a generator from an int seed or a SeedSequence."""
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    return np.random.default_rng(np.random.SeedSequence(int(seed)))
-
-
 def sample_noise_rng(model: NoiseModel, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` samples using an existing generator.
 
@@ -85,15 +78,6 @@ def sample_noise_rng(model: NoiseModel, count: int, rng: np.random.Generator) ->
     # tau ~ d / chi^2_d, then sqrt(tau) * standard normal
     tau = model.dof / rng.chisquare(model.dof, size=count)
     return np.sqrt(tau) * rng.standard_normal(count)
-
-
-def sample_noise(model: NoiseModel, count: int, seed) -> np.ndarray:
-    """Deterministic noise samples for ``(model, count, seed)``.
-
-    ``seed`` may be a 64-bit integer or a ``numpy.random.SeedSequence``;
-    per-trial streams can be derived order-independently via spawn keys.
-    """
-    return sample_noise_rng(model, count, _rng_from_seed(seed))
 
 
 def noise_second_moment(model: NoiseModel) -> float:

@@ -1,9 +1,11 @@
 """Scalar minimization and root bracketing helpers.
 
 Small, deterministic routines used throughout the asymptotic calculators:
-golden-section search on unimodal functions, geometric bracket expansion
-for a minimum or a root, and bracketed root finding (Brent's method with a
-bisection safeguard).
+golden-section search on unimodal functions, one geometric bracket
+expansion (``expand_bracket_root``, which doubles the right end until f
+changes sign), and bracketed root finding (Brent's method with a
+bisection safeguard).  A search for where a function turns upward is a
+root bracket of its difference f(x) - f(x/2).
 No randomness, no global state.
 """
 
@@ -51,23 +53,6 @@ def golden_section_min(f, lo, hi, tol=1e-10, max_iter=400):
     if fc < fd:
         return c, fc
     return d, fd
-
-
-def expand_bracket_min(f, x0=1.0, cap=1e12):
-    """Double the right endpoint until ``f`` has started to increase.
-
-    For a convex ``f`` on [0, inf) this certifies the minimizer lies in
-    [0, hi].  Returns (hi, f(hi), exhausted) where ``exhausted`` means the
-    cap was hit while f was still decreasing (minimum possibly at +inf).
-    """
-    hi = float(x0)
-    f_prev = f(hi / 2.0)
-    f_hi = f(hi)
-    while f_hi <= f_prev and hi < cap:
-        hi *= 2.0
-        f_prev = f_hi
-        f_hi = f(hi)
-    return hi, f_hi, f_hi <= f_prev
 
 
 def expand_bracket_root(f, lo, hi, cap, f_lo=None):

@@ -107,7 +107,6 @@ class SvrFit:
     polish_solves: int = 0
     gram_products: int = 0
     projector_builds: int = 0
-    objective_trace: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,6 @@ class SolverConfig:
 
     max_iters: int = 100_000
     tol: float = 1e-8
-    record_objective: bool = False
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -326,7 +324,6 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig):
     grow_since = 0
     status = "max_iters"
     iterations = cfg.max_iters
-    trace = [best_f] if cfg.record_objective else None
     pattern, polished, polish_solves = None, set(), 0
 
     for it in range(1, cfg.max_iters + 1):
@@ -355,8 +352,6 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig):
         # report/keep the best iterate so the dual value never decreases
         if f_new >= best_f:
             best_u, best_f = cand, f_new
-        if trace is not None:
-            trace.append(best_f)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
         if f_new < f_u:  # adaptive restart
             v, kv = cand, k_cand
@@ -423,7 +418,6 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig):
         constraint_violation=viol if box is None else box_over,
         polish_solves=polish_solves, gram_products=gram_products,
         projector_builds=projector_builds,
-        objective_trace=None if trace is None else np.asarray(trace),
     )
 
 

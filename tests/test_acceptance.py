@@ -213,7 +213,7 @@ def test_criterion_7_oracle_equivalences():
         for s in np.linspace(0.05, 3.0, 20):
             for c in np.linspace(0.0, 2.5, 20):
                 want = closed_form_hinge_sq(math.hypot(s, 1.0), c)
-                assert abs(sv.e_hinge_sq(s, c, GAUSS) - want) <= 1e-9
+                assert abs(sv.e_hinge_moments(s, c, GAUSS)[2] - want) <= 1e-9
                 assert abs(e_hinge_sq_quad2d(s, c, GAUSS) - want) <= 1e-9
         # soft -> hard limit at C = 1e6 on three feasible problems
         for delta, sigma, eps in ((1.5, 1.0, 1.0), (1.0, 0.5, 0.5), (2.0, 1.0, 1.2)):

@@ -13,10 +13,7 @@ from svrisk import (
     DEFAULT_QUAD,
     QuadratureSpec,
     count_expectations,
-    e_hinge_abs,
     e_hinge_moments,
-    e_hinge_sq,
-    e_tail_prob,
     hinge_sq_mean,
     scale_mixture,
     standard_gaussian,
@@ -52,11 +49,11 @@ HINGE_SQ_1_1 = 0.559717787625
 
 class TestHingeSquare:
     def test_unit_cases(self):
-        assert e_hinge_sq(1.0, 0.0, GAUSS) == pytest.approx(2.0, abs=1e-12)
-        assert e_hinge_sq(0.0, 0.0, GAUSS) == pytest.approx(1.0, abs=1e-12)
+        assert e_hinge_moments(1.0, 0.0, GAUSS)[2] == pytest.approx(2.0, abs=1e-12)
+        assert e_hinge_moments(0.0, 0.0, GAUSS)[2] == pytest.approx(1.0, abs=1e-12)
 
     def test_oracle_value(self):
-        assert e_hinge_sq(1.0, 1.0, GAUSS) == pytest.approx(HINGE_SQ_1_1, abs=1e-9)
+        assert e_hinge_moments(1.0, 1.0, GAUSS)[2] == pytest.approx(HINGE_SQ_1_1, abs=1e-9)
 
     def test_matches_quadrature_oracle_on_grid(self):
         for s in (0.3, 1.0, 2.5):
@@ -66,12 +63,12 @@ class TestHingeSquare:
                     lambda z: max(s0 * abs(z) - c, 0.0) ** 2
                     * math.exp(-z * z / 2) / math.sqrt(2 * math.pi), -40, 40,
                     points=[-c / s0, c / s0])
-                assert e_hinge_sq(s, c, GAUSS) == pytest.approx(want, abs=1e-9)
+                assert e_hinge_moments(s, c, GAUSS)[2] == pytest.approx(want, abs=1e-9)
 
     def test_mixture_second_moment_edge(self):
         # s = 0, c = 0 reduces to E N^2 = d/(d-2), handled fully by the tail
-        assert e_hinge_sq(0.0, 0.0, MIX3) == pytest.approx(3.0, rel=1e-10)
-        assert e_hinge_sq(0.0, 0.0, MIX10) == pytest.approx(1.25, rel=1e-10)
+        assert e_hinge_moments(0.0, 0.0, MIX3)[2] == pytest.approx(3.0, rel=1e-10)
+        assert e_hinge_moments(0.0, 0.0, MIX10)[2] == pytest.approx(1.25, rel=1e-10)
 
     def test_mixture_against_monte_carlo(self):
         rng = np.random.default_rng(5)
@@ -82,15 +79,15 @@ class TestHingeSquare:
         for s, c in ((0.8, 0.6), (0.0, 1.0)):
             v = np.maximum(np.abs(s * g + noise) - c, 0.0) ** 2
             se = v.std(ddof=1) / math.sqrt(n)
-            assert e_hinge_sq(s, c, MIX10) == pytest.approx(v.mean(), abs=4 * se)
+            assert e_hinge_moments(s, c, MIX10)[2] == pytest.approx(v.mean(), abs=4 * se)
 
     def test_monotone_in_s_and_c(self):
         for noise in (GAUSS, MIX3):
             svals = np.linspace(0.0, 3.0, 13)
-            vals = [e_hinge_sq(s, 0.7, noise) for s in svals]
+            vals = [e_hinge_moments(s, 0.7, noise)[2] for s in svals]
             assert np.all(np.diff(vals) >= -1e-12)
             cvals = np.linspace(0.0, 3.0, 13)
-            vals = [e_hinge_sq(0.7, c, noise) for c in cvals]
+            vals = [e_hinge_moments(0.7, c, noise)[2] for c in cvals]
             assert np.all(np.diff(vals) <= 1e-12)
 
     def test_general_form_convex_in_t(self):
@@ -109,8 +106,8 @@ class TestHingeSquare:
         fine = QuadratureSpec(abs_tol=1e-12)
         for noise in (MIX3, MIX10):
             for s, c in ((0.5, 0.3), (2.0, 1.0), (0.05, 2.0)):
-                a = e_hinge_sq(s, c, noise, base)
-                b = e_hinge_sq(s, c, noise, fine)
+                a = e_hinge_moments(s, c, noise, base)[2]
+                b = e_hinge_moments(s, c, noise, fine)[2]
                 assert abs(a - b) < base.abs_tol
                 a2 = e_hinge_sq_quad2d(s, c, noise)
                 b2 = e_hinge_sq_quad2d(s, c, noise, gauss_nodes=128, mixture_nodes=40)
@@ -130,12 +127,13 @@ class TestHingeSquare:
                     want = float(gauss_hinge_sq(0.0, s, c))
                     assert abs(hinge_sq_mean(s, 0.0, c, MIX3) - want) <= 1e-13
                 want = float(gauss_hinge_abs(0.0, sd, c))
-                assert abs(e_hinge_abs(s, c, GAUSS) - want) <= 1e-13
+                assert abs(e_hinge_moments(s, c, GAUSS)[1] - want) <= 1e-13
                 for k in (1e-9, 1e-6, 0.1, 1.0, 10.0):
                     want = float(gauss_hinge_huber(0.0, sd, c, k))
                     assert abs(e_hinge_huber(s, c, k, GAUSS) - want) <= 1e-13
         assert hinge_sq_mean(0.0, 0.0, 0.7, GAUSS) == 0.0  # V = 0 exactly
         assert hinge_sq_mean(0.0, 0.0, 0.0, MIX3) == 0.0
+        assert hinge_sq_mean(1e-200, 0.0, 1.0, GAUSS) == 0.0  # c/sd overflows
 
 
 class TestCrossCheckQuadrature:
@@ -149,7 +147,7 @@ class TestCrossCheckQuadrature:
     def test_2d_path_matches_mixture_production(self):
         for noise in (MIX3, MIX10):
             for s, c in ((0.5, 0.4), (1.5, 1.0), (0.05, 2.0)):
-                a = e_hinge_sq(s, c, noise)
+                a = e_hinge_moments(s, c, noise)[2]
                 b = e_hinge_sq_quad2d(s, c, noise)
                 assert a == pytest.approx(b, abs=1e-8)
 
@@ -210,7 +208,7 @@ class TestMixtureOracle:
             for a in (0.5, 2.5):
                 assert hinge_sq_mean(s, a, c, noise) == pytest.approx(
                     oracle_hinge_sq_mean(s, a, c, d), abs=1e-9)
-            assert e_hinge_abs(s, c, noise) == pytest.approx(
+            assert e_hinge_moments(s, c, noise)[1] == pytest.approx(
                 oracle_hinge_abs(s, c, d), abs=1e-9)
             for k in (0.1, 1.0, 10.0):
                 assert e_hinge_huber(s, c, k, noise) == pytest.approx(
@@ -226,7 +224,7 @@ class TestMixtureOracle:
         for s, c in ORACLE_SC:
             assert hinge_sq_mean(s, 1.0, c, noise) == pytest.approx(
                 oracle_hinge_sq_mean(s, 1.0, c, d), abs=tol)
-            assert e_hinge_abs(s, c, noise) == pytest.approx(
+            assert e_hinge_moments(s, c, noise)[1] == pytest.approx(
                 oracle_hinge_abs(s, c, d), abs=tol)
             for k in (0.1, 10.0):
                 assert e_hinge_huber(s, c, k, noise) == pytest.approx(
@@ -241,7 +239,8 @@ class TestMixtureOracle:
             for s, c in ((0.0, 0.0), (0.5, 0.3), (2.0, 1.0), (0.05, 2.0)):
                 pairs = [(hinge_sq_mean(s, a, c, noise), hinge_sq_mean(s, a, c, noise, fine))
                          for a in (1.0, 2.5)]
-                pairs.append((e_hinge_abs(s, c, noise), e_hinge_abs(s, c, noise, fine)))
+                pairs.append((e_hinge_moments(s, c, noise)[1],
+                              e_hinge_moments(s, c, noise, fine)[1]))
                 pairs += [(e_hinge_huber(s, c, k, noise), e_hinge_huber(s, c, k, noise, fine))
                           for k in (0.1, 2.0)]
                 for base, tight in pairs:
@@ -271,7 +270,7 @@ class TestTailMoments:
     @pytest.mark.parametrize("noise", TAIL_NOISES, ids=["gauss", "d3", "d10"])
     def test_tail_prob_matches_quadrature_oracle(self, noise):
         for s, c in TAIL_SC:
-            assert e_tail_prob(s, c, noise) == pytest.approx(
+            assert e_hinge_moments(s, c, noise)[0] == pytest.approx(
                 oracle_tail_prob(s, c, noise), abs=1e-9)
 
     @pytest.mark.parametrize("noise", TAIL_NOISES, ids=["gauss", "d3", "d10"])
@@ -279,29 +278,30 @@ class TestTailMoments:
         # d/ds E(|sG + N| - c)_+^2 = 2 s P(|sG + N| > c)
         h = 1e-4
         for s, c in ((0.3, 0.5), (1.2, 0.0), (2.0, 2.5), (0.8, 6.0)):
-            fd = (e_hinge_sq(s + h, c, noise) - e_hinge_sq(s - h, c, noise)) / (2.0 * h)
-            assert fd == pytest.approx(2.0 * s * e_tail_prob(s, c, noise), abs=1e-7)
+            fd = (e_hinge_moments(s + h, c, noise)[2]
+                  - e_hinge_moments(s - h, c, noise)[2]) / (2.0 * h)
+            assert fd == pytest.approx(2.0 * s * e_hinge_moments(s, c, noise)[0], abs=1e-7)
 
     @pytest.mark.parametrize("noise", TAIL_NOISES, ids=["gauss", "d3", "d10"])
     def test_tail_prob_is_minus_c_derivative_of_hinge(self, noise):
         h = 1e-4
         for s, c in ((0.3, 0.5), (1.2, 0.2), (2.0, 2.5), (0.0, 1.0), (0.8, 6.0)):
-            fd = (e_hinge_abs(s, c - h, noise) - e_hinge_abs(s, c + h, noise)) / (2.0 * h)
-            assert fd == pytest.approx(e_tail_prob(s, c, noise), abs=1e-7)
+            fd = (e_hinge_moments(s, c - h, noise)[1]
+                  - e_hinge_moments(s, c + h, noise)[1]) / (2.0 * h)
+            assert fd == pytest.approx(e_hinge_moments(s, c, noise)[0], abs=1e-7)
 
     def test_hinge_moments_match_the_hinge_functionals(self):
+        # hinge_sq_mean at a = 1 is the same vector pass on the mixture
+        # (bit-identical) and the rescaled scalar closed form on the Gaussian
         for s, c in TAIL_SC:
-            for noise in (MIX3, MIX10):  # the same vector pass: bit-identical
-                _, h1, h2 = e_hinge_moments(s, c, noise)
-                assert h1 == e_hinge_abs(s, c, noise)
-                assert h2 == e_hinge_sq(s, c, noise)
-            _, h1, h2 = e_hinge_moments(s, c, GAUSS)
-            assert h1 == pytest.approx(e_hinge_abs(s, c, GAUSS), rel=1e-12, abs=1e-15)
-            assert h2 == pytest.approx(e_hinge_sq(s, c, GAUSS), rel=1e-12, abs=1e-15)
+            for noise in (MIX3, MIX10):
+                assert e_hinge_moments(s, c, noise)[2] == hinge_sq_mean(s, 1.0, c, noise)
+            h2 = e_hinge_moments(s, c, GAUSS)[2]
+            assert h2 == pytest.approx(hinge_sq_mean(s, 1.0, c, GAUSS), rel=1e-12, abs=1e-15)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            e_tail_prob(-0.1, 1.0, GAUSS)
+            e_hinge_moments(-0.1, 1.0, GAUSS)
         with pytest.raises(ValueError):
             e_hinge_moments(0.1, -1.0, MIX3)
 
@@ -336,31 +336,32 @@ class TestFusedMixturePass:
                 assert self._close(h1, want_h1), (s, c)
                 assert self._close(h2, want_h2), (s, c)
                 want_abs = float(rule.w @ _gauss0_hinge_abs(sd, c))
-                assert self._close(e_hinge_abs(s, c, noise), want_abs), (s, c)
+                assert self._close(e_hinge_moments(s, c, noise)[1], want_abs), (s, c)
 
 
 class TestEvalCounter:
     def test_counts_each_public_functional_once(self):
         with count_expectations() as counter:
-            e_hinge_sq(0.5, 0.2, MIX3)
-            e_hinge_abs(0.5, 0.2, GAUSS)
+            hinge_sq_mean(0.5, 1.0, 0.2, MIX3)
+            hinge_sq_mean(0.5, 1.0, 0.2, GAUSS)  # through e_hinge_moments
+            hinge_sq_mean(0.0, 0.0, 0.2, GAUSS)  # V = 0
             e_hinge_huber(0.5, 0.2, 1.0, GAUSS)
             soft_expectation(0.5, 0.1, 1.0, 2.0, 0.2, GAUSS)
             e_hinge_moments(0.5, 0.2, MIX10)
-            e_tail_prob(0.5, 0.2, GAUSS)
-        assert counter.n == 6
+            e_hinge_moments(0.5, 0.2, GAUSS)
+        assert counter.n == 7
 
     def test_nested_blocks_add_to_the_enclosing_count(self):
         with count_expectations() as outer:
-            e_hinge_sq(0.5, 0.2, GAUSS)
+            e_hinge_moments(0.5, 0.2, GAUSS)
             with count_expectations() as inner:
-                e_hinge_sq(0.5, 0.2, GAUSS)
-                e_hinge_abs(0.5, 0.2, GAUSS)
+                e_hinge_moments(0.5, 0.2, GAUSS)
+                hinge_sq_mean(0.5, 1.0, 0.2, GAUSS)
             assert inner.n == 2
         assert outer.n == 3
 
     def test_no_count_outside_a_block(self):
-        e_hinge_sq(0.5, 0.2, GAUSS)
+        e_hinge_moments(0.5, 0.2, GAUSS)
         with count_expectations() as counter:
             pass
         assert counter.n == 0
@@ -381,7 +382,7 @@ class TestHingeAbs:
             a = c / s0
             want = 2 * (s0 * math.exp(-a * a / 2) / math.sqrt(2 * math.pi)
                         - c * ndtr(-a))
-            assert e_hinge_abs(s, c, GAUSS) == pytest.approx(want, rel=1e-12)
+            assert e_hinge_moments(s, c, GAUSS)[1] == pytest.approx(want, rel=1e-12)
 
     def test_mixture_against_monte_carlo(self):
         rng = np.random.default_rng(17)
@@ -391,7 +392,8 @@ class TestHingeAbs:
         g = rng.standard_normal(n)
         v = np.maximum(np.abs(0.9 * g + noise) - 0.4, 0.0)
         se = v.std(ddof=1) / math.sqrt(n)
-        assert e_hinge_abs(0.9, 0.4, scale_mixture(d)) == pytest.approx(v.mean(), abs=4 * se)
+        got = e_hinge_moments(0.9, 0.4, scale_mixture(d))[1]
+        assert got == pytest.approx(v.mean(), abs=4 * se)
 
 
 class TestSoftExpectation:
@@ -420,7 +422,7 @@ class TestSoftExpectation:
             k = g1 * cost / chi
             p_linear = 2 * ndtr(-(thr + k) / s0)
             assert p_linear < 1e-12
-            full_quad = chi / (2 * g1) * e_hinge_sq(s, thr, GAUSS)
+            full_quad = chi / (2 * g1) * e_hinge_moments(s, thr, GAUSS)[2]
             got = soft_expectation(g1, g2, chi, cost, thr, GAUSS)
             assert got == pytest.approx(full_quad, rel=1e-10)
 

@@ -9,12 +9,11 @@ from svrisk import (
     InvalidNoiseModel,
     NoiseModel,
     noise_second_moment,
-    sample_noise,
     scale_mixture,
     standard_gaussian,
 )
 
-from tests_support import noise_cdf, noise_pdf
+from tests_support import noise_cdf, noise_pdf, sample_noise
 
 
 class TestModelValidation:

@@ -1,16 +1,13 @@
-"""Golden-section, bracket expansion (for a minimum or a root), bisection
-and Brent's root finder behave on known functions."""
+"""Golden-section, bracket expansion (for a root, and for where a function
+turns upward as a root of its difference), bisection and Brent's root
+finder behave on known functions."""
 
+import functools
 import math
 
 import pytest
 
-from svrisk.scalar_opt import (
-    brent_root,
-    expand_bracket_min,
-    expand_bracket_root,
-    golden_section_min,
-)
+from svrisk.scalar_opt import brent_root, expand_bracket_root, golden_section_min
 
 from tests_support import bisect_root, golden_section_max
 
@@ -34,13 +31,20 @@ def test_golden_degenerate_interval():
 
 
 def test_expand_bracket():
-    hi, f_hi, exhausted = expand_bracket_min(lambda t: (t - 37.0) ** 2, x0=1.0)
-    assert hi >= 37.0 and not exhausted
+    # where f turns upward: the first sign change of f(t) - f(t/2), each
+    # point evaluated once
+    f = _Counted(lambda t: (t - 37.0) ** 2)
+    at = functools.lru_cache(maxsize=None)(f)
+    lo, hi, _, f_hi = expand_bracket_root(lambda t: at(t) - at(t / 2.0), 0.5, 1.0,
+                                          math.inf, f_lo=-1.0)
+    assert (lo, hi, f_hi) == (32.0, 64.0, 27.0 ** 2 - 5.0 ** 2)
+    assert sorted(f.points) == [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
 
 
 def test_expand_bracket_monotone_decreasing_hits_cap():
-    hi, _, exhausted = expand_bracket_min(lambda t: -t, x0=1.0, cap=1e6)
-    assert exhausted and hi >= 1e6
+    # f still decreasing at the cap: the difference keeps the sign of f_lo
+    lo, hi, _, f_hi = expand_bracket_root(lambda t: -t + t / 2.0, 0.5, 1.0, 1e6, f_lo=-1.0)
+    assert hi >= 1e6 and lo == hi / 2.0 and f_hi < 0.0
 
 
 def test_bisect_root():

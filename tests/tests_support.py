@@ -22,15 +22,14 @@ from svrisk.asymptotics import (
 from svrisk.expectations import (
     DEFAULT_QUAD,
     _count,
-    _gauss0_scalar,
     _h1_from,
     _h2_from,
     _mixing_rule,
-    e_hinge_sq,
+    e_hinge_moments,
     hinge_sq_mean,
 )
-from svrisk.noise import GAUSSIAN, NoiseModel, standard_gaussian
-from svrisk.scalar_opt import brent_root, expand_bracket_min, golden_section_min
+from svrisk.noise import GAUSSIAN, NoiseModel, sample_noise_rng, standard_gaussian
+from svrisk.scalar_opt import brent_root, expand_bracket_root, golden_section_min
 
 _G1_CAP = 1e6
 
@@ -48,10 +47,10 @@ def closed_form_hinge_sq(s0, c):
 # ---------------------------------------------------------------------------
 # Functions that no production path calls, kept here as oracles and as the
 # definitions the tests check: the per-node mixture helpers, the golden
-# search for delta_star, the noise density and cdf, the Huber functional
-# and the soft saddle function Dbar, the hard constraint D, two
-# deterministic max-value formulas, and the bisection and golden-max
-# searches.
+# search for delta_star, noise draws from a seed, the noise density and
+# cdf, the Huber functional and the soft saddle function Dbar, the hard
+# constraint D, two deterministic max-value formulas, and the bisection
+# and golden-max searches.
 # ---------------------------------------------------------------------------
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -92,12 +91,15 @@ def delta_star_golden(eps, sigma, noise=None, quad=DEFAULT_QUAD):
         raise ValueError("eps must be nonnegative")
     noise = noise or standard_gaussian()
 
+    @lru_cache(maxsize=None)
     def objective(t):
         return hinge_sq_mean(1.0, t * sigma, t * eps, noise, quad)
 
     if eps == 0.0:
         return 1.0
-    hi, _, _ = expand_bracket_min(objective, x0=1.0, cap=_T_CAP)
+    # double hi until the objective has turned upward, f(hi) > f(hi/2)
+    _, hi, _, _ = expand_bracket_root(lambda t: objective(t) - objective(t / 2.0),
+                                      0.5, 1.0, _T_CAP, f_lo=-1.0)
     _, fmin = golden_section_min(objective, 0.0, hi, tol=1e-11 * max(1.0, hi))
     if fmin < 1e-13:
         return math.inf
@@ -137,6 +139,22 @@ def bisect_root(f, lo, hi, f_lo=None, f_hi=None, tol=1e-13, max_iter=200):
     return 0.5 * (a + b)
 
 
+def _rng_from_seed(seed) -> np.random.Generator:
+    """Build a generator from an int seed or a SeedSequence."""
+    if isinstance(seed, np.random.SeedSequence):
+        return np.random.default_rng(seed)
+    return np.random.default_rng(np.random.SeedSequence(int(seed)))
+
+
+def sample_noise(model: NoiseModel, count: int, seed) -> np.ndarray:
+    """Deterministic noise samples for ``(model, count, seed)``.
+
+    ``seed`` may be a 64-bit integer or a ``numpy.random.SeedSequence``;
+    per-trial streams can be derived order-independently via spawn keys.
+    """
+    return sample_noise_rng(model, count, _rng_from_seed(seed))
+
+
 def noise_pdf(model: NoiseModel, x):
     """Density of the noise at ``x`` (scalar or array).
 
@@ -172,8 +190,7 @@ def e_hinge_huber(s, c, k, noise, quad=DEFAULT_QUAD):
     # rho_k(h) = h^2/2 - (h - k)_+^2/2, so E rho_k(h) = (H2(c) - H2(c+k))/2
     if noise.is_gaussian:
         sd = math.hypot(s, 1.0)
-        return 0.5 * (_h2_from(sd, c, *_gauss0_scalar(sd, c))
-                      - _h2_from(sd, c + k, *_gauss0_scalar(sd, c + k)))
+        return 0.5 * float(_gauss0_hinge_sq(sd, c) - _gauss0_hinge_sq(sd, c + k))
     # on the mixture the s^2 + tau asymptotes of the two terms cancel
     rule = _mixing_rule(noise.dof, quad.abs_tol)
     sd = np.sqrt(s * s + rule.tau)
@@ -205,7 +222,7 @@ def d_value(g1, g2, prob: HsvrProblem, quad=DEFAULT_QUAD):
     s = math.hypot(g1, g2)
     c = prob.eps / prob.sigma
     return math.sqrt(prob.delta) * math.sqrt(
-        max(e_hinge_sq(s, c, prob.noise, quad), 0.0)
+        max(e_hinge_moments(s, c, prob.noise, quad)[2], 0.0)
     ) - g1
 
 
@@ -473,14 +490,14 @@ def _cond_hinge_sq_numeric(mu, s, c, nodes):
 def e_hinge_sq_quad2d(s, c, noise, gauss_nodes=64, mixture_nodes=20):
     """E (|s*G + N| - c)_+^2 with both integrals done numerically.
 
-    Cross-check for ``svrisk.e_hinge_sq``: Gauss-Legendre panels with
+    Cross-check for ``svrisk.e_hinge_moments``: Gauss-Legendre panels with
     ``gauss_nodes`` nodes each in the G direction, split at the hinge kinks,
     inside panels with ``mixture_nodes`` nodes each on a kink-aware grid in
     the noise direction.
     """
     s, c = float(s), float(c)
     if s == 0.0:
-        return e_hinge_sq(s, c, noise)
+        return e_hinge_moments(s, c, noise)[2]
 
     def cond(xs):
         return np.array([_cond_hinge_sq_numeric(x, s, c, gauss_nodes)
