@@ -8,8 +8,6 @@ from .noise import (
     standard_gaussian,
 )
 from .expectations import (
-    DEFAULT_QUAD,
-    QuadratureSpec,
     count_expectations,
     e_hinge_moments,
     hinge_sq_mean,
@@ -45,11 +43,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticSolution",
     "Dataset",
-    "DEFAULT_QUAD",
     "HsvrProblem",
     "InvalidNoiseModel",
     "NoiseModel",
-    "QuadratureSpec",
     "SolverConfig",
     "SsvrProblem",
     "SvrFit",

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .expectations import DEFAULT_QUAD, count_expectations, e_hinge_moments
+from .expectations import count_expectations, e_hinge_moments
 from .noise import NoiseModel, standard_gaussian
 from .scalar_opt import brent_root, expand_bracket_root, golden_section_min
 
@@ -109,7 +109,7 @@ def _cosine_limit(g1, g2, b_over_sigma):
 # Feasibility threshold.
 # ---------------------------------------------------------------------------
 
-def _threshold_slope(t, sigma, c, noise, quad):
+def _threshold_slope(t, sigma, c, noise):
     """(f'(t), f(t)) for f(t) = E (|G + t*sigma*N| - t*eps)_+^2, c = eps/sigma, t > 0.
 
     With u = t sigma and s = 1/u, f(t) = u^2 H2(s, c), where H2 is the
@@ -118,11 +118,11 @@ def _threshold_slope(t, sigma, c, noise, quad):
     ``e_hinge_moments`` call.
     """
     u = t * sigma
-    p, _, h2 = e_hinge_moments(1.0 / u, c, noise, quad)
+    p, _, h2 = e_hinge_moments(1.0 / u, c, noise)
     return 2.0 * sigma * u * h2 - 2.0 * p / t, u * u * h2
 
 
-def delta_star(eps, sigma, noise=None, quad=DEFAULT_QUAD):
+def delta_star(eps, sigma, noise=None):
     """Hard-margin feasibility threshold 1 / inf_t E (|G + t*sigma*N| - t*eps)_+^2.
 
     The objective f(t) is convex in t and even under t -> -t for
@@ -146,7 +146,7 @@ def delta_star(eps, sigma, noise=None, quad=DEFAULT_QUAD):
     values = {}
 
     def slope(t):
-        df, values[t] = _threshold_slope(t, sigma, c, noise, quad)
+        df, values[t] = _threshold_slope(t, sigma, c, noise)
         return df
 
     lo, hi, f_lo, f_hi = expand_bracket_root(slope, 0.0, 1.0, _T_CAP,
@@ -162,7 +162,7 @@ def delta_star(eps, sigma, noise=None, quad=DEFAULT_QUAD):
     return 1.0 / fmin
 
 
-def epsilon_star(delta, sigma, noise=None, quad=DEFAULT_QUAD):
+def epsilon_star(delta, sigma, noise=None):
     """Smallest tube half-width making sample ratio ``delta`` feasible.
 
     Inverts the strictly increasing map eps -> delta_star(eps, sigma).
@@ -173,7 +173,7 @@ def epsilon_star(delta, sigma, noise=None, quad=DEFAULT_QUAD):
     noise = noise or standard_gaussian()
 
     def gap(eps):
-        return delta_star(eps, sigma, noise, quad) - delta
+        return delta_star(eps, sigma, noise) - delta
 
     # delta_star(0) = 1, so the gap starts at 1 - delta < 0
     lo, hi, g_lo, g_hi = expand_bracket_root(gap, 0.0, max(sigma, 1e-3), 1e9 * sigma,
@@ -187,7 +187,7 @@ def epsilon_star(delta, sigma, noise=None, quad=DEFAULT_QUAD):
 # Hard-SVR risk.
 # ---------------------------------------------------------------------------
 
-def _g1_edge(prob, g2, quad):
+def _g1_edge(prob, g2):
     """(g1, P) at the smallest feasible g1 of the g2-slice, or None if the
     slice is infeasible.
 
@@ -205,7 +205,7 @@ def _g1_edge(prob, g2, quad):
     c = prob.eps / prob.sigma
     g1 = 0.0
     for _ in range(_EDGE_MAX_ITER):
-        p, _, h2 = e_hinge_moments(math.hypot(g1, g2), c, noise, quad)
+        p, _, h2 = e_hinge_moments(math.hypot(g1, g2), c, noise)
         root = math.sqrt(delta * max(h2, 0.0))
         d = root - g1
         if d <= 0.0:
@@ -220,7 +220,7 @@ def _g1_edge(prob, g2, quad):
     return g1, p
 
 
-def hsvr_risk(prob: HsvrProblem, quad=DEFAULT_QUAD):
+def hsvr_risk(prob: HsvrProblem):
     """Limiting hard-SVR prediction risk and cosine similarity.
 
     Feasible only for delta < delta_star(eps, sigma).  Minimizes
@@ -246,12 +246,12 @@ def hsvr_risk(prob: HsvrProblem, quad=DEFAULT_QUAD):
     residual.
     """
     with count_expectations() as counter:
-        sol = _hsvr_solve(prob, quad)
+        sol = _hsvr_solve(prob)
     sol.diagnostics["expect_evals"] = counter.n
     return sol
 
 
-def _hsvr_solve(prob, quad):
+def _hsvr_solve(prob):
     infeasible = AsymptoticSolution(None, None, None, None, False)
     if prob.eps == 0.0 and prob.delta >= 1.0:
         return infeasible
@@ -260,7 +260,7 @@ def _hsvr_solve(prob, quad):
     edges = {}
 
     def residual(g2):
-        edges[g2] = edge = _g1_edge(prob, g2, quad)
+        edges[g2] = edge = _g1_edge(prob, g2)
         if edge is None:
             return 1.0
         return g2 - b * (1.0 - delta * edge[1])
@@ -273,8 +273,7 @@ def _hsvr_solve(prob, quad):
         # brent_root returns a point it has evaluated, so edges holds it
         g2 = brent_root(residual, 0.0, b, f_lo=f0, xtol=_HSVR_XTOL * max(1.0, b))
     g1 = edges[g2][0]
-    p, _, h2 = e_hinge_moments(math.hypot(g1, g2), prob.eps / prob.sigma,
-                               prob.noise, quad)
+    p, _, h2 = e_hinge_moments(math.hypot(g1, g2), prob.eps / prob.sigma, prob.noise)
     risk = prob.sigma ** 2 * (g1 ** 2 + g2 ** 2)
     return AsymptoticSolution(
         g1=g1, g2=g2, risk=risk,
@@ -291,12 +290,12 @@ def _hsvr_solve(prob, quad):
 # Soft-SVR risk.
 # ---------------------------------------------------------------------------
 
-def _dbar_g1_zero(g2, prob, quad):
+def _dbar_g1_zero(g2, prob):
     """sup over chi of Dbar on the g1 = 0 boundary (chi drops out)."""
     sigma = prob.sigma
     thr = prob.eps / sigma
     b = prob.beta / sigma
-    h1 = e_hinge_moments(abs(g2), thr, prob.noise, quad)[1]
+    h1 = e_hinge_moments(abs(g2), thr, prob.noise)[1]
     return (prob.cost * prob.delta / sigma) * h1 + 0.5 * (g2 - b) ** 2
 
 
@@ -314,7 +313,7 @@ class _ChiLevel(NamedTuple):
     p_band: float
 
 
-def _chi_level(g1, g2, prob, quad, k_hint, log_tol):
+def _chi_level(g1, g2, prob, k_hint, log_tol):
     """Solve the chi-level first-order condition delta E min(h, k)^2 = g1^2.
 
     dDbar/dchi = (delta E min(h, k)^2 - g1^2) / (2 sigma g1), and
@@ -333,7 +332,7 @@ def _chi_level(g1, g2, prob, quad, k_hint, log_tol):
     c = prob.eps / sigma
     s = math.hypot(g1, g2)
     q = 0.5 * g1 * g1 + 0.5 * (g2 - prob.beta / sigma) ** 2
-    p0, _, h2_0 = e_hinge_moments(s, c, noise, quad)
+    p0, _, h2_0 = e_hinge_moments(s, c, noise)
     target = g1 * g1 / delta
     if h2_0 <= target or p0 <= 0.0:
         return _ChiLevel(math.inf, q, h2_0, p0)
@@ -345,7 +344,7 @@ def _chi_level(g1, g2, prob, quad, k_hint, log_tol):
 
     def gap(y):
         k = math.exp(y)
-        moments[y] = e_hinge_moments(s, c + k, noise, quad)
+        moments[y] = e_hinge_moments(s, c + k, noise)
         return emin2(k, *moments[y]) - target
 
     y_lo = 0.5 * math.log(target / p0) - 0.5
@@ -367,7 +366,7 @@ def _chi_level(g1, g2, prob, quad, k_hint, log_tol):
     return _ChiLevel(k, value, emin2(k, p_k, h1, h2), p0 - p_k)
 
 
-def ssvr_risk(prob: SsvrProblem, quad=DEFAULT_QUAD, tol=1e-8):
+def ssvr_risk(prob: SsvrProblem, tol=1e-8):
     """Limiting soft-SVR risk via the min-sup scalar saddle problem.
 
     Minimizes the convex value function V(g1, g2) = sup_chi Dbar by solving
@@ -407,12 +406,12 @@ def ssvr_risk(prob: SsvrProblem, quad=DEFAULT_QUAD, tol=1e-8):
     as C -> inf on an infeasible tube.  Always feasible.
     """
     with count_expectations() as counter:
-        sol = _ssvr_saddle(prob, quad, tol)
+        sol = _ssvr_saddle(prob, tol)
     sol.diagnostics["expect_evals"] = counter.n
     return sol
 
 
-def _ssvr_saddle(prob, quad, tol):
+def _ssvr_saddle(prob, tol):
     sigma, delta, cost, noise = prob.sigma, prob.delta, prob.cost, prob.noise
     b = prob.beta / sigma
     c = prob.eps / sigma
@@ -423,7 +422,7 @@ def _ssvr_saddle(prob, quad, tol):
     def level(g1, g2):
         nonlocal n_values, warm_k
         n_values += 1
-        lvl = _chi_level(g1, g2, prob, quad, warm_k, inner_tol)
+        lvl = _chi_level(g1, g2, prob, warm_k, inner_tol)
         if math.isfinite(lvl.k):
             warm_k = lvl.k
         return lvl
@@ -449,7 +448,7 @@ def _ssvr_saddle(prob, quad, tol):
         def slope(g1):
             return d_g1(g1, at(g1))
 
-        p0 = e_hinge_moments(abs(g2), c, noise, quad)[0]
+        p0 = e_hinge_moments(abs(g2), c, noise)[0]
         g1 = 0.0
         if p0 > 0.0:
             # V(., g2) is convex, so its slope rises from its g1 -> 0 limit
@@ -459,7 +458,7 @@ def _ssvr_saddle(prob, quad, tol):
             xtol = inner_tol * max(1.0, hi)
             g1 = brent_root(slope, lo, hi, f_lo=f_lo, f_hi=f_hi, xtol=xtol)
         if g1 == 0.0:  # the exact g1 = 0 branch, where chi drops out
-            return 0.0, _ChiLevel(0.0, _dbar_g1_zero(g2, prob, quad), 0.0, 0.0)
+            return 0.0, _ChiLevel(0.0, _dbar_g1_zero(g2, prob), 0.0, 0.0)
         if slope(g1) < -1e-6 * g1:
             # the root is a jump (large C): the other end of Brent's final
             # bracket, less than 2 xtol above, is on the hard edge, where chi* = 0
@@ -511,7 +510,7 @@ def _check_tune_delta(delta):
         raise ValueError("delta must be finite and strictly positive")
 
 
-def tune_hsvr(delta, sigma, beta, noise=None, quad=DEFAULT_QUAD):
+def tune_hsvr(delta, sigma, beta, noise=None):
     """Tube half-width minimizing the limiting hard-SVR risk.
 
     Searches eps on (epsilon_star(delta) + margin, eps_max), doubling
@@ -524,14 +523,14 @@ def tune_hsvr(delta, sigma, beta, noise=None, quad=DEFAULT_QUAD):
     noise = noise or standard_gaussian()
     eps_lo = 0.0
     if delta > 1.0:
-        e_star = epsilon_star(delta, sigma, noise, quad)
+        e_star = epsilon_star(delta, sigma, noise)
         eps_lo = e_star + max(1e-3 * sigma, 1e-2 * e_star)
 
     risks = {}
 
     def risk_at(eps):
         if eps not in risks:
-            sol = hsvr_risk(HsvrProblem(delta, sigma, beta, eps, noise), quad)
+            sol = hsvr_risk(HsvrProblem(delta, sigma, beta, eps, noise))
             risks[eps] = sol.risk if sol.feasible else math.inf
         return risks[eps]
 
@@ -547,7 +546,7 @@ def tune_hsvr(delta, sigma, beta, noise=None, quad=DEFAULT_QUAD):
     return eps_opt, risk_opt
 
 
-def tune_ssvr(delta, sigma, beta, noise=None, quad=DEFAULT_QUAD):
+def tune_ssvr(delta, sigma, beta, noise=None):
     """Jointly tune (eps, C) for the soft problem.
 
     A 6 x 6 scan of eps = 0.05 sigma 4^j and C = 0.05 4^j (j = 0..5), run
@@ -565,7 +564,7 @@ def tune_ssvr(delta, sigma, beta, noise=None, quad=DEFAULT_QUAD):
 
     def risk_at(eps, cost, tol=scan_tol):
         prob = SsvrProblem(delta, sigma, beta, max(eps, 0.0), noise, cost=max(cost, 1e-8))
-        return ssvr_risk(prob, quad, tol=tol).risk
+        return ssvr_risk(prob, tol=tol).risk
 
     best = None
     for e in eps_grid:

@@ -6,8 +6,8 @@ CSV with a '#'-prefixed metadata header (config echo, version, seed).
 Exit codes: 0 success, 1 usage/config error, 2 mathematically
 infeasible or unsupported regime.
 
-A config file (INI sections [problem], [sweep], [quadrature]) may supply
-any value the subcommand reads; command-line flags override it.  Unknown
+A config file (INI sections [problem], [sweep]) may supply any value the
+subcommand reads; command-line flags override it.  Unknown sections and
 keys, and keys the subcommand would ignore, are rejected.
 """
 
@@ -30,7 +30,6 @@ from .asymptotics import (
     tune_hsvr,
     tune_ssvr,
 )
-from .expectations import DEFAULT_QUAD, QuadratureSpec
 from .montecarlo import SweepSpec, run_sweep
 from .noise import NoiseModel, scale_mixture, standard_gaussian
 from .scalar_opt import golden_section_min
@@ -54,17 +53,15 @@ EXIT_INFEASIBLE = 2
 _CONFIG_SCHEMA = {
     "problem": {"delta", "sigma", "beta", "eps", "cost", "noise", "dof"},
     "sweep": {"grid", "p", "trials", "base_seed"},
-    "quadrature": {"abs_tol"},
 }
-_QUAD_KEYS = {"quadrature": {"abs_tol"}}
 # the config keys each subcommand reads; a config naming any other exits 1
 _CONFIG_READS = {
-    "delta-star": {"problem": {"eps", "sigma", "noise", "dof"}, **_QUAD_KEYS},
-    "risk": {"problem": _CONFIG_SCHEMA["problem"], **_QUAD_KEYS},
-    "tune": {"problem": {"delta", "sigma", "beta", "noise", "dof"}, **_QUAD_KEYS},
+    "delta-star": {"problem": {"eps", "sigma", "noise", "dof"}},
+    "risk": {"problem": _CONFIG_SCHEMA["problem"]},
+    "tune": {"problem": {"delta", "sigma", "beta", "noise", "dof"}},
     "solve": {"problem": _CONFIG_SCHEMA["problem"]},
     "sweep": _CONFIG_SCHEMA,
-    "figure": {"sweep": {"p", "trials", "base_seed"}, **_QUAD_KEYS},
+    "figure": {"sweep": {"p", "trials", "base_seed"}},
 }
 
 
@@ -123,12 +120,6 @@ def _noise_from(args, cfg) -> NoiseModel:
     raise CliError(f"unknown noise kind {kind!r}")
 
 
-def _quad_from(args, cfg) -> QuadratureSpec:
-    if cfg.get("abs_tol"):
-        return QuadratureSpec(abs_tol=float(cfg["abs_tol"]))
-    return DEFAULT_QUAD
-
-
 def _param(args, cfg, name, cast=float, default=None, required=True):
     val = getattr(args, name, None)
     if val is None and name in cfg:
@@ -165,26 +156,24 @@ def write_csv(path, header_meta, columns, rows):
 
 def cmd_delta_star(args, cfg):
     noise = _noise_from(args, cfg)
-    quad = _quad_from(args, cfg)
     eps = _param(args, cfg, "eps")
     sigma = _param(args, cfg, "sigma", default=1.0)
-    value = delta_star(eps, sigma, noise, quad)
+    value = delta_star(eps, sigma, noise)
     print(fmt(value) if np.isfinite(value) else "inf")
     return EXIT_OK
 
 
 def cmd_risk(args, cfg):
     noise = _noise_from(args, cfg)
-    quad = _quad_from(args, cfg)
     delta = _param(args, cfg, "delta")
     sigma = _param(args, cfg, "sigma", default=1.0)
     beta = _param(args, cfg, "beta", default=1.0)
     eps = _param(args, cfg, "eps")
     if args.estimator == "hsvr":
-        sol = hsvr_risk(HsvrProblem(delta, sigma, beta, eps, noise), quad)
+        sol = hsvr_risk(HsvrProblem(delta, sigma, beta, eps, noise))
     else:
         cost = _param(args, cfg, "cost")
-        sol = ssvr_risk(SsvrProblem(delta, sigma, beta, eps, noise, cost=cost), quad)
+        sol = ssvr_risk(SsvrProblem(delta, sigma, beta, eps, noise, cost=cost))
     if not sol.feasible:
         print("infeasible")
         return EXIT_INFEASIBLE
@@ -200,15 +189,14 @@ def cmd_risk(args, cfg):
 
 def cmd_tune(args, cfg):
     noise = _noise_from(args, cfg)
-    quad = _quad_from(args, cfg)
     delta = _param(args, cfg, "delta")
     sigma = _param(args, cfg, "sigma", default=1.0)
     beta = _param(args, cfg, "beta", default=1.0)
     if args.estimator == "hsvr":
-        eps_opt, risk_opt = tune_hsvr(delta, sigma, beta, noise, quad)
+        eps_opt, risk_opt = tune_hsvr(delta, sigma, beta, noise)
         print(f"eps_opt {fmt(eps_opt)}")
     else:
-        eps_opt, cost_opt, risk_opt = tune_ssvr(delta, sigma, beta, noise, quad)
+        eps_opt, cost_opt, risk_opt = tune_ssvr(delta, sigma, beta, noise)
         print(f"eps_opt {fmt(eps_opt)}")
         print(f"cost_opt {fmt(cost_opt)}")
     print(f"risk_opt {fmt(risk_opt)}")
@@ -281,7 +269,6 @@ def _parse_grid(text):
 
 def cmd_sweep(args, cfg):
     noise = _noise_from(args, cfg)
-    quad = _quad_from(args, cfg)
     grid = _parse_grid(args.grid if args.grid else cfg.get("grid", ""))
     fixed = {}
     for name in ("delta", "sigma", "beta", "eps", "cost"):
@@ -304,7 +291,7 @@ def cmd_sweep(args, cfg):
         )
     except ValueError as exc:
         raise CliError(str(exc))
-    rows = run_sweep(spec, quad)
+    rows = run_sweep(spec)
     columns = ["swept_value", "theory_risk", "theory_cosine", "mean_risk",
                "stderr_risk", "mean_cosine", "feasibility_rate", "trials_used"]
     meta = _meta(args, {"estimator": spec.estimator, "swept": spec.swept,
@@ -349,7 +336,6 @@ def cmd_figure(args, cfg):
     fid = args.id
     if fid not in FIGURE_IDS:
         raise CliError(f"unknown figure id {fid!r}; choose from {', '.join(FIGURE_IDS)}")
-    quad = _quad_from(args, cfg)
     p = int(_param(args, cfg, "p", cast=int, default=200))
     trials = int(_param(args, cfg, "trials", cast=int, default=20))
     seed = int(_param(args, cfg, "base_seed", cast=int, default=0))
@@ -375,14 +361,14 @@ def cmd_figure(args, cfg):
         eps_grid = grid or tuple(np.round(np.arange(0.05, 1.51, 0.05), 10))
         sigmas = (0.1, 0.2, 0.5, 1.0)
         cols = ["eps"] + [f"delta_star_sigma{s}" for s in sigmas]
-        rows = [[e] + [delta_star(e, s, g, quad) for s in sigmas] for e in eps_grid]
+        rows = [[e] + [delta_star(e, s, g) for s in sigmas] for e in eps_grid]
         write(cols, rows)
         return EXIT_OK
 
     if fid == "2":
         delta_grid = grid or tuple(np.round(np.arange(0.1, 1.81, 0.1), 10))
         betas = (0.5, 1.0, 2.0)
-        dstar = delta_star(1.0, 1.0, g, quad)
+        dstar = delta_star(1.0, 1.0, g)
         cols = ["delta"]
         for b in betas:
             cols += [f"risk_beta{b}", f"cos_beta{b}", f"emp_risk_beta{b}",
@@ -393,7 +379,7 @@ def cmd_figure(args, cfg):
                 continue
             row = [d]
             for b in betas:
-                sol = hsvr_risk(HsvrProblem(d, 1.0, b, 1.0, g), quad)
+                sol = hsvr_risk(HsvrProblem(d, 1.0, b, 1.0, g))
                 emp = empirical("hsvr", g, delta=d, sigma=1.0, beta=b, eps=1.0)
                 row += [sol.risk, sol.cosine, emp.mean_risk, emp.stderr_risk, b * b]
             rows.append(row)
@@ -411,7 +397,7 @@ def cmd_figure(args, cfg):
         for e in eps_grid:
             row = [e]
             for s in sigmas:
-                sol = hsvr_risk(HsvrProblem(delta, s, 1.0, e, g), quad)
+                sol = hsvr_risk(HsvrProblem(delta, s, 1.0, e, g))
                 emp = empirical("hsvr", g, delta=delta, sigma=s, beta=1.0, eps=e)
                 row += [sol.risk if sol.feasible else None,
                         emp.mean_risk, emp.stderr_risk]
@@ -423,17 +409,17 @@ def cmd_figure(args, cfg):
         delta_grid = grid or tuple(np.round(np.arange(0.1, 5.01, 0.1), 10))
         eps_list = (1.0, 1.2, 1.5)
         cols = ["delta"] + [f"risk_eps{e}" for e in eps_list] + ["risk_opt"]
-        dstars = {e: delta_star(e, 1.0, g, quad) for e in eps_list}
+        dstars = {e: delta_star(e, 1.0, g) for e in eps_list}
         rows = []
         for d in delta_grid:
             row = [d]
             for e in eps_list:
                 if d <= 0.98 * dstars[e]:
-                    sol = hsvr_risk(HsvrProblem(d, 1.0, 1.0, e, g), quad)
+                    sol = hsvr_risk(HsvrProblem(d, 1.0, 1.0, e, g))
                     row.append(sol.risk if sol.feasible else None)
                 else:
                     row.append(None)
-            row.append(tune_hsvr(d, 1.0, 1.0, g, quad)[1])
+            row.append(tune_hsvr(d, 1.0, 1.0, g)[1])
             rows.append(row)
         write(cols, rows)
         return EXIT_OK
@@ -447,7 +433,7 @@ def cmd_figure(args, cfg):
         for v in cols_grid:
             eps = v if fid == "5a" else 0.6
             cost = 2.4 if fid == "5a" else v
-            sol = ssvr_risk(SsvrProblem(2.0, 1.0, 1.0, eps, g, cost=cost), quad)
+            sol = ssvr_risk(SsvrProblem(2.0, 1.0, 1.0, eps, g, cost=cost))
             emp = empirical("ssvr", g, delta=2.0, sigma=1.0, beta=1.0, eps=eps, cost=cost)
             rows.append([v, sol.risk, emp.mean_risk, emp.stderr_risk])
         write(cols, rows)
@@ -461,12 +447,12 @@ def cmd_figure(args, cfg):
         for d in delta_grid:
             row = [d]
             for c in cost_list:
-                sol = ssvr_risk(SsvrProblem(d, 1.0, 1.0, 0.6, g, cost=c), quad)
+                sol = ssvr_risk(SsvrProblem(d, 1.0, 1.0, 0.6, g, cost=c))
                 row.append(sol.risk)
             _, r_opt = golden_section_min(
                 lambda lc: ssvr_risk(SsvrProblem(d, 1.0, 1.0, 0.6, g,
                                                  cost=float(np.exp(lc))),
-                                     quad, tol=1e-5).risk,
+                                     tol=1e-5).risk,
                 np.log(0.01), np.log(1e3), tol=1e-3)
             row.append(r_opt)
             rows.append(row)
@@ -482,8 +468,8 @@ def cmd_figure(args, cfg):
             "ridge_emp", "ridge_emp_stderr"]
     rows = []
     for d in delta_grid:
-        eps_h, risk_h = tune_hsvr(d, 1.0, 1.0, noise, quad)
-        eps_s, cost_s, risk_s = tune_ssvr(d, 1.0, 1.0, noise, quad)
+        eps_h, risk_h = tune_hsvr(d, 1.0, 1.0, noise)
+        eps_s, cost_s, risk_s = tune_ssvr(d, 1.0, 1.0, noise)
         emp_h = empirical("hsvr", noise, delta=d, sigma=1.0, beta=1.0, eps=eps_h)
         emp_s = empirical("ssvr", noise,
                           delta=d, sigma=1.0, beta=1.0, eps=eps_s, cost=cost_s)

@@ -12,12 +12,13 @@ the normal cdf, written once, in scalar ``math``, in ``e_hinge_moments``.
 The scale mixture is N = sqrt(tau) * Z with tau = d / chi^2_d, so given
 tau, V is normal with sd sqrt(s^2 + a^2 tau) and each functional is the
 zero-mean Gaussian closed form averaged over tau.  That average is one
-fixed trapezoid rule in x = log chi^2_d, cached per (dof, abs_tol); the
-integrand is smooth in x, so the rule converges exponentially (Trefethen
-& Weideman, SIAM Rev. 2014).  The part of E tau that the truncated rule
-misses is added back analytically, which keeps the node count bounded as
-dof -> 2+.  This is the package's one quadrature rule; Monte Carlo is
-never used, and results are deterministic to ~abs_tol.
+fixed trapezoid rule in x = log chi^2_d, cached per dof, with a fixed
+absolute accuracy of 1e-9 (``_ABS_TOL``); the integrand is smooth in x,
+so the rule converges exponentially (Trefethen & Weideman, SIAM Rev.
+2014).  The part of E tau that the truncated rule misses is added back
+analytically, which keeps the node count bounded as dof -> 2+.  This is
+the package's one quadrature rule; Monte Carlo is never used, and results
+are deterministic to ~1e-9.
 
 Every mixture functional comes from one fused pass over the rule
 (``_mixture_moments``): it forms sd, q = P(Z > c/sd) and phi(c/sd)
@@ -57,25 +58,6 @@ from .noise import standard_gaussian
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
 _STANDARD_NORMAL = standard_gaussian()
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Accuracy target for the expectation integrals.
-
-    abs_tol: target absolute accuracy of the scale-mixture rule; it sets
-        how far into the heavy tail of the mixing variable the rule
-        reaches.  Gaussian noise has closed forms and ignores it.
-    """
-
-    abs_tol: float = 1e-9
-
-    def __post_init__(self):
-        if not (0 < self.abs_tol <= 1e-8):
-            raise ValueError("abs_tol must be in (0, 1e-8]")
-
-
-DEFAULT_QUAD = QuadratureSpec()
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +118,14 @@ class _MixingRule:
     miss1: float
 
 
+# Absolute accuracy of the mixture rule.  The risk limits are printed to
+# 9 significant digits, and a rule 1000x finer (abs_tol = 1e-12) moves
+# delta_star, hsvr_risk and ssvr_risk on d in [2.1, 30] by at most
+# ~2e-10 relative, except where delta_star = 1/f with f ~ 1e-7: there a
+# 1e-14 shift of f moves the 8th digit.
+_ABS_TOL = 1e-9
+
+
 @lru_cache(maxsize=64)
 def _mixing_rule(dof, abs_tol):
     """Trapezoid rule in x = log chi^2_d for tau = d / chi^2_d.
@@ -169,8 +159,8 @@ def _mixing_rule(dof, abs_tol):
     return _MixingRule(tau, w, w2, d / (d - 2.0) - float(w @ tau))
 
 
-def _mixture_moments(s, a, c, noise, quad):
-    """(P, H1, H2) for V = s*G + a*N on the scale mixture, a > 0.
+def _mixture_moments(s, a, c, rule):
+    """(P, H1, H2) for V = s*G + a*N on the scale mixture ``rule``, a > 0.
 
     P = P(|V| > c), and H1, H2 the hinge and hinge-square.  One pass over
     the mixing rule: given tau_j, V is normal with sd_j^2 = s^2 + a^2 tau_j
@@ -181,7 +171,6 @@ def _mixture_moments(s, a, c, noise, quad):
     H2 = 2((s^2 + c^2) Q + a^2 T - cA) + a^2 miss1.  The miss1 term
     restores the truncated tail tau -> inf, where h2 ~ a^2 tau.
     """
-    rule = _mixing_rule(noise.dof, quad.abs_tol)
     a2 = a * a
     sd2 = s * s + a2 * rule.tau
     sd = np.sqrt(sd2)
@@ -209,7 +198,7 @@ def _h2_from(sd, c, q, ph):
 # Public expectation operations.
 # ---------------------------------------------------------------------------
 
-def e_hinge_moments(s, c, noise, quad=DEFAULT_QUAD):
+def e_hinge_moments(s, c, noise):
     """(P(|V| > c), E (|V| - c)_+, E (|V| - c)_+^2) for V = s*G + N.
 
     One cdf/density pass gives all three: the Gaussian branch in scalar
@@ -227,10 +216,10 @@ def e_hinge_moments(s, c, noise, quad=DEFAULT_QUAD):
         q = 0.5 * math.erfc(z / _SQRT2)
         ph = math.exp(-0.5 * z * z) / _SQRT2PI
         return 2.0 * q, _h1_from(sd, c, q, ph), _h2_from(sd, c, q, ph)
-    return _mixture_moments(s, 1.0, c, noise, quad)
+    return _mixture_moments(s, 1.0, c, _mixing_rule(noise.dof, _ABS_TOL))
 
 
-def hinge_sq_mean(s, a, c, noise, quad=DEFAULT_QUAD):
+def hinge_sq_mean(s, a, c, noise):
     """E (|s*G + a*N| - c)_+^2 with G ~ N(0,1) independent of N ~ noise."""
     s, a, c = float(s), float(a), float(c)
     if s < 0 or a < 0 or c < 0:
@@ -244,4 +233,4 @@ def hinge_sq_mean(s, a, c, noise, quad=DEFAULT_QUAD):
         _count()
         return 0.0
     _count()
-    return _mixture_moments(s, a, c, noise, quad)[2]
+    return _mixture_moments(s, a, c, _mixing_rule(noise.dof, _ABS_TOL))[2]

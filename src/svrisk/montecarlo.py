@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .asymptotics import HsvrProblem, SsvrProblem, hsvr_risk, ssvr_risk
-from .expectations import DEFAULT_QUAD
 from .noise import NoiseModel, standard_gaussian
 from .solvers import (
     DEFAULT_CONFIG,
@@ -100,7 +99,7 @@ class SweepRow:
     worst_gap: float | None
 
 
-def _theory_point(spec: SweepSpec, params, quad):
+def _theory_point(spec: SweepSpec, params):
     if not spec.theory:
         return None, None
     if spec.estimator == "null":
@@ -109,11 +108,11 @@ def _theory_point(spec: SweepSpec, params, quad):
         return None, None
     if spec.estimator == "hsvr":
         sol = hsvr_risk(HsvrProblem(params["delta"], params["sigma"],
-                                    params["beta"], params["eps"], spec.noise), quad)
+                                    params["beta"], params["eps"], spec.noise))
     else:
         sol = ssvr_risk(SsvrProblem(params["delta"], params["sigma"],
                                     params["beta"], params["eps"], spec.noise,
-                                    cost=params["cost"]), quad, tol=1e-7)
+                                    cost=params["cost"]), tol=1e-7)
     if not sol.feasible:
         return None, None
     return sol.risk, sol.cosine
@@ -146,10 +145,10 @@ def _run_trial(spec: SweepSpec, params, grid_index, trial_index):
             "converged", gap)
 
 
-def _sweep_point(spec: SweepSpec, gi, quad):
+def _sweep_point(spec: SweepSpec, gi):
     value = spec.grid[gi]
     params = spec.params_at(value)
-    theory_risk, theory_cos = _theory_point(spec, params, quad)
+    theory_risk, theory_cos = _theory_point(spec, params)
     risks, cosines, gaps, infeasible, unconverged = [], [], [], 0, 0
     for ti in range(spec.trials):
         risk, cos, status, gap = _run_trial(spec, params, gi, ti)
@@ -184,9 +183,9 @@ def _sweep_point(spec: SweepSpec, gi, quad):
     )
 
 
-def run_sweep(spec: SweepSpec, quad=DEFAULT_QUAD):
+def run_sweep(spec: SweepSpec):
     """Execute the sweep; one SweepRow per grid point, in grid order."""
-    return [_sweep_point(spec, gi, quad) for gi in range(len(spec.grid))]
+    return [_sweep_point(spec, gi) for gi in range(len(spec.grid))]
 
 
 def feasibility_curve(p, eps, sigma, noise, delta_grid, trials, base_seed,

@@ -46,11 +46,11 @@ infeasibility but does not polish.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import NoiseModel, sample_noise_rng, standard_gaussian
+from .noise import sample_noise_rng, standard_gaussian
 
 _STEP_GROWTH = 1.3  # step growth every third iteration
 _STEP_SHRINK = 0.5  # backtracking factor
@@ -69,9 +69,6 @@ class Dataset:
     features: np.ndarray
     responses: np.ndarray
     truth: np.ndarray
-    sigma: float
-    seed: object
-    noise: NoiseModel = field(default_factory=standard_gaussian)
 
     @property
     def p(self) -> int:
@@ -146,8 +143,7 @@ def generate_dataset(p, delta, beta, sigma, noise=None, seed=0):
     truth = beta * v / np.linalg.norm(v)
     draws = sample_noise_rng(noise, n, np.random.default_rng(kid_noise))
     y = x.T @ truth + sigma * draws
-    return Dataset(features=x, responses=y, truth=truth, sigma=sigma, seed=seed,
-                   noise=noise)
+    return Dataset(features=x, responses=y, truth=truth)
 
 
 # ---------------------------------------------------------------------------

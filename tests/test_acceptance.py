@@ -12,7 +12,6 @@ import pytest
 
 import svrisk as sv
 from svrisk.asymptotics import HsvrProblem, SsvrProblem
-from svrisk.expectations import DEFAULT_QUAD
 
 GAUSS = sv.standard_gaussian()
 MIX3 = sv.scale_mixture(3.0)

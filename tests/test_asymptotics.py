@@ -23,7 +23,7 @@ from svrisk import (
     tune_ssvr,
 )
 from svrisk.asymptotics import _g1_edge, _threshold_slope
-from svrisk.expectations import DEFAULT_QUAD, count_expectations, e_hinge_moments
+from svrisk.expectations import count_expectations, e_hinge_moments
 from svrisk.scalar_opt import brent_root
 
 from tests_support import (
@@ -123,7 +123,7 @@ class TestDeltaStar:
                 return svrisk.hinge_sq_mean(1.0, t * sigma, t * eps, noise)
 
             for t in (1e-3, 1.0, 1e3):
-                slope, value = _threshold_slope(t, sigma, eps / sigma, noise, DEFAULT_QUAD)
+                slope, value = _threshold_slope(t, sigma, eps / sigma, noise)
                 assert value == pytest.approx(f(t), rel=1e-12), (sigma, eps, t)
                 h = 1e-5 * t
                 fd = (f(t + h) - f(t - h)) / (2.0 * h)
@@ -259,7 +259,7 @@ class TestDbarAndSsvr:
         # sup over chi collapses onto g1^2/2 + (g2 - beta/sigma)^2/2
         prob = SsvrProblem(1e-6, 1.0, 1.0, 0.5, GAUSS, cost=1.0)
         for g1, g2 in ((0.3, 0.4), (1.0, 0.9)):
-            _, val = sup_chi(g1, g2, prob, DEFAULT_QUAD)
+            _, val = sup_chi(g1, g2, prob)
             want = 0.5 * g1 ** 2 + 0.5 * (g2 - 1.0) ** 2
             assert val == pytest.approx(want, abs=1e-4)
 
@@ -284,7 +284,7 @@ class TestDbarAndSsvr:
         v_opt = sol.diagnostics["value"]
         for dg1, dg2 in ((1e-4, 0.0), (-1e-4, 0.0), (0.0, 1e-4), (0.0, -1e-4)):
             g1 = max(sol.g1 + dg1, 1e-12)
-            _, v = sup_chi(g1, sol.g2 + dg2, prob, DEFAULT_QUAD, log_tol=1e-8)
+            _, v = sup_chi(g1, sol.g2 + dg2, prob, log_tol=1e-8)
             assert v >= v_opt - 1e-8
 
     def test_unconstrained_spot_check_of_g2_range(self):
@@ -293,8 +293,8 @@ class TestDbarAndSsvr:
         prob = SsvrProblem(2.0, 1.0, 1.0, 0.6, GAUSS, cost=2.4)
         sol = ssvr_risk(prob)
         assert 0.0 < sol.g2 < 1.0
-        _, v_neg = sup_chi(sol.g1, -0.05, prob, DEFAULT_QUAD)
-        _, v_big = sup_chi(sol.g1, 1.05, prob, DEFAULT_QUAD)
+        _, v_neg = sup_chi(sol.g1, -0.05, prob)
+        _, v_big = sup_chi(sol.g1, 1.05, prob)
         assert v_neg > sol.diagnostics["value"]
         assert v_big > sol.diagnostics["value"]
 
@@ -326,12 +326,12 @@ class TestSsvrFirstOrderConditions:
         # interior maximisers and a hard-feasible slice (chi* = 0)
         prob = SsvrProblem(2.0, 1.0, 1.0, 0.6, NOISES["d3"], cost=2.4)
         for g1, g2 in ((0.3, 0.2), (0.9, 0.5), (2.0, 0.1)):
-            chi, val = sup_chi(g1, g2, prob, DEFAULT_QUAD, log_tol=1e-10)
-            chi_g, val_g = sup_chi_golden(g1, g2, prob, DEFAULT_QUAD, log_tol=1e-8)
+            chi, val = sup_chi(g1, g2, prob, log_tol=1e-10)
+            chi_g, val_g = sup_chi_golden(g1, g2, prob, log_tol=1e-8)
             assert val == pytest.approx(val_g, abs=1e-12)
             assert chi == pytest.approx(chi_g, rel=1e-6)
         hard = SsvrProblem(1.5, 1.0, 1.0, 1.0, GAUSS, cost=2.4)
-        chi, val = sup_chi(2.0, 0.3, hard, DEFAULT_QUAD)
+        chi, val = sup_chi(2.0, 0.3, hard)
         assert chi == 0.0
         assert val == 0.5 * 2.0 ** 2 + 0.5 * (0.3 - 1.0) ** 2
 
@@ -482,13 +482,13 @@ class TestHsvrFirstOrderConditions:
         # probability; an infeasible slice returns None
         prob = HsvrProblem(1.5, 1.0, 1.0, 1.0, GAUSS)
         for g2 in (0.0, 0.3, 0.6):
-            g1, p = _g1_edge(prob, g2, DEFAULT_QUAD)
+            g1, p = _g1_edge(prob, g2)
             assert abs(d_value(g1, g2, prob)) <= 1e-14
             assert d_value(0.999 * g1, g2, prob) > 0.0
             assert p == pytest.approx(e_hinge_moments(math.hypot(g1, g2), 1.0, GAUSS)[0],
                                       rel=1e-12)
-        assert _g1_edge(prob, 3.0, DEFAULT_QUAD) is None
-        assert _g1_edge(HsvrProblem(2.0, 1.0, 1.0, 1.0, GAUSS), 0.0, DEFAULT_QUAD) is None
+        assert _g1_edge(prob, 3.0) is None
+        assert _g1_edge(HsvrProblem(2.0, 1.0, 1.0, 1.0, GAUSS), 0.0) is None
 
 
 class TestTuneHsvr:

@@ -9,14 +9,12 @@ import pytest
 
 from svrisk import (
     HsvrProblem,
-    QuadratureSpec,
     delta_star,
     generate_dataset,
     hsvr_risk,
-    scale_mixture,
     standard_gaussian,
 )
-from svrisk import SolverConfig, cli, montecarlo
+from svrisk import SolverConfig, montecarlo
 from svrisk.cli import main
 
 
@@ -300,7 +298,7 @@ class TestFigureCommand:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert "reads no config key 'grid' in [sweep]" in err
-        cfg.write_text("[sweep]\nbase_seed = 3\n[quadrature]\nabs_tol = 1e-9\n")
+        cfg.write_text("[sweep]\nbase_seed = 3\n")
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert "base_seed=3" in out
@@ -338,11 +336,9 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.ini"
-        # [quadrature] takes abs_tol only; the sweep's estimator, swept
-        # variable and theory switch are flags only
+        # the sweep's estimator, swept variable and theory switch are
+        # flags only
         for text in ("[problem]\nepsilon = 0.5\n",
-                     "[quadrature]\ngauss_nodes_g = 64\n",
-                     "[quadrature]\nmixture_nodes = 20\n",
                      "[sweep]\nestimator = hsvr\n",
                      "[sweep]\nswept = delta\n",
                      "[sweep]\ntheory = false\n"):
@@ -356,29 +352,27 @@ class TestConfigFile:
         assert code == 1
         assert "unknown config section [output]" in err
 
-    def test_abs_tol_reaches_the_solver(self, capsys, tmp_path, monkeypatch):
-        seen = []
-
-        def recording_delta_star(eps, sigma, noise, quad):
-            seen.append(quad)
-            return delta_star(eps, sigma, noise, quad)
-
-        monkeypatch.setattr(cli, "delta_star", recording_delta_star)
+    def test_quadrature_section_rejected(self, capsys, tmp_path):
+        # the mixture rule's accuracy is fixed, so no subcommand reads one
         cfg = tmp_path / "run.ini"
         cfg.write_text("[quadrature]\nabs_tol = 1e-12\n")
-        code, out, _ = run_cli(capsys, "delta-star", "--config", str(cfg),
-                               "--eps", "0.8", "--noise", "mixture", "--dof", "3")
-        assert code == 0
-        assert seen == [QuadratureSpec(abs_tol=1e-12)]
-        want = delta_star(0.8, 1.0, scale_mixture(3.0), QuadratureSpec(abs_tol=1e-12))
-        assert out.strip() == f"{want:.9g}"
+        for command in (("delta-star", "--eps", "0.8", "--noise", "mixture", "--dof", "3"),
+                        ("risk", "hsvr", "--delta", "0.5", "--eps", "1"),
+                        ("tune", "hsvr", "--delta", "0.5"),
+                        ("sweep", "null", "--swept", "delta", "--grid", "0.5",
+                         "--p", "10", "--trials", "1", "--output", "-"),
+                        ("figure", "1", "--grid", "0.5", "--output", "-")):
+            code, out, err = run_cli(capsys, *command, "--config", str(cfg))
+            assert code == 1
+            assert out == ""
+            assert "unknown config section [quadrature]" in err
 
     def test_keys_a_subcommand_ignores_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.ini"
         for command, text in ((("tune", "hsvr", "--delta", "2"), "[problem]\neps = 0.5\n"),
                               (("delta-star", "--eps", "1"), "[problem]\ndelta = 2\n"),
-                              (("solve", "hsvr", "--delta", "0.5", "--eps", "1",
-                                "--p", "10"), "[quadrature]\nabs_tol = 1e-9\n"),
+                              (("risk", "hsvr", "--delta", "0.5", "--eps", "1"),
+                               "[sweep]\ntrials = 3\n"),
                               (("solve", "hsvr", "--delta", "0.5", "--eps", "1",
                                 "--p", "10"), "[sweep]\np = 20\n")):
             cfg.write_text(text)

@@ -10,15 +10,13 @@ from scipy.optimize import minimize
 from scipy.special import gammaln, ndtr
 
 from svrisk import (
-    DEFAULT_QUAD,
-    QuadratureSpec,
     count_expectations,
     e_hinge_moments,
     hinge_sq_mean,
     scale_mixture,
     standard_gaussian,
 )
-from svrisk.expectations import _mixing_rule
+from svrisk.expectations import _ABS_TOL, _mixing_rule, _mixture_moments
 
 from tests_support import (
     _gauss0_hinge_abs,
@@ -100,18 +98,17 @@ class TestHingeSquare:
             assert np.all(d2 >= -1e-10)
 
     def test_node_doubling_stability(self):
-        # abs_tol refines the production mixture rule; the node counts
-        # (64 and 20 by default) refine the all-numeric cross-check path
-        base = QuadratureSpec()
-        fine = QuadratureSpec(abs_tol=1e-12)
+        # a finer abs_tol refines the production mixture rule; the node
+        # counts (64 and 20 by default) refine the all-numeric cross-check path
         for noise in (MIX3, MIX10):
+            fine = _mixing_rule(noise.dof, 1e-12)
             for s, c in ((0.5, 0.3), (2.0, 1.0), (0.05, 2.0)):
-                a = e_hinge_moments(s, c, noise, base)[2]
-                b = e_hinge_moments(s, c, noise, fine)[2]
-                assert abs(a - b) < base.abs_tol
+                a = e_hinge_moments(s, c, noise)[2]
+                b = _mixture_moments(s, 1.0, c, fine)[2]
+                assert abs(a - b) < _ABS_TOL
                 a2 = e_hinge_sq_quad2d(s, c, noise)
                 b2 = e_hinge_sq_quad2d(s, c, noise, gauss_nodes=128, mixture_nodes=40)
-                assert abs(a2 - b2) < base.abs_tol
+                assert abs(a2 - b2) < _ABS_TOL
 
     def test_scalar_gaussian_branches_match_the_array_forms(self):
         # the scalar-math Gaussian branches (and hinge_sq_mean's a = 0 branch
@@ -220,7 +217,7 @@ class TestMixtureOracle:
         # tau^(1 - d/2); the rule restores the missed E tau exactly, so
         # values stay within abs_tol of the oracle with a bounded rule
         noise = scale_mixture(d)
-        tol = DEFAULT_QUAD.abs_tol
+        tol = _ABS_TOL
         for s, c in ORACLE_SC:
             assert hinge_sq_mean(s, 1.0, c, noise) == pytest.approx(
                 oracle_hinge_sq_mean(s, 1.0, c, d), abs=tol)
@@ -233,14 +230,14 @@ class TestMixtureOracle:
         assert nodes <= 2 * _mixing_rule(3.0, 1e-12).tau.size
 
     def test_abs_tol_convergence(self):
-        fine = QuadratureSpec(abs_tol=1e-12)
         for d in (2.5, 3.0, 10.0, 100.0):
             noise = scale_mixture(d)
+            fine = _mixing_rule(d, 1e-12)
             for s, c in ((0.0, 0.0), (0.5, 0.3), (2.0, 1.0), (0.05, 2.0)):
-                pairs = [(hinge_sq_mean(s, a, c, noise), hinge_sq_mean(s, a, c, noise, fine))
+                pairs = [(hinge_sq_mean(s, a, c, noise), _mixture_moments(s, a, c, fine)[2])
                          for a in (1.0, 2.5)]
                 pairs.append((e_hinge_moments(s, c, noise)[1],
-                              e_hinge_moments(s, c, noise, fine)[1]))
+                              _mixture_moments(s, 1.0, c, fine)[1]))
                 pairs += [(e_hinge_huber(s, c, k, noise), e_hinge_huber(s, c, k, noise, fine))
                           for k in (0.1, 2.0)]
                 for base, tight in pairs:
@@ -319,7 +316,7 @@ class TestFusedMixturePass:
     @pytest.mark.parametrize("d", [2.1, 3.0, 10.0])
     def test_matches_the_per_node_reference(self, d):
         noise = scale_mixture(d)
-        rule = _mixing_rule(d, DEFAULT_QUAD.abs_tol)
+        rule = _mixing_rule(d, _ABS_TOL)
         for s in (0.0, 1e-3, 1.0, 40.0):
             for c in (0.0, 1e-3, 1.0, 20.0):
                 for a in (1e-6, 1.0, 1e3):
@@ -365,12 +362,6 @@ class TestEvalCounter:
         with count_expectations() as counter:
             pass
         assert counter.n == 0
-
-
-class TestQuadratureSpec:
-    def test_invalid_specs_rejected(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=1e-6)
 
 
 class TestHingeAbs:
@@ -431,12 +422,11 @@ class TestSoftExpectation:
         assert got == pytest.approx(0.0, abs=1e-12)
 
     def test_kink_straddling_node_doubling(self):
-        base = QuadratureSpec()
-        fine = QuadratureSpec(abs_tol=1e-12)
+        fine = _mixing_rule(MIX3.dof, 1e-12)
         for noise in (MIX3, GAUSS):
-            a = soft_expectation(0.7, 0.4, 1.3, 2.0, 0.6, noise, base)
+            a = soft_expectation(0.7, 0.4, 1.3, 2.0, 0.6, noise)
             b = soft_expectation(0.7, 0.4, 1.3, 2.0, 0.6, noise, fine)
-            assert abs(a - b) < base.abs_tol
+            assert abs(a - b) < _ABS_TOL
 
     def test_huber_is_continuous_at_branch(self):
         # value at k matches both branch formulas

@@ -38,13 +38,12 @@ GAUSS = standard_gaussian()
 CFG = SolverConfig()
 
 
-def tiny_dataset(x, y, truth=None, sigma=0.0):
+def tiny_dataset(x, y, truth=None):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
     if truth is None:
         truth = np.zeros(x.shape[0])
-    return Dataset(features=x, responses=y, truth=np.asarray(truth, float),
-                   sigma=sigma, seed=None)
+    return Dataset(features=x, responses=y, truth=np.asarray(truth, float))
 
 
 class TestGenerateDataset:
@@ -98,7 +97,8 @@ class TestInputValidation:
             generate_dataset(20, 0.5, -1.0, 1.0, GAUSS, seed=0)
         with pytest.raises(ValueError, match="nonnegative"):
             generate_dataset(20, 0.5, 1.0, -1.0, GAUSS, seed=0)
-        assert generate_dataset(20, 0.5, 1.0, 0.0, GAUSS, seed=0).sigma == 0.0
+        data = generate_dataset(20, 0.5, 1.0, 0.0, GAUSS, seed=0)
+        np.testing.assert_array_equal(data.responses, data.features.T @ data.truth)
 
 
 class TestHardSvr:
@@ -430,7 +430,7 @@ def designed(x, seed, sigma=1.0):
     truth = rng.standard_normal(x.shape[0])
     truth /= np.linalg.norm(truth)
     y = x.T @ truth + sigma * rng.standard_normal(x.shape[1])
-    return tiny_dataset(x, y, truth, sigma)
+    return tiny_dataset(x, y, truth)
 
 
 class TestClosedFormStart:

@@ -20,7 +20,7 @@ from svrisk.asymptotics import (
     delta_star,
 )
 from svrisk.expectations import (
-    DEFAULT_QUAD,
+    _ABS_TOL,
     _count,
     _h1_from,
     _h2_from,
@@ -77,7 +77,7 @@ def _gauss0_hinge_abs(sd, c):
     return _h1_from(sd, c, ndtr(-z), _phi(z))
 
 
-def delta_star_golden(eps, sigma, noise=None, quad=DEFAULT_QUAD):
+def delta_star_golden(eps, sigma, noise=None):
     """Hard-margin feasibility threshold 1 / inf_t E (|G + t*sigma*N| - t*eps)_+^2.
 
     The reference for ``svrisk.delta_star``, which solves the first-order
@@ -93,7 +93,7 @@ def delta_star_golden(eps, sigma, noise=None, quad=DEFAULT_QUAD):
 
     @lru_cache(maxsize=None)
     def objective(t):
-        return hinge_sq_mean(1.0, t * sigma, t * eps, noise, quad)
+        return hinge_sq_mean(1.0, t * sigma, t * eps, noise)
 
     if eps == 0.0:
         return 1.0
@@ -181,8 +181,12 @@ def noise_cdf(model: NoiseModel, x):
     return out if out.ndim else float(out)
 
 
-def e_hinge_huber(s, c, k, noise, quad=DEFAULT_QUAD):
-    """E rho_k((|s*G + N| - c)_+) with rho_k the Huber function."""
+def e_hinge_huber(s, c, k, noise, rule=None):
+    """E rho_k((|s*G + N| - c)_+) with rho_k the Huber function.
+
+    On the scale mixture the average runs over ``rule`` (a ``_mixing_rule``;
+    by default the production one).
+    """
     s, c, k = float(s), float(c), float(k)
     if s < 0 or c < 0 or k < 0:
         raise ValueError("s, c, k must be nonnegative")
@@ -192,12 +196,13 @@ def e_hinge_huber(s, c, k, noise, quad=DEFAULT_QUAD):
         sd = math.hypot(s, 1.0)
         return 0.5 * float(_gauss0_hinge_sq(sd, c) - _gauss0_hinge_sq(sd, c + k))
     # on the mixture the s^2 + tau asymptotes of the two terms cancel
-    rule = _mixing_rule(noise.dof, quad.abs_tol)
+    if rule is None:
+        rule = _mixing_rule(noise.dof, _ABS_TOL)
     sd = np.sqrt(s * s + rule.tau)
     return 0.5 * float(rule.w @ (_gauss0_hinge_sq(sd, c) - _gauss0_hinge_sq(sd, c + k)))
 
 
-def soft_expectation(g1, g2, chi, cost, thr, noise, quad=DEFAULT_QUAD):
+def soft_expectation(g1, g2, chi, cost, thr, noise, rule=None):
     """Expectation block of the soft-margin saddle function.
 
     Equals E{ C[(h - C*g1/(2 chi)] 1{h chi > g1 C} + chi/(2 g1) h^2
@@ -211,10 +216,10 @@ def soft_expectation(g1, g2, chi, cost, thr, noise, quad=DEFAULT_QUAD):
         raise ValueError("g1 must be positive (the g1 = 0 branch is separate)")
     k = g1 * cost / chi
     s = math.hypot(g1, g2)
-    return (chi / g1) * e_hinge_huber(s, thr, k, noise, quad)
+    return (chi / g1) * e_hinge_huber(s, thr, k, noise, rule)
 
 
-def d_value(g1, g2, prob: HsvrProblem, quad=DEFAULT_QUAD):
+def d_value(g1, g2, prob: HsvrProblem):
     """Constraint function D(g1, g2); the feasible region is {D <= 0}.
 
     Jointly convex, even in g2, and D(0, g2) >= 0 for every g2.
@@ -222,11 +227,11 @@ def d_value(g1, g2, prob: HsvrProblem, quad=DEFAULT_QUAD):
     s = math.hypot(g1, g2)
     c = prob.eps / prob.sigma
     return math.sqrt(prob.delta) * math.sqrt(
-        max(e_hinge_moments(s, c, prob.noise, quad)[2], 0.0)
+        max(e_hinge_moments(s, c, prob.noise)[2], 0.0)
     ) - g1
 
 
-def dbar_value(g1, g2, chi, prob: SsvrProblem, quad=DEFAULT_QUAD):
+def dbar_value(g1, g2, chi, prob: SsvrProblem):
     """Saddle function of the soft problem at (g1 > 0, g2, chi > 0).
 
     Concave in chi for fixed (g1, g2); its sup over chi is jointly convex
@@ -239,7 +244,7 @@ def dbar_value(g1, g2, chi, prob: SsvrProblem, quad=DEFAULT_QUAD):
     sigma = prob.sigma
     thr = prob.eps / sigma
     b = prob.beta / sigma
-    expect = soft_expectation(g1, g2, chi, prob.cost, thr, prob.noise, quad)
+    expect = soft_expectation(g1, g2, chi, prob.cost, thr, prob.noise)
     return (prob.delta / sigma) * expect - g1 * chi / (2.0 * sigma) \
         + 0.5 * g1 * g1 + 0.5 * (g2 - b) ** 2
 
@@ -576,7 +581,7 @@ def lp_feasible(x, y, eps):
     return res.status == 0 and res.x[p] <= eps + 1e-9
 
 
-def sup_chi(g1, g2, prob, quad, chi_hint=1.0, log_tol=1e-6):
+def sup_chi(g1, g2, prob, chi_hint=1.0, log_tol=1e-6):
     """(chi*, sup over chi of Dbar) at fixed (g1 > 0, g2).
 
     The first-order condition in chi solved by ``svrisk.asymptotics._chi_level``
@@ -584,18 +589,18 @@ def sup_chi(g1, g2, prob, quad, chi_hint=1.0, log_tol=1e-6):
     chi* = 0 on the hard-feasible slice.  ``log_tol`` is the tolerance on
     log chi*.
     """
-    lvl = _chi_level(g1, g2, prob, quad, g1 * prob.cost / chi_hint, log_tol)
+    lvl = _chi_level(g1, g2, prob, g1 * prob.cost / chi_hint, log_tol)
     return g1 * prob.cost / lvl.k, lvl.value
 
 
-def sup_chi_golden(g1, g2, prob, quad, chi_hint=1.0, log_tol=1e-6):
+def sup_chi_golden(g1, g2, prob, chi_hint=1.0, log_tol=1e-6):
     """sup over chi of Dbar by golden search in log chi on an expanded bracket.
 
     The nested-golden reference for ``sup_chi``.
     """
 
     def f(chi):
-        return dbar_value(g1, g2, chi, prob, quad)
+        return dbar_value(g1, g2, chi, prob)
 
     lo = max(chi_hint / 64.0, 1e-9)
     hi = chi_hint * 64.0
@@ -616,7 +621,7 @@ def sup_chi_golden(g1, g2, prob, quad, chi_hint=1.0, log_tol=1e-6):
     return math.exp(lx), -val
 
 
-def ssvr_risk_golden(prob, quad=DEFAULT_QUAD, tol=1e-8):
+def ssvr_risk_golden(prob, tol=1e-8):
     """Soft-SVR risk (g1, g2, risk) by three nested golden searches.
 
     The reference for ``svrisk.ssvr_risk``: the convex g1-slice of
@@ -630,8 +635,8 @@ def ssvr_risk_golden(prob, quad=DEFAULT_QUAD, tol=1e-8):
 
     def value(g1, g2):
         if g1 <= 0.0:
-            return _dbar_g1_zero(g2, prob, quad)
-        chi, val = sup_chi_golden(g1, g2, prob, quad, chi_hint=chi_memo["chi"],
+            return _dbar_g1_zero(g2, prob)
+        chi, val = sup_chi_golden(g1, g2, prob, chi_hint=chi_memo["chi"],
                                   log_tol=sup_tol)
         chi_memo["chi"] = chi
         return val
@@ -660,7 +665,7 @@ def ssvr_risk_golden(prob, quad=DEFAULT_QUAD, tol=1e-8):
     return g1o, g2o, prob.sigma ** 2 * (g1o ** 2 + g2o ** 2), v_opt
 
 
-def g1_lower_edge_golden(prob, g2, quad):
+def g1_lower_edge_golden(prob, g2):
     """Smallest feasible g1 at fixed g2, or None if the g2-slice is infeasible.
 
     D(., g2) is convex with D(0, g2) >= 0: minimize it (expanding the
@@ -668,7 +673,7 @@ def g1_lower_edge_golden(prob, g2, quad):
     """
 
     def f(g1):
-        return d_value(g1, g2, prob, quad)
+        return d_value(g1, g2, prob)
 
     f0 = f(0.0)
     if f0 <= 0.0:
@@ -689,7 +694,7 @@ def g1_lower_edge_golden(prob, g2, quad):
     return bisect_root(f, 0.0, hi, f_lo=f0, f_hi=f_hi, tol=1e-13 * max(1.0, hi))
 
 
-def hsvr_risk_golden(prob, quad=DEFAULT_QUAD):
+def hsvr_risk_golden(prob):
     """Hard-SVR risk by a golden search over g2 around a bisected g1 edge.
 
     The reference for ``svrisk.hsvr_risk``: the smallest feasible g1 at each
@@ -698,14 +703,14 @@ def hsvr_risk_golden(prob, quad=DEFAULT_QUAD):
     exists.  Its golden search stops ~sqrt(machine eps) short of the
     optimum, 1.5-3.6e-5 relative in the risk.
     """
-    dstar = delta_star(prob.eps, prob.sigma, prob.noise, quad)
+    dstar = delta_star(prob.eps, prob.sigma, prob.noise)
     if not prob.delta < dstar:
         return AsymptoticSolution(None, None, None, None, False,
                                   diagnostics={"delta_star": dstar})
     b = prob.beta / prob.sigma
 
     def lower_edge(g2):
-        return g1_lower_edge_golden(prob, g2, quad)
+        return g1_lower_edge_golden(prob, g2)
 
     g2_hi = b
     if lower_edge(b) is None:
@@ -735,12 +740,12 @@ def hsvr_risk_golden(prob, quad=DEFAULT_QUAD):
         feasible=True,
         diagnostics={
             "delta_star": dstar,
-            "d_residual": d_value(g1_opt, g2_opt, prob, quad),
+            "d_residual": d_value(g1_opt, g2_opt, prob),
         },
     )
 
 
-def hsvr_risk_gated(prob, quad=DEFAULT_QUAD):
+def hsvr_risk_gated(prob):
     """(feasible, risk) of the hard SVR with feasibility gated by ``delta_star``.
 
     The reference for the feasibility rule of ``svrisk.hsvr_risk``: the
@@ -749,13 +754,13 @@ def hsvr_risk_gated(prob, quad=DEFAULT_QUAD):
     risk then comes from the same KKT solve as in ``hsvr_risk``, the edge
     ``_g1_edge`` inside a Brent root of the g2 fixed point.
     """
-    if not prob.delta < delta_star(prob.eps, prob.sigma, prob.noise, quad):
+    if not prob.delta < delta_star(prob.eps, prob.sigma, prob.noise):
         return False, None
     b = prob.beta / prob.sigma
     edges = {}
 
     def residual(g2):
-        edges[g2] = edge = _g1_edge(prob, g2, quad)
+        edges[g2] = edge = _g1_edge(prob, g2)
         if edge is None:
             return 1.0
         return g2 - b * (1.0 - prob.delta * edge[1])
