@@ -2,20 +2,21 @@
 
 Subcommands: delta-star, risk, tune, solve, estimate, sweep, figure.
 Values printed to stdout use 9 significant digits; tables are written as
-CSV with a '#'-prefixed metadata header (config echo, version, seed).
-Exit codes: 0 success, 1 usage/config error, 2 mathematically
-infeasible or unsupported regime.
+CSV with a '#'-prefixed metadata header (version, command, parameters).
+Exit codes: 0 success, 1 usage error, 2 mathematically infeasible or
+unsupported regime.
 
-A config file (INI sections [problem], [sweep]) may supply any value the
-subcommand reads; command-line flags override it.  Unknown sections and
-keys, and keys the subcommand would ignore, are rejected.
+An argument @FILE stands for the arguments in FILE, each line split as a
+shell would split it ('#' starts a comment); a later flag overrides an
+earlier one.  A flag the subcommand does not take, or one its estimator
+would not read, exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
+import shlex
 import sys
 
 import numpy as np
@@ -30,11 +31,11 @@ from .asymptotics import (
     tune_hsvr,
     tune_ssvr,
 )
-from .montecarlo import SweepSpec, run_sweep
+from .montecarlo import ESTIMATOR_PARAMS, ESTIMATORS, SweepSpec, run_sweep
 from .noise import NoiseModel, scale_mixture, standard_gaussian
 from .scalar_opt import golden_section_min
 from .solvers import (
-    DEFAULT_CONFIG,
+    SolverConfig,
     UnsupportedRegime,
     estimate_noise_signal,
     generate_dataset,
@@ -50,19 +51,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 
-_CONFIG_SCHEMA = {
-    "problem": {"delta", "sigma", "beta", "eps", "cost", "noise", "dof"},
-    "sweep": {"grid", "p", "trials", "base_seed"},
-}
-# the config keys each subcommand reads; a config naming any other exits 1
-_CONFIG_READS = {
-    "delta-star": {"problem": {"eps", "sigma", "noise", "dof"}},
-    "risk": {"problem": _CONFIG_SCHEMA["problem"]},
-    "tune": {"problem": {"delta", "sigma", "beta", "noise", "dof"}},
-    "solve": {"problem": _CONFIG_SCHEMA["problem"]},
-    "sweep": _CONFIG_SCHEMA,
-    "figure": {"sweep": {"p", "trials", "base_seed"}},
-}
+# the estimator-specific flags each estimator reads: risk, solve and sweep
+# reject the others, so a '# command' line records no flag that changed nothing
+_ESTIMATOR_FLAGS = {**ESTIMATOR_PARAMS, "ridge": ("lam",)}
 
 
 class CliError(Exception):
@@ -75,6 +66,9 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    def convert_arg_line_to_args(self, arg_line):  # a line of an @FILE
+        return shlex.split(arg_line, comments=True)
+
 
 def fmt(x) -> str:
     """9 significant digits; blank for missing values."""
@@ -83,52 +77,26 @@ def fmt(x) -> str:
     return f"{float(x):.9g}"
 
 
-def load_config(path, command) -> dict:
-    """Read an INI config, validating sections and keys against the schema
-    and against what ``command`` reads (a value it would ignore exits 1)."""
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise CliError(f"config file not found: {path}")
-    reads = _CONFIG_READS[command]
-    out = {}
-    for section in cp.sections():
-        if section not in _CONFIG_SCHEMA:
-            raise CliError(f"unknown config section [{section}]")
-        for key, value in cp.items(section):
-            if key not in _CONFIG_SCHEMA[section]:
-                raise CliError(f"unknown config key {key!r} in [{section}]")
-            if section not in reads:
-                raise CliError(f"svrisk {command} reads no config section [{section}]")
-            if key not in reads[section]:
-                raise CliError(f"svrisk {command} reads no config key {key!r} in [{section}]")
-            out[key] = value
-    return out
-
-
-def _noise_from(args, cfg) -> NoiseModel:
-    kind = getattr(args, "noise", None) or cfg.get("noise", "gaussian")
-    dof = getattr(args, "dof", None)
-    if dof is None and "dof" in cfg:
-        dof = float(cfg["dof"])
-    if kind in ("gaussian", "standard_gaussian"):
+def _noise_from(args) -> NoiseModel:
+    if args.noise == "gaussian":
+        if args.dof is not None:
+            raise CliError("--dof applies only to --noise mixture")
         return standard_gaussian()
-    if kind in ("mixture", "scale_mixture"):
-        if dof is None:
-            raise CliError("scale_mixture noise requires --dof")
-        return scale_mixture(dof)
-    raise CliError(f"unknown noise kind {kind!r}")
+    if args.dof is None:
+        raise CliError("--noise mixture requires --dof")
+    return scale_mixture(args.dof)
 
 
-def _param(args, cfg, name, cast=float, default=None, required=True):
-    val = getattr(args, name, None)
-    if val is None and name in cfg:
-        val = cast(cfg[name])
-    if val is None:
-        val = default
-    if val is None and required:
-        raise CliError(f"missing required parameter --{name.replace('_', '-')}")
-    return val
+def _check_estimator_flags(args, swept=None):
+    """Exit 1 on an estimator-specific flag args.estimator does not read,
+    and on a missing one it needs (without --lam, ridge takes the oracle λ)."""
+    reads = _ESTIMATOR_FLAGS[args.estimator]
+    for name in ("eps", "cost", "lam"):
+        given = getattr(args, name, None) is not None
+        if given and name not in reads:
+            raise CliError(f"svrisk {args.command} {args.estimator} reads no --{name}")
+        if not given and name in reads and name not in ("lam", swept):
+            raise CliError(f"missing required parameter --{name}")
 
 
 def write_csv(path, header_meta, columns, rows):
@@ -154,26 +122,20 @@ def write_csv(path, header_meta, columns, rows):
 # Subcommand handlers.
 # ---------------------------------------------------------------------------
 
-def cmd_delta_star(args, cfg):
-    noise = _noise_from(args, cfg)
-    eps = _param(args, cfg, "eps")
-    sigma = _param(args, cfg, "sigma", default=1.0)
-    value = delta_star(eps, sigma, noise)
+def cmd_delta_star(args):
+    value = delta_star(args.eps, args.sigma, _noise_from(args))
     print(fmt(value) if np.isfinite(value) else "inf")
     return EXIT_OK
 
 
-def cmd_risk(args, cfg):
-    noise = _noise_from(args, cfg)
-    delta = _param(args, cfg, "delta")
-    sigma = _param(args, cfg, "sigma", default=1.0)
-    beta = _param(args, cfg, "beta", default=1.0)
-    eps = _param(args, cfg, "eps")
+def cmd_risk(args):
+    _check_estimator_flags(args)
+    noise = _noise_from(args)
     if args.estimator == "hsvr":
-        sol = hsvr_risk(HsvrProblem(delta, sigma, beta, eps, noise))
+        sol = hsvr_risk(HsvrProblem(args.delta, args.sigma, args.beta, args.eps, noise))
     else:
-        cost = _param(args, cfg, "cost")
-        sol = ssvr_risk(SsvrProblem(delta, sigma, beta, eps, noise, cost=cost))
+        sol = ssvr_risk(SsvrProblem(args.delta, args.sigma, args.beta, args.eps, noise,
+                                    cost=args.cost))
     if not sol.feasible:
         print("infeasible")
         return EXIT_INFEASIBLE
@@ -187,33 +149,28 @@ def cmd_risk(args, cfg):
     return EXIT_OK
 
 
-def cmd_tune(args, cfg):
-    noise = _noise_from(args, cfg)
-    delta = _param(args, cfg, "delta")
-    sigma = _param(args, cfg, "sigma", default=1.0)
-    beta = _param(args, cfg, "beta", default=1.0)
+def cmd_tune(args):
+    noise = _noise_from(args)
     if args.estimator == "hsvr":
-        eps_opt, risk_opt = tune_hsvr(delta, sigma, beta, noise)
+        eps_opt, risk_opt = tune_hsvr(args.delta, args.sigma, args.beta, noise)
         print(f"eps_opt {fmt(eps_opt)}")
     else:
-        eps_opt, cost_opt, risk_opt = tune_ssvr(delta, sigma, beta, noise)
+        eps_opt, cost_opt, risk_opt = tune_ssvr(args.delta, args.sigma, args.beta, noise)
         print(f"eps_opt {fmt(eps_opt)}")
         print(f"cost_opt {fmt(cost_opt)}")
     print(f"risk_opt {fmt(risk_opt)}")
     return EXIT_OK
 
 
-def cmd_solve(args, cfg):
-    noise = _noise_from(args, cfg)
-    delta = _param(args, cfg, "delta")
-    sigma = _param(args, cfg, "sigma", default=1.0)
-    beta = _param(args, cfg, "beta", default=1.0)
-    data = generate_dataset(args.p, delta, beta, sigma, noise, seed=args.seed)
+def cmd_solve(args):
+    _check_estimator_flags(args)
+    data = generate_dataset(args.p, args.delta, args.beta, args.sigma, _noise_from(args),
+                            seed=args.seed)
     if args.estimator == "hsvr":
-        fit = solve_hard_svr(data, _param(args, cfg, "eps"))
+        fit = solve_hard_svr(data, args.eps)
         weights, status = fit.weights, fit.status
     elif args.estimator == "ssvr":
-        fit = solve_soft_svr(data, _param(args, cfg, "eps"), _param(args, cfg, "cost"))
+        fit = solve_soft_svr(data, args.eps, args.cost)
         weights, status = fit.weights, fit.status
     else:
         if args.lam is not None:
@@ -231,7 +188,7 @@ def cmd_solve(args, cfg):
     return EXIT_OK
 
 
-def cmd_estimate(args, cfg):
+def cmd_estimate(args):
     try:
         with open(args.file, encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
@@ -262,35 +219,26 @@ def cmd_estimate(args, cfg):
 
 def _parse_grid(text):
     try:
-        return tuple(float(v) for v in text.replace(",", " ").split())
+        grid = tuple(float(v) for v in text.replace(",", " ").split())
     except ValueError:
+        grid = ()
+    if not grid:
         raise CliError(f"bad grid: {text!r}")
+    return grid
 
 
-def cmd_sweep(args, cfg):
-    noise = _noise_from(args, cfg)
-    grid = _parse_grid(args.grid if args.grid else cfg.get("grid", ""))
-    fixed = {}
-    for name in ("delta", "sigma", "beta", "eps", "cost"):
-        val = _param(args, cfg, name, required=False)
-        if val is not None:
-            fixed[name] = val
-    fixed.setdefault("sigma", 1.0)
-    fixed.setdefault("beta", 1.0)
-    try:
-        spec = SweepSpec(
-            estimator=args.estimator,
-            swept=args.swept,
-            grid=grid,
-            fixed=fixed,
-            p=int(_param(args, cfg, "p", cast=int, default=200)),
-            trials=int(_param(args, cfg, "trials", cast=int, default=20)),
-            base_seed=int(_param(args, cfg, "base_seed", cast=int, default=0)),
-            theory=not args.no_theory,
-            noise=noise,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
+def cmd_sweep(args):
+    if args.swept not in ("delta",) + _ESTIMATOR_FLAGS[args.estimator]:
+        raise CliError(f"svrisk sweep {args.estimator} reads no {args.swept}")
+    if getattr(args, args.swept) is not None:
+        raise CliError(f"--{args.swept} is swept; --grid gives its values")
+    _check_estimator_flags(args, swept=args.swept)
+    fixed = {name: getattr(args, name) for name in ("delta", "sigma", "beta", "eps", "cost")
+             if getattr(args, name) is not None}
+    spec = SweepSpec(estimator=args.estimator, swept=args.swept,
+                     grid=_parse_grid(args.grid), fixed=fixed, p=args.p,
+                     trials=args.trials, base_seed=args.base_seed,
+                     theory=not args.no_theory, noise=_noise_from(args))
     rows = run_sweep(spec)
     columns = ["swept_value", "theory_risk", "theory_cosine", "mean_risk",
                "stderr_risk", "mean_cosine", "feasibility_rate", "trials_used"]
@@ -332,14 +280,12 @@ def _fit_meta(rows, tol):
     return lines
 
 
-def cmd_figure(args, cfg):
+def cmd_figure(args):
     fid = args.id
     if fid not in FIGURE_IDS:
         raise CliError(f"unknown figure id {fid!r}; choose from {', '.join(FIGURE_IDS)}")
-    p = int(_param(args, cfg, "p", cast=int, default=200))
-    trials = int(_param(args, cfg, "trials", cast=int, default=20))
-    seed = int(_param(args, cfg, "base_seed", cast=int, default=0))
-    grid = _parse_grid(args.grid) if args.grid else None
+    p, trials, seed = args.p, args.trials, args.base_seed
+    grid = _parse_grid(args.grid) if args.grid is not None else None
     out = args.output or f"fig{fid}.csv"
     meta = _meta(args, {"figure": fid, "p": p, "trials": trials, "base_seed": seed})
     g = standard_gaussian()
@@ -355,7 +301,7 @@ def cmd_figure(args, cfg):
         return emp_rows[-1]
 
     def write(cols, rows):
-        write_csv(out, meta + _fit_meta(emp_rows, DEFAULT_CONFIG.tol), cols, rows)
+        write_csv(out, meta + _fit_meta(emp_rows, SolverConfig().tol), cols, rows)
 
     if fid == "1":
         eps_grid = grid or tuple(np.round(np.arange(0.05, 1.51, 0.05), 10))
@@ -486,52 +432,54 @@ def cmd_figure(args, cfg):
 # Parser wiring.
 # ---------------------------------------------------------------------------
 
-def _add_config(sp):
-    sp.add_argument("--config", help="INI config file; flags override it")
-
-
 def _add_noise(sp):
-    sp.add_argument("--noise", choices=["gaussian", "mixture"], default=None)
+    sp.add_argument("--noise", choices=["gaussian", "mixture"], default="gaussian")
     sp.add_argument("--dof", type=float, default=None)
-    sp.add_argument("--sigma", type=float, default=None)
+    sp.add_argument("--sigma", type=float, default=1.0)
 
 
 def _add_common(sp):
-    _add_config(sp)
     _add_noise(sp)
-    sp.add_argument("--beta", type=float, default=None)
+    sp.add_argument("--beta", type=float, default=1.0)
+
+
+def _add_table(sp):
+    sp.add_argument("--p", type=int, default=200)
+    sp.add_argument("--trials", type=int, default=20)
+    sp.add_argument("--base-seed", dest="base_seed", type=int, default=0)
+    sp.add_argument("--output", "-o", default=None)
 
 
 def build_parser():
-    parser = _Parser(prog="svrisk",
-                     description="High-dimensional SVR risk asymptotics and simulation")
+    parser = _Parser(prog="svrisk", fromfile_prefix_chars="@",
+                     description="High-dimensional SVR risk asymptotics and simulation; "
+                                 "@FILE reads further arguments from FILE")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("delta-star", help="hard-tube feasibility threshold")
-    _add_config(sp)
     _add_noise(sp)
-    sp.add_argument("--eps", type=float, default=None)
+    sp.add_argument("--eps", type=float, required=True)
     sp.set_defaults(handler=cmd_delta_star)
 
     sp = sub.add_parser("risk", help="limiting risk of hsvr or ssvr")
     sp.add_argument("estimator", choices=["hsvr", "ssvr"])
     _add_common(sp)
-    sp.add_argument("--delta", type=float, default=None)
-    sp.add_argument("--eps", type=float, default=None)
+    sp.add_argument("--delta", type=float, required=True)
+    sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--cost", type=float, default=None)
     sp.set_defaults(handler=cmd_risk)
 
     sp = sub.add_parser("tune", help="optimal hyperparameters and risk")
     sp.add_argument("estimator", choices=["hsvr", "ssvr"])
     _add_common(sp)
-    sp.add_argument("--delta", type=float, default=None)
+    sp.add_argument("--delta", type=float, required=True)
     sp.set_defaults(handler=cmd_tune)
 
     sp = sub.add_parser("solve", help="solve one synthetic finite-sample instance")
     sp.add_argument("estimator", choices=["hsvr", "ssvr", "ridge"])
     _add_common(sp)
-    sp.add_argument("--delta", type=float, default=None)
+    sp.add_argument("--delta", type=float, required=True)
     sp.add_argument("--eps", type=float, default=None)
     sp.add_argument("--cost", type=float, default=None)
     sp.add_argument("--lam", type=float, default=None)
@@ -544,41 +492,32 @@ def build_parser():
     sp.set_defaults(handler=cmd_estimate)
 
     sp = sub.add_parser("sweep", help="theory + Monte Carlo sweep to CSV")
-    sp.add_argument("estimator", choices=["hsvr", "ssvr", "ridge_oracle", "null"])
+    sp.add_argument("estimator", choices=ESTIMATORS)
     _add_common(sp)
     sp.add_argument("--swept", choices=["delta", "eps", "cost"], required=True)
-    sp.add_argument("--grid", help="whitespace/comma separated values")
     sp.add_argument("--delta", type=float, default=None)
     sp.add_argument("--eps", type=float, default=None)
     sp.add_argument("--cost", type=float, default=None)
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--base-seed", dest="base_seed", type=int, default=None)
+    sp.add_argument("--grid", required=True, help="whitespace/comma separated values")
     sp.add_argument("--no-theory", action="store_true")
-    sp.add_argument("--output", "-o", default=None)
+    _add_table(sp)
     sp.set_defaults(handler=cmd_sweep)
 
     sp = sub.add_parser("figure", help="reproduce a preset table")
     sp.add_argument("id", help=f"one of {', '.join(FIGURE_IDS)}")
-    _add_config(sp)
     sp.add_argument("--grid", help="override the preset grid")
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--base-seed", dest="base_seed", type=int, default=None)
-    sp.add_argument("--output", "-o", default=None)
+    _add_table(sp)
     sp.set_defaults(handler=cmd_figure)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
-    args.argv = argv  # the command line that CSV metadata records
+    args = build_parser().parse_args(argv)
+    args.argv = argv  # the command line CSV metadata records, @FILE as given
     try:
-        cfg = load_config(args.config, args.command) if getattr(args, "config", None) else {}
-        return args.handler(args, cfg)
+        return args.handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -29,7 +29,10 @@ from .solvers import (
     solve_soft_svr,
 )
 
-ESTIMATORS = ("hsvr", "ssvr", "ridge_oracle", "null")
+# the parameters each estimator reads besides delta, sigma and beta
+ESTIMATOR_PARAMS = {"hsvr": ("eps",), "ssvr": ("eps", "cost"),
+                    "ridge_oracle": (), "null": ()}
+ESTIMATORS = tuple(ESTIMATOR_PARAMS)
 SWEEPABLE = ("delta", "eps", "cost")
 
 
@@ -37,8 +40,9 @@ SWEEPABLE = ("delta", "eps", "cost")
 class SweepSpec:
     """One-parameter sweep description.
 
-    fixed supplies the non-swept problem parameters: delta, sigma, beta,
-    eps, cost as needed by the estimator.  theory=True also evaluates the
+    fixed supplies the non-swept problem parameters: delta, sigma, beta
+    and the estimator's ``ESTIMATOR_PARAMS``; a missing one raises
+    ValueError, extra keys are ignored.  theory=True also evaluates the
     scalar limit at every grid point (hsvr/ssvr/null only).
     """
 
@@ -66,6 +70,10 @@ class SweepSpec:
         object.__setattr__(self, "grid", grid)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        for name in ("delta", "sigma", "beta") + ESTIMATOR_PARAMS[self.estimator]:
+            if name != self.swept and name not in self.fixed:
+                raise ValueError(f"{self.estimator} sweep over {self.swept} needs "
+                                 f"fixed[{name!r}]")
 
     def params_at(self, value):
         params = dict(self.fixed)

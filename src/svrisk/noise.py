@@ -34,7 +34,8 @@ class NoiseModel:
 
     kind: "standard_gaussian" or "scale_mixture".
     dof:  degrees of freedom d for the scale mixture; must exceed 2 so the
-          variance d/(d-2) is finite.  Ignored for the Gaussian.
+          variance d/(d-2) is finite.  None for the Gaussian, which
+          takes no dof.
     """
 
     kind: str
@@ -49,6 +50,8 @@ class NoiseModel:
                     "scale_mixture requires dof > 2 (finite second moment), "
                     f"got {self.dof!r}"
                 )
+        elif self.dof is not None:
+            raise InvalidNoiseModel(f"standard_gaussian takes no dof, got {self.dof!r}")
 
     @property
     def is_gaussian(self) -> bool:

@@ -1,4 +1,4 @@
-"""CLI behavior: wrapper purity, exit codes, CSV schema, config validation."""
+"""CLI behavior: wrapper purity, exit codes, CSV schema, argument files."""
 
 import csv
 import io
@@ -193,8 +193,7 @@ class TestEstimateCommand:
 
 class TestSweepCommand:
     ARGS = ("sweep", "null", "--swept", "delta", "--grid", "0.5 1.0",
-            "--sigma", "1", "--beta", "1", "--eps", "0.5",
-            "--p", "10", "--trials", "2")
+            "--sigma", "1", "--beta", "1", "--p", "10", "--trials", "2")
 
     def test_csv_schema_and_roundtrip(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"
@@ -284,24 +283,22 @@ class TestFigureCommand:
         assert "unrecognized arguments" in err
 
     def test_config_problem_section_rejected(self, capsys, tmp_path):
-        # the presets fix their noise and parameters, so a config's
-        # [problem] section, or a [sweep] grid, would be ignored
-        cfg = tmp_path / "fig.ini"
+        # the presets fix their noise and parameters, so an argument file
+        # naming one exits 1; one naming a table flag is read
+        args = tmp_path / "fig.args"
         argv = ("figure", "2", "--grid", "0.5", "--p", "20", "--trials", "1",
-                "--config", str(cfg), "--output", "-")
-        cfg.write_text("[problem]\nnoise = mixture\ndof = 3\nsigma = 7\nbeta = 9\n")
+                f"@{args}", "--output", "-")
+        args.write_text("--noise mixture --dof 3\n--sigma 7 --beta 9\n")
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert "reads no config section [problem]" in err
-        cfg.write_text("[sweep]\ngrid = 0.3 0.6\n")
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 1
-        assert "reads no config key 'grid' in [sweep]" in err
-        cfg.write_text("[sweep]\nbase_seed = 3\n")
+        assert "unrecognized arguments: --noise mixture --dof 3 --sigma 7 --beta 9" in err
+        args.write_text('--grid "0.3 0.6"  # after the flag, so it wins\n--base-seed 3\n')
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert "base_seed=3" in out
+        rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
+        assert [float(r.split(",")[0]) for r in rows] == [0.3, 0.6]
 
     def test_command_line_recorded_from_parsed_argv(self, capsys):
         # main([...]) called in-process records its own argv, not the
@@ -323,68 +320,139 @@ class TestFigureCommand:
 
 
 class TestConfigFile:
+    """An argument file (@FILE) supplies flags, split as a shell splits."""
+
     def test_flags_override_config(self, capsys, tmp_path):
-        cfg = tmp_path / "run.ini"
-        cfg.write_text("[problem]\neps = 0.5\nsigma = 1.0\n")
-        code, out, _ = run_cli(capsys, "delta-star", "--config", str(cfg))
+        args = tmp_path / "run.args"
+        args.write_text("# delta-star at eps = 0.5\n--eps 0.5\n\n--sigma 1.0\n")
+        code, out, _ = run_cli(capsys, "delta-star", f"@{args}")
         assert code == 0
         want = delta_star(0.5, 1.0, standard_gaussian())
         assert float(out.strip()) == pytest.approx(want, rel=1e-8)
-        code, out, _ = run_cli(capsys, "delta-star", "--config", str(cfg),
-                               "--eps", "0")
+        code, out, _ = run_cli(capsys, "delta-star", f"@{args}", "--eps", "0")
         assert float(out.strip()) == pytest.approx(1.0, abs=1e-6)
+        # a flag before the file is overridden by it
+        code, out, _ = run_cli(capsys, "delta-star", "--eps", "0", f"@{args}")
+        assert float(out.strip()) == pytest.approx(want, rel=1e-8)
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
-        cfg = tmp_path / "run.ini"
-        # the sweep's estimator, swept variable and theory switch are
-        # flags only
-        for text in ("[problem]\nepsilon = 0.5\n",
-                     "[sweep]\nestimator = hsvr\n",
-                     "[sweep]\nswept = delta\n",
-                     "[sweep]\ntheory = false\n"):
-            cfg.write_text(text)
-            code, _, err = run_cli(capsys, "delta-star", "--config", str(cfg),
-                                   "--eps", "1")
-            assert code == 1
-            assert "unknown config key" in err
-        cfg.write_text("[output]\npath = wanted.csv\n")
-        code, _, err = run_cli(capsys, "delta-star", "--config", str(cfg), "--eps", "1")
-        assert code == 1
-        assert "unknown config section [output]" in err
+        args = tmp_path / "run.args"
+        # the sweep's estimator and swept variable are positional or
+        # required flags; there is no theory or output-path setting to
+        # name, and an INI file is not an argument file
+        for text, bad in (("--epsilon 0.5", "--epsilon 0.5"),
+                          ("--estimator hsvr", "--estimator hsvr"),
+                          ("--theory false", "--theory false"),
+                          ("--path wanted.csv", "--path wanted.csv"),
+                          ("[problem]\neps = 0.5\n", "[problem] eps = 0.5")):
+            args.write_text(text)
+            code, out, err = run_cli(capsys, "delta-star", "--eps", "1", f"@{args}")
+            assert code == 1, text
+            assert out == ""
+            assert f"unrecognized arguments: {bad}" in err
 
     def test_quadrature_section_rejected(self, capsys, tmp_path):
-        # the mixture rule's accuracy is fixed, so no subcommand reads one
-        cfg = tmp_path / "run.ini"
-        cfg.write_text("[quadrature]\nabs_tol = 1e-12\n")
+        # the mixture rule's accuracy is fixed, so no subcommand takes one
+        args = tmp_path / "run.args"
+        args.write_text("--abs-tol 1e-12\n")
         for command in (("delta-star", "--eps", "0.8", "--noise", "mixture", "--dof", "3"),
                         ("risk", "hsvr", "--delta", "0.5", "--eps", "1"),
                         ("tune", "hsvr", "--delta", "0.5"),
                         ("sweep", "null", "--swept", "delta", "--grid", "0.5",
                          "--p", "10", "--trials", "1", "--output", "-"),
                         ("figure", "1", "--grid", "0.5", "--output", "-")):
-            code, out, err = run_cli(capsys, *command, "--config", str(cfg))
+            code, out, err = run_cli(capsys, *command, f"@{args}")
             assert code == 1
             assert out == ""
-            assert "unknown config section [quadrature]" in err
+            assert "unrecognized arguments: --abs-tol 1e-12" in err
 
     def test_keys_a_subcommand_ignores_rejected(self, capsys, tmp_path):
-        cfg = tmp_path / "run.ini"
-        for command, text in ((("tune", "hsvr", "--delta", "2"), "[problem]\neps = 0.5\n"),
-                              (("delta-star", "--eps", "1"), "[problem]\ndelta = 2\n"),
-                              (("risk", "hsvr", "--delta", "0.5", "--eps", "1"),
-                               "[sweep]\ntrials = 3\n"),
-                              (("solve", "hsvr", "--delta", "0.5", "--eps", "1",
-                                "--p", "10"), "[sweep]\np = 20\n")):
-            cfg.write_text(text)
-            code, out, err = run_cli(capsys, *command, "--config", str(cfg))
-            assert code == 1
+        args = tmp_path / "run.args"
+        for command, text, message in (
+                (("tune", "hsvr", "--delta", "2"), "--eps 0.5",
+                 "unrecognized arguments: --eps 0.5"),
+                (("delta-star", "--eps", "1"), "--delta 2",
+                 "unrecognized arguments: --delta 2"),
+                (("risk", "hsvr", "--delta", "0.5", "--eps", "1"), "--trials 3",
+                 "unrecognized arguments: --trials 3"),
+                (("solve", "hsvr", "--delta", "0.5", "--eps", "1", "--p", "10"),
+                 "--base-seed 20", "unrecognized arguments: --base-seed 20"),
+                (("risk", "hsvr", "--delta", "0.5", "--eps", "1"), "--cost 7",
+                 "svrisk risk hsvr reads no --cost")):
+            args.write_text(text)
+            code, out, err = run_cli(capsys, *command, f"@{args}")
+            assert code == 1, command
             assert out == ""
-            assert f"svrisk {command[0]} reads no config" in err
+            assert message in err
 
-    def test_missing_config_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "delta-star", "--eps", "1",
-                               "--config", "/nonexistent.ini")
+    def test_missing_config_rejected(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "delta-star", "--eps", "1",
+                                 f"@{tmp_path / 'missing.args'}")
         assert code == 1
+        assert out == ""
+        assert "missing.args" in err
+
+
+class TestIgnoredFlagsRejected:
+    """A flag that would change nothing exits 1 instead of reaching a
+    '# command' line."""
+
+    SWEEP = ("sweep", "hsvr", "--swept", "delta", "--grid", "0.5", "--p", "20",
+             "--trials", "1", "--output", "-")
+
+    def test_dof_without_mixture(self, capsys):
+        for argv in (("delta-star", "--eps", "1", "--dof", "3"),
+                     ("tune", "hsvr", "--delta", "2", "--dof", "3"),
+                     (*self.SWEEP, "--eps", "1", "--dof", "3")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1, argv
+            assert out == ""
+            assert "--dof applies only to --noise mixture" in err
+
+    def test_flags_the_estimator_does_not_read(self, capsys):
+        for argv, flag in ((("risk", "hsvr", "--delta", "1", "--eps", "1",
+                             "--cost", "7"), "--cost"),
+                           (("solve", "hsvr", "--delta", "0.5", "--eps", "1",
+                             "--lam", "3", "--p", "10"), "--lam"),
+                           (("solve", "ridge", "--delta", "2", "--eps", "1",
+                             "--p", "10"), "--eps"),
+                           (("solve", "ridge", "--delta", "2", "--cost", "5",
+                             "--p", "10"), "--cost"),
+                           ((*self.SWEEP, "--eps", "1", "--cost", "9"), "--cost"),
+                           (("sweep", "null", "--swept", "delta", "--grid", "0.5",
+                             "--eps", "1", "--output", "-"), "--eps")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1, argv
+            assert out == ""
+            assert f"reads no {flag}" in err
+
+    def test_swept_parameter_not_a_flag(self, capsys):
+        code, out, err = run_cli(capsys, *self.SWEEP, "--eps", "1", "--delta", "3")
+        assert code == 1
+        assert out == ""
+        assert "--delta is swept" in err
+        code, out, err = run_cli(capsys, "sweep", "hsvr", "--swept", "cost",
+                                 "--grid", "1 2", "--delta", "1", "--eps", "1",
+                                 "--output", "-")
+        assert code == 1
+        assert out == ""
+        assert "svrisk sweep hsvr reads no cost" in err
+
+    def test_incomplete_sweep_exit_1(self, capsys):
+        for argv, missing in ((self.SWEEP, "eps"),
+                              (("sweep", "ssvr", *self.SWEEP[2:], "--eps", "1"), "cost"),
+                              (("sweep", "hsvr", "--swept", "eps", "--grid", "0.5",
+                                "--output", "-"), "delta")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1, argv
+            assert out == ""
+            assert missing in err
+
+    def test_empty_figure_grid(self, capsys):
+        code, out, err = run_cli(capsys, "figure", "1", "--grid", "", "--output", "-")
+        assert code == 1
+        assert out == ""
+        assert "bad grid" in err
 
 
 class TestFormatting:

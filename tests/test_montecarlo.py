@@ -39,6 +39,21 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             small_spec(grid=())
 
+    def test_incomplete_fixed(self):
+        for over, missing in (
+                (dict(estimator="hsvr", fixed={"sigma": 1.0, "beta": 1.0}), "eps"),
+                (dict(estimator="ssvr"), "cost"),
+                (dict(fixed={"sigma": 1.0, "eps": 0.5}), "beta"),
+                (dict(swept="eps", fixed={"sigma": 1.0, "beta": 1.0}), "delta")):
+            with pytest.raises(ValueError, match=f"fixed\\['{missing}'\\]"):
+                small_spec(**over)
+        # fixed may hold the swept key, and needs none the estimator does
+        # not read
+        small_spec(estimator="ssvr", swept="cost",
+                   fixed={"delta": 1.0, "sigma": 1.0, "beta": 1.0, "eps": 0.5,
+                          "cost": 9.0})
+        small_spec(estimator="ridge_oracle", fixed={"sigma": 1.0, "beta": 1.0})
+
     def test_non_increasing_grid(self):
         with pytest.raises(ValueError):
             small_spec(grid=(1.0, 1.0))

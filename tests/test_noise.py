@@ -27,6 +27,10 @@ class TestModelValidation:
         with pytest.raises(InvalidNoiseModel):
             NoiseModel("laplace")
 
+    def test_gaussian_takes_no_dof(self):
+        with pytest.raises(InvalidNoiseModel, match="takes no dof"):
+            NoiseModel("standard_gaussian", dof=5.0)
+
     def test_valid_models(self):
         assert standard_gaussian().is_gaussian
         assert scale_mixture(3.0).dof == 3.0
