@@ -8,8 +8,10 @@ norm beta and tube half-width eps:
 - the hard-SVR limiting risk: minimize (g2 - beta/sigma)^2/2 + g1^2/2
   subject to D(g1, g2) <= 0 where
   D(g1, g2) = sqrt(delta) * sqrt(E (|sqrt(g1^2+g2^2) G + N| - eps/sigma)_+^2) - g1,
-  solved from its KKT conditions: a Newton lower edge D(g1, g2) = 0 in g1
-  inside one bracketed root of the fixed point in g2;
+  solved from its two KKT conditions, the lower edge D = 0 and the fixed
+  point in g2, by one safeguarded Newton iteration on (g1, g2), started
+  from the edge of the g2 = 0 slice, whose Newton search from g1 = 0
+  also decides feasibility;
 - the soft-SVR limiting risk: min over (g1, g2) of sup over chi > 0 of
   the saddle function Dbar (concave in chi, convex in (g1, g2)), solved
   from its first-order conditions, one bracketed root per variable;
@@ -40,7 +42,9 @@ _E_ABS_G = math.sqrt(2.0 / math.pi)  # E|G|, G standard normal
 _DSTAR_XTOL = 1e-11  # delta_star's t root tolerance, times max(1, bracket end)
 _EDGE_RTOL = 1e-15  # relative step at which the g1-edge Newton stops
 _EDGE_MAX_ITER = 200  # Newton from g1 = 0 halves its error at worst
-_HSVR_XTOL = 1e-12  # g2 root tolerance of hsvr_risk, times max(1, beta/sigma)
+_HSVR_RTOL = 1e-14  # relative (g1, g2) step at which hsvr_risk's Newton solve stops
+_HSVR_NOISE_STEP = 1e-9  # a rejected step this small (relative) is rounding noise
+_HSVR_MAX_ITER = 100  # Newton steps of hsvr_risk; a step costs one call or more
 _LOG_K_CAP = 300.0  # keeps (c + k)^2 finite in the hinge moments
 _TUNE_EPS_CAP = 400.0  # tune_hsvr's largest eps, times sigma
 _TUNE_SSVR_ROUNDS = 2  # coordinate refinement rounds of tune_ssvr
@@ -199,7 +203,9 @@ def _g1_edge(prob, g2):
     decreasing function and cannot overshoot it; a point with D > 0 and
     dD/dg1 >= 0 certifies D > 0 on the whole slice.  The iteration stops
     when D <= 0 or the step falls below _EDGE_RTOL * g1; P is that of the
-    last point evaluated.
+    last point evaluated.  ``hsvr_risk`` calls it on the g2 = 0 slice
+    only: as its feasibility certificate, and for the edge its Newton
+    solve starts from.
     """
     delta, noise = prob.delta, prob.noise
     c = prob.eps / prob.sigma
@@ -224,26 +230,45 @@ def hsvr_risk(prob: HsvrProblem):
     """Limiting hard-SVR prediction risk and cosine similarity.
 
     Feasible only for delta < delta_star(eps, sigma).  Minimizes
-    g1^2/2 + (g2 - beta/sigma)^2/2 subject to D(g1, g2) <= 0 from its KKT
-    conditions.  The constraint is active at the optimum, and the objective
-    increases in g1, so g1 is the lower edge of the g2-slice,
-    delta H2(c) = g1^2 (``_g1_edge``, Newton from g1 = 0).  The objective
-    along that edge, W(g2), is convex with
-    dW/dg2 = g2 / (1 - delta P) - beta/sigma, P = P(|V| > c), whose root is
-    the fixed point g2 = (beta/sigma)(1 - delta P), solved by ``brent_root``
-    on [0, beta/sigma] with an infeasible slice scoring +1.  The bracket holds:
-    D is even in g2 and jointly convex, so the g2 = 0 slice is feasible
-    whenever any slice is; at a lower edge delta P <= 1, so the residual is
-    <= 0 at g2 = 0; and at the end of the feasible g2 range delta P = 1, so
-    it is g2 > 0 there.  The g2 = 0 slice also decides feasibility, without
-    a call to ``delta_star``: with t = 1/g1, D(g1, 0) <= 0 reads
-    delta E (|G + t N| - t c)_+^2 <= 1, so the slice has a feasible point
-    exactly when delta <= delta_star.  At eps = 0 its edge lies at g1 = inf
-    when delta = 1, so there the closed form delta_star = 1 decides.
-    Diagnostics: ``expect_evals`` (expectation evaluations); when feasible,
-    also ``d_residual`` = D(g1*, g2*) (|d_residual| <= 1e-7) and
-    ``stationarity`` = |g2 sigma/beta - (1 - delta P)|, the fixed-point
-    residual.
+    g1^2/2 + (g2 - beta/sigma)^2/2 subject to D(g1, g2) <= 0, with
+    D = sqrt(delta H2) - g1, H2 = E (|V| - c)_+^2, V = sG + N,
+    s = hypot(g1, g2) and c = eps/sigma.  The constraint is active at the
+    optimum and the objective increases in g1, so the optimum lies on the
+    lower edge of its g2-slice.  With P = P(|V| > c), its KKT conditions
+    are D = 0 (delta H2 = g1^2) and F2 = g2 - (beta/sigma)(1 - delta P) = 0.
+
+    Feasibility is decided by the g2 = 0 slice alone (``_g1_edge``,
+    Newton from g1 = 0, which certifies an empty slice), without a call
+    to ``delta_star``: D is even in g2 and jointly convex, so that slice
+    is feasible whenever any slice is, and with t = 1/g1, D(g1, 0) <= 0
+    reads delta E (|G + t N| - t c)_+^2 <= 1, so it has a feasible point
+    exactly when delta <= delta_star.  At eps = 0 its edge lies at
+    g1 = inf when delta = 1, so there the closed form delta_star = 1
+    decides.
+
+    Both conditions are then solved together by Newton's method on
+    (g1, g2), from the edge of the g2 = 0 slice.  Stein's lemma
+    (dH2/ds = 2 s P) gives dD/dg = delta P g / sqrt(delta H2) - (1, 0),
+    and dF2/dg = (beta/sigma) delta (dP/ds) g / s + (0, 1), with dP/ds
+    from the same ``e_hinge_moments(..., tail_slope=True)`` call; the
+    2 x 2 step is Cramer's rule.  The first condition is taken as D, not
+    delta H2 - g1^2: both vanish on the same set, but only D keeps a
+    nonzero g1-derivative at g1 = 0, where the solve starts when the tube
+    holds all of the g2 = 0 slice's noise (H2 = 0 in floating point).
+    Safeguards: every iterate has g1 >= 0 and 0 <= g2 <= beta/sigma and
+    stays on the lower-edge side, dD/dg1 < 0 (on the edge, delta P < 1),
+    where det J <= dD/dg1 < 0, so every step is defined and no iterate
+    reaches a slice's upper root; a step is halved until the scaled
+    residual norm hypot(D, F2 / max(1, beta/sigma)) falls.  The iteration
+    stops at a relative step of 1e-14, or when a step of relative size
+    1e-9 still fails to lower that norm: the residual is then at its
+    rounding floor (near delta*, where D is flat in g1), and further
+    halving would only chase noise.  At delta = delta* the g2 = 0 edge is
+    a double root (delta P = 1), and g2 = 0 is the solution.
+    Diagnostics: ``expect_evals`` (expectation evaluations); when
+    feasible, also ``d_residual`` = D(g1*, g2*) (|d_residual| <= 1e-7)
+    and ``stationarity`` = |F2| sigma/beta, the two residuals of the
+    Newton solve at the returned point.
     """
     with count_expectations() as counter:
         sol = _hsvr_solve(prob)
@@ -255,34 +280,62 @@ def _hsvr_solve(prob):
     infeasible = AsymptoticSolution(None, None, None, None, False)
     if prob.eps == 0.0 and prob.delta >= 1.0:
         return infeasible
-    delta = prob.delta
-    b = prob.beta / prob.sigma
-    edges = {}
-
-    def residual(g2):
-        edges[g2] = edge = _g1_edge(prob, g2)
-        if edge is None:
-            return 1.0
-        return g2 - b * (1.0 - delta * edge[1])
-
-    f0 = residual(0.0)
-    if edges[0.0] is None:  # certified: the g2 = 0 slice is the last to close
+    edge = _g1_edge(prob, 0.0)
+    if edge is None:  # certified: the g2 = 0 slice is the last to close
         return infeasible
-    g2 = 0.0
-    if f0 < 0.0:
-        # brent_root returns a point it has evaluated, so edges holds it
-        g2 = brent_root(residual, 0.0, b, f_lo=f0, xtol=_HSVR_XTOL * max(1.0, b))
-    g1 = edges[g2][0]
-    p, _, h2 = e_hinge_moments(math.hypot(g1, g2), prob.eps / prob.sigma, prob.noise)
+    delta, noise = prob.delta, prob.noise
+    b = prob.beta / prob.sigma
+    c = prob.eps / prob.sigma
+    scale = 1.0 / max(1.0, b)
+
+    def conditions(g1, g2):
+        """(D, F2) at (g1, g2), and (dD/dg1, dD/dg2, dF2/ds / s)."""
+        s = math.hypot(g1, g2)
+        p, _, h2, dp = e_hinge_moments(s, c, noise, tail_slope=True)
+        root = math.sqrt(delta * max(h2, 0.0))
+        dd = delta * p / root if root > 0.0 else 0.0
+        slope = b * delta * dp / s if s > 0.0 else 0.0
+        return (root - g1, g2 - b * (1.0 - delta * p)), (dd * g1 - 1.0, dd * g2, slope)
+
+    def merit(f):
+        return math.hypot(f[0], scale * f[1])
+
+    g1, g2 = edge[0], 0.0
+    f, jac = conditions(g1, g2)
+    norm = merit(f)
+    for _ in range(_HSVR_MAX_ITER):
+        a11, a12, slope = jac
+        if a11 >= 0.0:  # the g2 = 0 edge is the slice's double root: g2 = 0 solves
+            break
+        a21, a22 = slope * g1, 1.0 + slope * g2
+        det = a11 * a22 - a12 * a21  # <= a11 < 0
+        d1 = (a12 * f[1] - a22 * f[0]) / det
+        d2 = (a21 * f[0] - a11 * f[1]) / det
+        step = math.hypot(d1, d2)
+        size = step / (math.hypot(g1, g2) + step)  # relative; 1 at the origin
+        if size <= _HSVR_RTOL:
+            break
+        t = 1.0
+        while True:
+            t1, t2 = g1 + t * d1, g2 + t * d2
+            if t1 >= 0.0 and 0.0 <= t2 <= b:
+                ft, jt = conditions(t1, t2)
+                nt = merit(ft)
+                if nt < norm and jt[0] < 0.0:
+                    break
+            if t * size <= _HSVR_NOISE_STEP:
+                t = 0.0
+                break
+            t *= 0.5
+        if t == 0.0:  # the residual is at its rounding floor
+            break
+        g1, g2, f, jac, norm = t1, t2, ft, jt, nt
     risk = prob.sigma ** 2 * (g1 ** 2 + g2 ** 2)
     return AsymptoticSolution(
         g1=g1, g2=g2, risk=risk,
         cosine=_cosine_limit(g1, g2, b),
         feasible=True,
-        diagnostics={
-            "d_residual": math.sqrt(delta * max(h2, 0.0)) - g1,
-            "stationarity": abs(g2 / b - (1.0 - delta * p)),
-        },
+        diagnostics={"d_residual": f[0], "stationarity": abs(f[1]) / b},
     )
 
 

@@ -257,6 +257,9 @@ def cmd_sweep(args):
 # ---------------------------------------------------------------------------
 
 FIGURE_IDS = ("1", "2", "3a", "3b", "4", "5a", "5b", "6", "7a", "7b")
+# theory-only presets: they reject --p, --trials and --base-seed, which
+# would change no cell
+THEORY_FIGURES = ("1", "4", "6")
 
 
 def _meta(args, params):
@@ -284,10 +287,19 @@ def cmd_figure(args):
     fid = args.id
     if fid not in FIGURE_IDS:
         raise CliError(f"unknown figure id {fid!r}; choose from {', '.join(FIGURE_IDS)}")
-    p, trials, seed = args.p, args.trials, args.base_seed
+    table = {"p": args.p, "trials": args.trials, "base_seed": args.base_seed}
+    if fid in THEORY_FIGURES:
+        for name, value in table.items():
+            if value is not None:
+                raise CliError(f"svrisk figure {fid} reads no --{name.replace('_', '-')}")
+        table = {}
+    else:
+        table = {name: _TABLE_DEFAULTS[name] if value is None else value
+                 for name, value in table.items()}
+    p, trials, seed = table.get("p"), table.get("trials"), table.get("base_seed")
     grid = _parse_grid(args.grid) if args.grid is not None else None
     out = args.output or f"fig{fid}.csv"
-    meta = _meta(args, {"figure": fid, "p": p, "trials": trials, "base_seed": seed})
+    meta = _meta(args, {"figure": fid, **table})
     g = standard_gaussian()
     emp_rows = []
 
@@ -443,10 +455,16 @@ def _add_common(sp):
     sp.add_argument("--beta", type=float, default=1.0)
 
 
-def _add_table(sp):
-    sp.add_argument("--p", type=int, default=200)
-    sp.add_argument("--trials", type=int, default=20)
-    sp.add_argument("--base-seed", dest="base_seed", type=int, default=0)
+_TABLE_DEFAULTS = {"p": 200, "trials": 20, "base_seed": 0}
+
+
+def _add_table(sp, defaults=_TABLE_DEFAULTS):
+    """--p, --trials, --base-seed and --output; ``figure`` passes no defaults,
+    so that it can tell a given flag from an omitted one."""
+    sp.add_argument("--p", type=int, default=defaults.get("p"))
+    sp.add_argument("--trials", type=int, default=defaults.get("trials"))
+    sp.add_argument("--base-seed", dest="base_seed", type=int,
+                    default=defaults.get("base_seed"))
     sp.add_argument("--output", "-o", default=None)
 
 
@@ -506,7 +524,7 @@ def build_parser():
     sp = sub.add_parser("figure", help="reproduce a preset table")
     sp.add_argument("id", help=f"one of {', '.join(FIGURE_IDS)}")
     sp.add_argument("--grid", help="override the preset grid")
-    _add_table(sp)
+    _add_table(sp, defaults={})
     sp.set_defaults(handler=cmd_figure)
 
     return parser

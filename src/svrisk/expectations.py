@@ -24,7 +24,8 @@ Every mixture functional comes from one fused pass over the rule
 (``_mixture_moments``): it forms sd, q = P(Z > c/sd) and phi(c/sd)
 once per node, and three weighted sums Q = sum w q,
 A = sum w sd phi and T = sum w tau q, from which the tail probability,
-hinge and hinge-square follow in closed form.
+hinge and hinge-square follow in closed form.  On request a fourth sum,
+sum w phi / sd^3, gives the tail probability's slope in s.
 
 Two public functionals are built on these forms:
 
@@ -32,7 +33,8 @@ Two public functionals are built on these forms:
   point: the tail probability P(|V| > c), hinge and hinge-square at
   a = 1 from a single pass.  The first-order conditions of the hard- and
   soft-SVR risk problems need all three, so the risk solvers call only
-  this.
+  this.  ``tail_slope=True`` adds dP/ds for the Jacobian of the
+  hard-SVR Newton solve; no other caller pays for it.
 - ``hinge_sq_mean(s, a, c, noise)``, the hinge-square for a general
   noise coefficient a: the objective E (|G + t sigma N| - t eps)_+^2 of
   delta_star's definition at (1, t sigma, t eps).  Its normal branch is
@@ -159,7 +161,7 @@ def _mixing_rule(dof, abs_tol):
     return _MixingRule(tau, w, w2, d / (d - 2.0) - float(w @ tau))
 
 
-def _mixture_moments(s, a, c, rule):
+def _mixture_moments(s, a, c, rule, tail_slope=False):
     """(P, H1, H2) for V = s*G + a*N on the scale mixture ``rule``, a > 0.
 
     P = P(|V| > c), and H1, H2 the hinge and hinge-square.  One pass over
@@ -169,16 +171,22 @@ def _mixture_moments(s, a, c, rule):
     sums Q = sum w q, T = sum w tau q (one product with the rule's w2) and
     A = sum w sd phi give P = 2Q, H1 = 2(A - cQ) and
     H2 = 2((s^2 + c^2) Q + a^2 T - cA) + a^2 miss1.  The miss1 term
-    restores the truncated tail tau -> inf, where h2 ~ a^2 tau.
+    restores the truncated tail tau -> inf, where h2 ~ a^2 tau.  With
+    ``tail_slope`` a fourth value, dP/ds = 2 c s sum w phi / sd^3, costs
+    one more weighted sum.
     """
     a2 = a * a
     sd2 = s * s + a2 * rule.tau
     sd = np.sqrt(sd2)
     q = ndtr(-c / sd)
     qsum, tsum = (rule.w2 @ q).tolist()
-    asum = float(rule.w @ (sd * np.exp((-0.5 * c * c) / sd2))) / _SQRT2PI
-    return (2.0 * qsum, 2.0 * (asum - c * qsum),
-            2.0 * ((s * s + c * c) * qsum + a2 * tsum - c * asum) + a2 * rule.miss1)
+    ex = np.exp((-0.5 * c * c) / sd2)
+    asum = float(rule.w @ (sd * ex)) / _SQRT2PI
+    moments = (2.0 * qsum, 2.0 * (asum - c * qsum),
+               2.0 * ((s * s + c * c) * qsum + a2 * tsum - c * asum) + a2 * rule.miss1)
+    if not tail_slope:
+        return moments
+    return moments + (2.0 * c * s * float(rule.w @ (ex / (sd * sd2))) / _SQRT2PI,)
 
 
 # The hinge moments of V = sd*Z, Z ~ N(0, 1), sd > 0, given q = P(Z > c/sd)
@@ -198,13 +206,16 @@ def _h2_from(sd, c, q, ph):
 # Public expectation operations.
 # ---------------------------------------------------------------------------
 
-def e_hinge_moments(s, c, noise):
+def e_hinge_moments(s, c, noise, *, tail_slope=False):
     """(P(|V| > c), E (|V| - c)_+, E (|V| - c)_+^2) for V = s*G + N.
 
     One cdf/density pass gives all three: the Gaussian branch in scalar
     math, the scale mixture in one pass over the mixing rule
     (``_mixture_moments``).  The tail probability is the c-derivative
-    -dH1/dc and, by Stein's lemma, dH2/ds = 2 s P.
+    -dH1/dc and, by Stein's lemma, dH2/ds = 2 s P.  With ``tail_slope``
+    a fourth value follows, dP/ds = 2 c s phi(c/sd)/sd^3 averaged over the
+    mixture (sd^2 = s^2 + tau), which the hard-SVR Newton step needs and
+    no other caller pays for.
     """
     s, c = float(s), float(c)
     if s < 0 or c < 0:
@@ -215,8 +226,11 @@ def e_hinge_moments(s, c, noise):
         z = c / sd
         q = 0.5 * math.erfc(z / _SQRT2)
         ph = math.exp(-0.5 * z * z) / _SQRT2PI
-        return 2.0 * q, _h1_from(sd, c, q, ph), _h2_from(sd, c, q, ph)
-    return _mixture_moments(s, 1.0, c, _mixing_rule(noise.dof, _ABS_TOL))
+        moments = 2.0 * q, _h1_from(sd, c, q, ph), _h2_from(sd, c, q, ph)
+        if tail_slope:
+            return moments + (2.0 * ph * z * s / (sd * sd),)
+        return moments
+    return _mixture_moments(s, 1.0, c, _mixing_rule(noise.dof, _ABS_TOL), tail_slope)
 
 
 def hinge_sq_mean(s, a, c, noise):

@@ -32,6 +32,7 @@ from tests_support import (
     delta_star_golden,
     hsvr_risk_gated,
     hsvr_risk_golden,
+    hsvr_risk_nested,
     ssvr_risk_golden,
     sup_chi,
     sup_chi_golden,
@@ -437,6 +438,49 @@ class TestHsvrFirstOrderConditions:
         assert sol.feasible
         assert sol.risk == pytest.approx(soft.risk, rel=1e-6)
         assert abs(sol.diagnostics["d_residual"]) <= 1e-7
+
+    def test_threshold_scan_matches_the_soft_limit(self):
+        # from 0.5 delta* to (1 - 1e-6) delta*; the soft reference runs at
+        # tol 1e-11, since at its default tol its own error reaches ~5e-6 here
+        dstar = delta_star(1.0, 0.2, GAUSS)
+        for f in (0.5, 0.7, 0.9, 0.99, 0.999, 1.0 - 1e-4, 1.0 - 1e-5, 1.0 - 1e-6):
+            sol = hsvr_risk(HsvrProblem(f * dstar, 0.2, 2.0, 1.0, GAUSS))
+            soft = ssvr_risk(SsvrProblem(f * dstar, 0.2, 2.0, 1.0, GAUSS, cost=1e10), tol=1e-11)
+            assert sol.feasible
+            assert sol.risk == pytest.approx(soft.risk, rel=1e-6), f
+
+    def test_matches_the_nested_roots_oracle(self):
+        # the criterion-2 anchors, the benchmark's hsvr points and a grid on
+        # the d = 2.1, 3 and 10 noises, against a Newton edge in every g2
+        # slice inside a Brent root in g2
+        cases = [(delta, sigma, 1.0, eps, GAUSS) for delta, sigma, eps in HSVR_ANCHORS]
+        cases += [(delta, 1.0, 1.0, 1.0, GAUSS) for delta in (0.3, 0.9, 1.5, 0.5, 1.0, 1.3)]
+        cases += [(1.0, 0.5, 1.0, 0.2, GAUSS), (1.0, 0.5, 1.0, 0.6, GAUSS),
+                  (0.5, 0.2, 1.0, 0.1, GAUSS)]
+        for name in ("d2.1", "d3", "d10"):
+            noise = scale_mixture(float(name[1:]))
+            dstar = delta_star(1.0, 1.0, noise)
+            cases += [(0.3, 1.0, 1.0, 1.0, noise), (1.0, 0.5, 1.0, 0.4, noise),
+                      (1.0, 0.2, 2.0, 0.1, noise), (0.9 * dstar, 1.0, 1.0, 1.0, noise),
+                      (0.99 * dstar, 1.0, 0.5, 1.0, noise)]
+        cases += [(delta, 1.0, 1.0, 1.0, NOISES["d3"]) for delta in (0.2, 0.95)]
+        cases += [(delta, 1.0, 1.0, 1.0, NOISES["d10"]) for delta in (0.3, 0.9)]
+        for delta, sigma, beta, eps, noise in cases:
+            prob = HsvrProblem(delta, sigma, beta, eps, noise)
+            feasible, _, _, risk = hsvr_risk_nested(prob)
+            sol = hsvr_risk(prob)
+            assert sol.feasible and feasible
+            assert sol.risk == pytest.approx(risk, rel=1e-9), (delta, sigma, beta, eps, noise)
+
+    def test_expectation_cost(self):
+        # the benchmark's theory_heavy points, and next to the threshold,
+        # where the nested roots made 384 calls
+        for delta, dof in ((0.2, 3.0), (0.95, 3.0), (0.3, 10.0), (0.9, 10.0)):
+            sol = hsvr_risk(HsvrProblem(delta, 1.0, 1.0, 1.0, scale_mixture(dof)))
+            assert sol.diagnostics["expect_evals"] <= 20, (delta, dof)
+        dstar = delta_star(1.0, 0.2, GAUSS)
+        sol = hsvr_risk(HsvrProblem((1.0 - 1e-6) * dstar, 0.2, 2.0, 1.0, GAUSS))
+        assert sol.diagnostics["expect_evals"] <= 60
 
     def test_past_the_threshold_is_infeasible(self):
         for noise in (GAUSS, NOISES["d3"]):

@@ -448,6 +448,20 @@ class TestIgnoredFlagsRejected:
             assert out == ""
             assert missing in err
 
+    def test_theory_figures_take_no_table_flags(self, capsys):
+        # figures 1, 4 and 6 draw no data: a sample size, trial count or
+        # seed would change no cell, so none reaches the metadata line
+        for fid in ("1", "4", "6"):
+            for flag in ("--p", "--trials", "--base-seed"):
+                code, out, err = run_cli(capsys, "figure", fid, "--grid", "1", flag, "3",
+                                         "--output", "-")
+                assert code == 1, (fid, flag)
+                assert out == ""
+                assert f"svrisk figure {fid} reads no {flag}" in err
+        code, out, _ = run_cli(capsys, "figure", "1", "--grid", "0.5", "--output", "-")
+        assert code == 0
+        assert out.splitlines()[2] == "# figure=1"
+
     def test_empty_figure_grid(self, capsys):
         code, out, err = run_cli(capsys, "figure", "1", "--grid", "", "--output", "-")
         assert code == 1

@@ -8,7 +8,6 @@ from scipy.optimize import linprog, minimize
 from scipy.special import gammaln, ndtr, stdtr
 
 from svrisk.asymptotics import (
-    _HSVR_XTOL,
     _T_CAP,
     AsymptoticSolution,
     HsvrProblem,
@@ -18,6 +17,7 @@ from svrisk.asymptotics import (
     _dbar_g1_zero,
     _g1_edge,
     delta_star,
+    hsvr_risk,
 )
 from svrisk.expectations import (
     _ABS_TOL,
@@ -195,11 +195,12 @@ def e_hinge_huber(s, c, k, noise, rule=None):
     if noise.is_gaussian:
         sd = math.hypot(s, 1.0)
         return 0.5 * float(_gauss0_hinge_sq(sd, c) - _gauss0_hinge_sq(sd, c + k))
-    # on the mixture the s^2 + tau asymptotes of the two terms cancel
+    # on the mixture the s^2 + tau asymptotes of the two terms cancel; both
+    # thresholds go through one pass over the rule, as the rows of a 2 x n array
     if rule is None:
         rule = _mixing_rule(noise.dof, _ABS_TOL)
-    sd = np.sqrt(s * s + rule.tau)
-    return 0.5 * float(rule.w @ (_gauss0_hinge_sq(sd, c) - _gauss0_hinge_sq(sd, c + k)))
+    h2 = _gauss0_hinge_sq(np.sqrt(s * s + rule.tau), np.array([[c], [c + k]]))
+    return 0.5 * float(rule.w @ (h2[0] - h2[1]))
 
 
 def soft_expectation(g1, g2, chi, cost, thr, noise, rule=None):
@@ -745,17 +746,21 @@ def hsvr_risk_golden(prob):
     )
 
 
-def hsvr_risk_gated(prob):
-    """(feasible, risk) of the hard SVR with feasibility gated by ``delta_star``.
+_HSVR_XTOL = 1e-12  # g2 root tolerance of hsvr_risk_nested, times max(1, beta/sigma)
 
-    The reference for the feasibility rule of ``svrisk.hsvr_risk``: the
-    problem counts as feasible only when delta < delta_star(eps, sigma)
-    (a golden search over t) and the g2 = 0 slice has a Newton edge; the
-    risk then comes from the same KKT solve as in ``hsvr_risk``, the edge
-    ``_g1_edge`` inside a Brent root of the g2 fixed point.
+
+def hsvr_risk_nested(prob):
+    """(feasible, g1, g2, risk) of the hard SVR by two nested roots.
+
+    The reference for ``svrisk.hsvr_risk``'s joint Newton solve, which
+    calls ``_g1_edge`` on the g2 = 0 slice only: here the Newton lower
+    edge delta H2(c) = g1^2 from g1 = 0 of every g2-slice it visits sits
+    inside a Brent root of the fixed point
+    g2 = (beta/sigma)(1 - delta P(|V| > c)) on [0, beta/sigma], where an
+    empty slice scores +1.  Feasible when the g2 = 0 slice has an edge.
     """
-    if not prob.delta < delta_star(prob.eps, prob.sigma, prob.noise):
-        return False, None
+    if prob.eps == 0.0 and prob.delta >= 1.0:
+        return False, None, None, None
     b = prob.beta / prob.sigma
     edges = {}
 
@@ -767,9 +772,23 @@ def hsvr_risk_gated(prob):
 
     f0 = residual(0.0)
     if edges[0.0] is None:
-        return False, None
+        return False, None, None, None
     g2 = 0.0
     if f0 < 0.0:
+        # brent_root returns a point it has evaluated, so edges holds it
         g2 = brent_root(residual, 0.0, b, f_lo=f0, xtol=_HSVR_XTOL * max(1.0, b))
     g1 = edges[g2][0]
-    return True, prob.sigma ** 2 * (g1 ** 2 + g2 ** 2)
+    return True, g1, g2, prob.sigma ** 2 * (g1 ** 2 + g2 ** 2)
+
+
+def hsvr_risk_gated(prob):
+    """(feasible, risk) of the hard SVR with feasibility gated by ``delta_star``.
+
+    The reference for the feasibility rule of ``svrisk.hsvr_risk``: the
+    problem counts as feasible only when delta < delta_star(eps, sigma)
+    (a Brent root of the threshold slope), and the risk is then the one
+    ``hsvr_risk`` returns, None if it finds the problem infeasible.
+    """
+    if not prob.delta < delta_star(prob.eps, prob.sigma, prob.noise):
+        return False, None
+    return True, hsvr_risk(prob).risk

@@ -64,6 +64,7 @@ COMMANDS = [
     'sweep ssvr --swept cost --grid "0.5 2.4 100" --delta 2 --eps 0.6 --p 100 --trials 3 -o -',
     "figure 1 -o -",
     'figure 1 --grid "0.5 1" -o -',
+    "figure 1 --grid 0.5 --p 50 -o -",
     "figure 2 --grid 0.5 --p 100 --trials 3 -o -",
     'figure 4 --grid "1 2" -o -',
     'figure 5a --grid "0.2 0.6" --p 60 --trials 2 -o -',

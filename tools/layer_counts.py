@@ -16,6 +16,16 @@ Prints one JSON object:
   d = 10}, at tol 1e-8 and at tol 1e-3, and at the benchmark's
   ``GAUSS_SCAN`` and ``HEAVY_SCAN`` (tol 1e-3) and ``SSVR_POINT`` (default
   tol) points; sums of both counts, and the sorted ``diagnostics`` keys;
+- ``hsvr``: ``expect_evals`` and the risk (``repr``; None when
+  infeasible) of each ``hsvr_risk`` solve at the criterion-2 anchors, the
+  benchmark's un-jittered hsvr points (``perfbench/workloads.py``), a
+  near-threshold scan (Gaussian, sigma = 0.2, eps = 1, beta = 2,
+  delta/delta* from 0.5 to 1 - 1e-6) and a 936-problem feasibility grid
+  (Gaussian and Student-t d = 2.1, 3, 10; sigma in {0.2, 1}; eps in
+  {0, 0.1, 1, 10, 30, 100}; beta in {0.5, 2}; delta/delta* in {0.5, 0.9,
+  1 +- 1e-4, 1 +- 1e-7, 1 +- 1e-9, 1 +- 1e-11, 1.1, 1}; delta* = inf
+  skipped); the sum of the calls over the named points, over the grid,
+  and the grid's feasible count;
 - ``us_per_call``: median microseconds of one ``e_hinge_moments`` call,
   Gaussian and Student-t d = 3, 10, over 15 blocks of 2,000 calls;
 - with ``--fits``, ``polish``: status, iterations and KKT solves of 80 dual
@@ -126,6 +136,49 @@ def ssvr_counts(sv):
     }
 
 
+def hsvr_counts(sv):
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    def noise(dof):
+        return sv.standard_gaussian() if dof == 0 else sv.scale_mixture(dof)
+
+    def solve(d, s, b, e, dof):
+        sol = sv.hsvr_risk(sv.HsvrProblem(d, s, b, e, noise(dof)))
+        return [sol.diagnostics["expect_evals"], repr(sol.risk) if sol.feasible else None]
+
+    points = {}
+    for (d, s, e), _ in workloads.ANCHORS:
+        points[f"anchor:{d:g},{s:g},{e:g}"] = solve(d, s, 1.0, e, 0)
+    for vals, _ in workloads.GAUSS_HSVR + workloads.HEAVY_HSVR:
+        points["bench:" + ",".join(f"{v:g}" for v in vals)] = solve(*vals)
+    for d in workloads.MC_HSVR_GRID:
+        points[f"bench:{d:g},1,1,1,0"] = solve(d, 1.0, 1.0, 1.0, 0)
+    dstar = sv.delta_star(1.0, 0.2, noise(0))
+    for f in (0.5, 0.7, 0.9, 0.99, 0.999, 1 - 1e-4, 1 - 1e-5, 1 - 1e-6):
+        points[f"near:{f!r}"] = solve(f * dstar, 0.2, 2.0, 1.0, 0)
+    grid = {}
+    fracs = (0.5, 0.9, 1 - 1e-4, 1 + 1e-4, 1 - 1e-7, 1 + 1e-7, 1 - 1e-9, 1 + 1e-9,
+             1 - 1e-11, 1 + 1e-11, 1.1, 1.0)
+    for dof in (0, 2.1, 3.0, 10.0):
+        for sigma in (0.2, 1.0):
+            for eps in (0.0, 0.1, 1.0, 10.0, 30.0, 100.0):
+                dstar = sv.delta_star(eps, sigma, noise(dof))
+                if dstar == float("inf"):
+                    continue
+                for beta in (0.5, 2.0):
+                    for f in fracs:
+                        grid[f"dof={dof:g},{sigma:g},{eps:g},{beta:g},{f!r}"] = \
+                            solve(f * dstar, sigma, beta, eps, dof)
+    return {
+        "expect_evals": sum(v[0] for v in points.values()),
+        "grid_expect_evals": sum(v[0] for v in grid.values()),
+        "grid_feasible": sum(v[1] is not None for v in grid.values()),
+        "points": points,
+        "grid": grid,
+    }
+
+
 def us_per_call(sv):
     out = {}
     for name, noise in (("gauss", sv.standard_gaussian()), ("d3", sv.scale_mixture(3.0)),
@@ -209,6 +262,7 @@ def main(argv=None):
         "delta_star": delta_star_counts(sv),
         "theory_heavy": theory_heavy_counts(sv),
         "ssvr": ssvr_counts(sv),
+        "hsvr": hsvr_counts(sv),
         "us_per_call": us_per_call(sv),
     }
     if args.fits:
