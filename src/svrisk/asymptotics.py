@@ -14,7 +14,8 @@ norm beta and tube half-width eps:
   also decides feasibility;
 - the soft-SVR limiting risk: min over (g1, g2) of sup over chi > 0 of
   the saddle function Dbar (concave in chi, convex in (g1, g2)), solved
-  from its first-order conditions, one bracketed root per variable;
+  from its first-order conditions, which leave two equations in
+  (g1, g2), by one safeguarded Newton iteration on (g1, log g2);
 - hyperparameter tuning (optimal eps, and jointly optimal (eps, C)).
 
 Both risks are solved in the fixed-point style of CGMT analyses
@@ -30,22 +31,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .expectations import count_expectations, e_hinge_moments
 from .noise import NoiseModel, standard_gaussian
 from .scalar_opt import brent_root, expand_bracket_root, golden_section_min
 
 _COSINE_FLOOR = 1e-6  # below this error norm the cosine limit is 0/0
-_T_CAP = 1e12  # where the doubling brackets of delta_star's t and ssvr_risk's g1 stop
+_T_CAP = 1e12  # where the doubling bracket of delta_star's t stops
 _E_ABS_G = math.sqrt(2.0 / math.pi)  # E|G|, G standard normal
 _DSTAR_XTOL = 1e-11  # delta_star's t root tolerance, times max(1, bracket end)
 _EDGE_RTOL = 1e-15  # relative step at which the g1-edge Newton stops
 _EDGE_MAX_ITER = 200  # Newton from g1 = 0 halves its error at worst
 _HSVR_RTOL = 1e-14  # relative (g1, g2) step at which hsvr_risk's Newton solve stops
-_HSVR_NOISE_STEP = 1e-9  # a rejected step this small (relative) is rounding noise
+_NOISE_STEP = 1e-9  # a Newton step this small (relative) that fails is rounding noise
 _HSVR_MAX_ITER = 100  # Newton steps of hsvr_risk; a step costs one call or more
-_LOG_K_CAP = 300.0  # keeps (c + k)^2 finite in the hinge moments
+_SSVR_CURVE_RTOL = 1e-2  # relative g1 step within which a point is on the D = 0 curve
+_SSVR_LOG_STEP = 2.0  # step down in log g2 while ssvr_risk's bracket has no lower end
+_SSVR_MAX_EVALS = 100  # residual evaluations of ssvr_risk (two calls each)
+_K_CAP = 1e100  # every tail at c + k is 0 past it, and (c + k)^2 stays finite
 _TUNE_EPS_CAP = 400.0  # tune_hsvr's largest eps, times sigma
 _TUNE_SSVR_ROUNDS = 2  # coordinate refinement rounds of tune_ssvr
 
@@ -323,7 +326,7 @@ def _hsvr_solve(prob):
                 nt = merit(ft)
                 if nt < norm and jt[0] < 0.0:
                     break
-            if t * size <= _HSVR_NOISE_STEP:
+            if t * size <= _NOISE_STEP:
                 t = 0.0
                 break
             t *= 0.5
@@ -343,212 +346,187 @@ def _hsvr_solve(prob):
 # Soft-SVR risk.
 # ---------------------------------------------------------------------------
 
-def _dbar_g1_zero(g2, prob):
-    """sup over chi of Dbar on the g1 = 0 boundary (chi drops out)."""
-    sigma = prob.sigma
-    thr = prob.eps / sigma
-    b = prob.beta / sigma
-    h1 = e_hinge_moments(abs(g2), thr, prob.noise)[1]
-    return (prob.cost * prob.delta / sigma) * h1 + 0.5 * (g2 - b) ** 2
-
-
-class _ChiLevel(NamedTuple):
-    """sup over chi of Dbar at fixed (g1 > 0, g2).
-
-    k = g1*C/chi is the Huber threshold at the maximiser: inf on the
-    hard-feasible slice, where chi* = 0.  emin2 = E min(h, k)^2 and
-    p_band = P(c < |V| < c + k), with h = (|V| - c)_+, V = sG + N.
-    """
-
-    k: float
-    value: float
-    emin2: float
-    p_band: float
-
-
-def _chi_level(g1, g2, prob, k_hint, log_tol):
-    """Solve the chi-level first-order condition delta E min(h, k)^2 = g1^2.
-
-    dDbar/dchi = (delta E min(h, k)^2 - g1^2) / (2 sigma g1), and
-    E min(h, k)^2 = H2(c) - H2(c+k) - 2k H1(c+k) increases in k from 0 to
-    H2(c) (H2, H1 the hinge-square and hinge).  If delta H2(c) <= g1^2 the
-    sup is the chi -> 0 limit q = g1^2/2 + (g2 - beta/sigma)^2/2.  Otherwise
-    the root in log k is bracketed between the bound from
-    E min(h, k)^2 <= k^2 P(h > 0) and an expansion from ``k_hint``, and
-    solved to ``log_tol``; the value is Dbar there, with
-    E rho_k(h) = (H2(c) - H2(c+k)) / 2.  E min(h, k)^2 is evaluated as
-    k^2 P(h > k) + E[h^2; h <= k], the second term clipped to its range
-    [0, k^2 P_band]: for small k the difference form cancels to rounding
-    noise, and the clip keeps the bracket's lower end below the root.
-    """
-    sigma, delta, noise = prob.sigma, prob.delta, prob.noise
-    c = prob.eps / sigma
-    s = math.hypot(g1, g2)
-    q = 0.5 * g1 * g1 + 0.5 * (g2 - prob.beta / sigma) ** 2
-    p0, _, h2_0 = e_hinge_moments(s, c, noise)
-    target = g1 * g1 / delta
-    if h2_0 <= target or p0 <= 0.0:
-        return _ChiLevel(math.inf, q, h2_0, p0)
-    moments = {}
-
-    def emin2(k, p_k, h1, h2):
-        band = h2_0 - h2 - 2.0 * k * h1 - k * k * p_k
-        return k * k * p_k + min(max(band, 0.0), k * k * (p0 - p_k))
-
-    def gap(y):
-        k = math.exp(y)
-        moments[y] = e_hinge_moments(s, c + k, noise)
-        return emin2(k, *moments[y]) - target
-
-    y_lo = 0.5 * math.log(target / p0) - 0.5
-    f_lo = None
-    y_hi = max(math.log(k_hint), y_lo)
-    f_hi = gap(y_hi)
-    step = 0.25
-    while f_hi <= 0.0:
-        if y_hi >= _LOG_K_CAP:  # the root is beyond float resolution: chi* = 0
-            return _ChiLevel(math.inf, q, h2_0, p0)
-        y_lo, f_lo = y_hi, f_hi
-        y_hi = min(y_hi + step, _LOG_K_CAP)
-        step *= 4.0
-        f_hi = gap(y_hi)
-    y = brent_root(gap, y_lo, y_hi, f_lo=f_lo, f_hi=f_hi, xtol=log_tol)
-    k = math.exp(y)
-    p_k, h1, h2 = moments[y]
-    value = prob.cost / (2.0 * sigma * k) * (delta * (h2_0 - h2) - g1 * g1) + q
-    return _ChiLevel(k, value, emin2(k, p_k, h1, h2), p0 - p_k)
-
-
 def ssvr_risk(prob: SsvrProblem, tol=1e-8):
     """Limiting soft-SVR risk via the min-sup scalar saddle problem.
 
-    Minimizes the convex value function V(g1, g2) = sup_chi Dbar by solving
-    first-order conditions level by level, each with a bracketed Brent root:
+    The risk is the saddle point of Dbar: V(g1, g2) = sup_chi Dbar is
+    convex, and its minimizer is where three first-order conditions hold,
+    with h = (|V| - c)_+, V = sG + N, s = hypot(g1, g2), c = eps/sigma,
+    k = g1 C/chi the Huber threshold and P_band = P(c < |V| < c + k):
 
-    - chi: delta E min(h, k)^2 = g1^2 for k = g1*C/chi (``_chi_level``).
-    - g1: dV/dg1 = g1 [1 - C (1 - delta P_band) / (sigma k)] = 0, the
-      envelope derivative of Dbar simplified by the chi condition, with
-      P_band = P(c < |V| < c + k) from Stein's lemma.  V(., g2) is convex,
-      so the derivative is monotone; it tends to -C sqrt(delta P(|V| > c))
-      / sigma as g1 -> 0, and equals g1 on the hard-feasible slice (chi* = 0,
-      V = q).  For large C it jumps there, and the root lands on the jump,
-      the hard edge.  ``expand_bracket_root`` brackets the root by doubling
-      from the g1 root of the previous g2.  If P(|V| > c) = 0 at g1 = 0,
-      V(., g2) increases from g1 = 0, the exact g1 = 0 branch.
-    - g2: dW/dg2 = g2 / (1 - delta P_band) - beta/sigma for
-      W(g2) = min_g1 V(g1, g2), whose root is the fixed point
-      g2 = (beta/sigma)(1 - delta P_band), solved in that form, which stays
-      well conditioned as 1 - delta P_band -> 0.  At an interior g1 root
-      dW/dg2 is the envelope derivative (delta C / (sigma k)) g2 P_band +
-      g2 - beta/sigma; on the hard edge (k = inf, P_band = P(|V| > c)) it
-      is the derivative along the edge delta H2(c) = g1^2, where the
-      envelope form would be wrong.  The fixed-point residual is < 0 at
-      g2 = 0 and >= 0 at g2 = beta/sigma.
+    - chi: delta E min(h, k)^2 = g1^2;
+    - g1: sigma k = C (1 - delta P_band);
+    - g2: g2 = (beta/sigma)(1 - delta P_band).
 
-    ``tol`` sets the g2 root tolerance (tol * max(1, beta/sigma)); the g1
-    and log k roots are solved 1e3 times tighter.  Diagnostics: ``value``
-    (V at the optimum), ``value_evals`` (chi-level solves),
-    ``expect_evals`` (expectation evaluations), ``chi_residual``
-    (|delta E min(h, k)^2 - g1^2|, with E min(h, inf)^2 = H2(c): on the hard
-    edge it is the edge residual) and ``stationarity``, the norm of the
-    relative fixed-point residuals g2 sigma/beta - (1 - delta P_band) and
-    (dV/dg1)/g1 = 1 - C (1 - delta P_band) / (sigma k), the second omitted
-    on the hard edge, where dV/dg1 jumps.  These are the gradient scaled
-    by (1 - delta P_band)/(beta/sigma) and 1/g1: the gradient itself grows
-    like 1/(1 - delta P_band) and would read large at a converged point
-    as C -> inf on an infeasible tube.  Always feasible.
+    The last two give k = C g2/beta, so k drops out, and the solve is one
+    Newton iteration on (g1, y = log g2) for two residuals:
+    D = sqrt(delta E min(h, k)^2) - g1 (the chi condition) and
+    F2 = g2 - (beta/sigma)(1 - delta P_band) (the g2 condition, and with k
+    tied to g2 also the g1 one).  At k = inf these are ``hsvr_risk``'s
+    conditions.  Each step makes two ``e_hinge_moments(...,
+    tail_slope=True)`` calls, at c and at c + k (the second with
+    ``density=True``), for the Jacobian:
+    dE min(h, k)^2/ds = 2 s (P_band - k f(c + k)), with f the density of
+    |V| (the Dirac term of min(h, k) at h = k), dE min(h, k)^2/dk =
+    2 k P(|V| > c + k), and dP_band from dP/ds at both thresholds and
+    f(c + k).  E min(h, k)^2 is k^2 P(|V| > c + k) + E[h^2; h <= k], the
+    second term clipped to [0, k^2 P_band]: for small k its difference
+    form cancels to rounding noise.
+
+    The start is g2 = min(beta/(2 sigma), beta/C) (k = 1 for large C),
+    with g1 the lower root of D(., g2) by Newton from g1 = 0, or the
+    ``hsvr_risk`` solution when it is feasible with a larger g2.  A step
+    in y is the shorter of the Newton steps in g2 and in log g2, and g1
+    follows from the linearised D = 0.  A bracket in y safeguards it: on
+    the lower branch of the D = 0 curve F2 < 0 as g2 -> 0 and F2 >= 0 at
+    g2 = beta/sigma, and the sign of F2 projected onto that curve moves
+    an end at each iterate close to it.  While the bracket has no lower
+    end a step falls by at most 2 in log g2 (``_SSVR_LOG_STEP``).  A step
+    longer than 1e-2 (``_SSVR_CURVE_RTOL``) that leaves the bracket is
+    replaced by its midpoint, where g1 is solved on the curve again, and
+    a slice without a lower root lies above the solution.  ``tol`` is a
+    relative step: the solve stops at a point reached by a step <= tol
+    whose own step is at most half as long, so its error is about that
+    next step, or when a step of relative size 1e-9 in (g1, g2) no longer
+    halves (the rounding floor).
+
+    Diagnostics: ``value`` (V at the optimum), ``value_evals`` (residual
+    evaluations, two expectation calls each), ``expect_evals``
+    (expectation evaluations, those of the hard start included),
+    ``chi_residual`` = |delta E min(h, k)^2 - g1^2| and ``stationarity``,
+    the norm of two relative residuals of F2: F2 sigma/beta, and
+    (dV/dg1)/g1 = F2/g2 measured in log k, i.e. divided by its log-k
+    derivative 1 + delta C f(c + k)/sigma.  Undivided, F2/g2 would read
+    the rounding error of P_band times delta C/(sigma k) at a converged
+    point, which grows as C -> inf on an infeasible tube.  Always
+    feasible.
     """
     with count_expectations() as counter:
-        sol = _ssvr_saddle(prob, tol)
+        sol = _ssvr_solve(prob, tol)
     sol.diagnostics["expect_evals"] = counter.n
     return sol
 
 
-def _ssvr_saddle(prob, tol):
-    sigma, delta, cost, noise = prob.sigma, prob.delta, prob.cost, prob.noise
+def _ssvr_solve(prob, tol):
+    sigma, delta, noise = prob.sigma, prob.delta, prob.noise
     b = prob.beta / sigma
     c = prob.eps / sigma
-    inner_tol = max(1e-3 * tol, 1e-14)
-    warm_g1, warm_k = 0.5, 1.0
-    n_values = 0
+    k_per_g2 = prob.cost / prob.beta
+    n_evals = 0
 
-    def level(g1, g2):
-        nonlocal n_values, warm_k
-        n_values += 1
-        lvl = _chi_level(g1, g2, prob, warm_k, inner_tol)
-        if math.isfinite(lvl.k):
-            warm_k = lvl.k
-        return lvl
+    def conditions(g1, y):
+        """(D, F2) at (g1, g2 = e^y), their Jacobian in (g1, y), and
+        (E min(h, k)^2, H1(c), H2(c) - H2(c + k), F2's scale in the
+        stationarity, g2 (1 + delta C f(c + k)/sigma))."""
+        nonlocal n_evals
+        n_evals += 1
+        g2 = math.exp(y)
+        s = math.hypot(g1, g2)
+        k = min(k_per_g2 * g2, _K_CAP)
+        dk = k if k < _K_CAP else 0.0  # dk/dy
+        p0, h1_0, h2_0, dp0 = e_hinge_moments(s, c, noise, tail_slope=True)
+        pk, h1k, h2k, dpk, fk = e_hinge_moments(s, c + k, noise, tail_slope=True,
+                                                density=True)
+        band = p0 - pk
+        inner = h2_0 - h2k - 2.0 * k * h1k - k * k * pk
+        emin2 = k * k * pk + min(max(inner, 0.0), k * k * band)
+        root = math.sqrt(delta * emin2)
+        dd = delta / root if root > 0.0 else 0.0
+        ms = band - k * fk  # dE min(h, k)^2/ds over 2 s
+        dband = (dp0 - dpk) / s  # dP_band/ds over s
+        slope_k = b * delta * fk * dk  # dF2/dy through k
+        jac = (dd * ms * g1 - 1.0, dd * (ms * g2 * g2 + k * pk * dk),
+               b * delta * dband * g1, g2 + b * delta * dband * g2 * g2 + slope_k)
+        f = (root - g1, g2 - b * (1.0 - delta * band))
+        return f, jac, (emin2, h1_0, h2_0 - h2k, g2 + slope_k)
 
-    def d_g1(g1, lvl):
-        if not math.isfinite(lvl.k):
-            return g1
-        return g1 * (1.0 - cost * (1.0 - delta * lvl.p_band) / (sigma * lvl.k))
-
-    def fixed_point_g2(g2, lvl):
-        return g2 - b * max(1.0 - delta * lvl.p_band, 0.0)
-
-    def g1_level(g2):
-        """(argmin over g1 >= 0 of V(., g2), its chi level)."""
-        nonlocal warm_g1
-        levels = {}
-
-        def at(g1):
-            if g1 not in levels:
-                levels[g1] = level(g1, g2)
-            return levels[g1]
-
-        def slope(g1):
-            return d_g1(g1, at(g1))
-
-        p0 = e_hinge_moments(abs(g2), c, noise)[0]
+    def curve(y):
+        """(g1, y, ...) at the lower root of D(., e^y) by Newton from
+        g1 = 0, or None if the slice has no lower root."""
         g1 = 0.0
-        if p0 > 0.0:
-            # V(., g2) is convex, so its slope rises from its g1 -> 0 limit
-            # and changes sign once
-            lo, hi, f_lo, f_hi = expand_bracket_root(
-                slope, 0.0, warm_g1, _T_CAP, f_lo=-cost * math.sqrt(delta * p0) / sigma)
-            xtol = inner_tol * max(1.0, hi)
-            g1 = brent_root(slope, lo, hi, f_lo=f_lo, f_hi=f_hi, xtol=xtol)
-        if g1 == 0.0:  # the exact g1 = 0 branch, where chi drops out
-            return 0.0, _ChiLevel(0.0, _dbar_g1_zero(g2, prob), 0.0, 0.0)
-        if slope(g1) < -1e-6 * g1:
-            # the root is a jump (large C): the other end of Brent's final
-            # bracket, less than 2 xtol above, is on the hard edge, where chi* = 0
-            up = g1 + 2.0 * xtol
-            if not math.isfinite(at(up).k):
-                g1 = up
-        warm_g1 = g1
-        return g1, levels[g1]
+        f, jac, extra = conditions(g1, y)
+        while n_evals < _SSVR_MAX_EVALS:
+            if jac[0] >= 0.0:
+                return None
+            step = -f[0] / jac[0]
+            if abs(step) <= _SSVR_CURVE_RTOL * math.hypot(g1, math.exp(y)):
+                break
+            g1 = max(g1 + step, 0.0)
+            f, jac, extra = conditions(g1, y)
+        return g1, y, f, jac, extra
 
-    solved = {}
-
-    def outer(g2):
-        solved[g2] = g1_level(g2)
-        return fixed_point_g2(g2, solved[g2][1])
-
-    # brent_root returns a point it has evaluated, so solved holds it
-    g2 = brent_root(outer, 0.0, b, xtol=tol * max(1.0, b))
-    g1, lvl = solved[g2]
-    residuals = [fixed_point_g2(g2, lvl) / b]
-    if g1 == 0.0:
-        chi, chi_residual = None, 0.0
+    hard = _hsvr_solve(prob)
+    g2 = min(0.5 * b, prob.beta / prob.cost)
+    y_lo, y_hi = -math.inf, math.log(b)
+    if hard.feasible and hard.g2 > g2:
+        g1, y = hard.g1, math.log(hard.g2)
+        f, jac, extra = conditions(g1, y)
+        on_curve = False
     else:
-        # at the saddle sigma k = C (1 - delta P_band), so chi = g1 C / k is
-        # g1 sigma / (1 - delta P_band), which stays finite on the hard edge
-        u = 1.0 - delta * lvl.p_band
-        chi = g1 * sigma / u if u > 0.0 else math.inf
-        chi_residual = abs(delta * lvl.emin2 - g1 * g1)
-        if math.isfinite(lvl.k):
-            residuals.append(d_g1(g1, lvl) / g1)
+        y = math.log(g2)
+        state = curve(y)
+        while state is None:
+            y_hi = y
+            y -= _SSVR_LOG_STEP
+            state = curve(y)
+        g1, y, f, jac, extra = state
+        on_curve = True
+    last = math.inf
+    while True:
+        a11, a12, a21, a22 = jac
+        s = math.hypot(g1, math.exp(y))
+        if a11 < 0.0 and y_lo <= y <= y_hi:
+            # F2 projected onto the D = 0 curve to first order: its sign
+            # says on which side of the solution y lies
+            shift = a21 * f[0] / a11
+            phi = f[1] - shift
+            if on_curve or (abs(f[0]) <= -_SSVR_CURVE_RTOL * a11 * s
+                            and abs(shift) <= 0.5 * abs(phi)):
+                if phi < 0.0:
+                    y_lo = y
+                else:
+                    y_hi = y
+        dy = (a21 * f[0] - a11 * f[1]) / (a11 * a22 - a12 * a21)
+        if dy > 0.0:
+            dy = math.log1p(dy)
+        elif y_lo == -math.inf:
+            dy = max(dy, -_SSVR_LOG_STEP)
+        d1 = -(f[0] + a12 * dy) / a11
+        if g1 + d1 < 0.0:
+            d1 = -0.5 * g1
+        size = max(abs(d1) / s, abs(dy))
+        stalled = size >= 0.5 * last and math.hypot(d1, math.exp(y) * dy) <= _NOISE_STEP * s
+        if size <= 0.5 * last <= 0.5 * tol or stalled or n_evals >= _SSVR_MAX_EVALS:
+            break
+        if size <= _SSVR_CURVE_RTOL or y_lo <= y + dy <= y_hi:
+            g1, y, last = g1 + d1, y + dy, size
+            f, jac, extra = conditions(g1, y)
+            on_curve = False
+            continue
+        # a long step out of the bracket: bisect it
+        y_mid = 0.5 * (y_lo + y_hi) if y_lo > -math.inf else y_hi - _SSVR_LOG_STEP
+        state = curve(y_mid)
+        if state is None:
+            y_hi = y_mid
+            continue
+        g1, y, f, jac, extra = state
+        on_curve, last = True, math.inf
+    g2 = math.exp(y)
+    emin2, h1_0, h2_diff, f2_scale = extra
+    if g1 == 0.0:  # chi drops out
+        chi, value = None, (prob.cost * delta / sigma) * h1_0 + 0.5 * (g2 - b) ** 2
+    else:
+        # at the saddle chi = g1 C/k = g1 beta/g2, and C/(sigma k) = b/g2
+        chi = g1 * prob.beta / g2
+        value = b / (2.0 * g2) * (delta * h2_diff - g1 * g1) + 0.5 * g1 * g1 + 0.5 * (g2 - b) ** 2
     risk = sigma ** 2 * (g1 ** 2 + g2 ** 2)
     return AsymptoticSolution(
         g1=g1, g2=g2, risk=risk,
         cosine=_cosine_limit(g1, g2, b),
         feasible=True, chi=chi,
-        diagnostics={"value": lvl.value, "value_evals": n_values,
-                     "chi_residual": chi_residual,
-                     "stationarity": math.hypot(*residuals)},
+        diagnostics={"value": value, "value_evals": n_evals,
+                     "chi_residual": abs(delta * emin2 - g1 * g1),
+                     "stationarity": abs(f[1]) * math.hypot(1.0 / b, 1.0 / f2_scale)},
     )
 
 
@@ -651,3 +629,4 @@ def tune_ssvr(delta, sigma, beta, noise=None):
     if best_final < risk_o:
         return best[0], best[1], best_final
     return eps_o, cost_o, risk_o
+

@@ -25,7 +25,8 @@ Every mixture functional comes from one fused pass over the rule
 once per node, and three weighted sums Q = sum w q,
 A = sum w sd phi and T = sum w tau q, from which the tail probability,
 hinge and hinge-square follow in closed form.  On request a fourth sum,
-sum w phi / sd^3, gives the tail probability's slope in s.
+sum w phi / sd^3, gives the tail probability's slope in s, and a fifth,
+sum w phi / sd, the density of |V| at c.
 
 Two public functionals are built on these forms:
 
@@ -33,8 +34,9 @@ Two public functionals are built on these forms:
   point: the tail probability P(|V| > c), hinge and hinge-square at
   a = 1 from a single pass.  The first-order conditions of the hard- and
   soft-SVR risk problems need all three, so the risk solvers call only
-  this.  ``tail_slope=True`` adds dP/ds for the Jacobian of the
-  hard-SVR Newton solve; no other caller pays for it.
+  this.  ``tail_slope=True`` adds dP/ds for the Jacobians of the hard-
+  and soft-SVR Newton solves, and ``density=True`` the density of |V|
+  at c for the soft one; no other caller pays for them.
 - ``hinge_sq_mean(s, a, c, noise)``, the hinge-square for a general
   noise coefficient a: the objective E (|G + t sigma N| - t eps)_+^2 of
   delta_star's definition at (1, t sigma, t eps).  Its normal branch is
@@ -161,7 +163,7 @@ def _mixing_rule(dof, abs_tol):
     return _MixingRule(tau, w, w2, d / (d - 2.0) - float(w @ tau))
 
 
-def _mixture_moments(s, a, c, rule, tail_slope=False):
+def _mixture_moments(s, a, c, rule, tail_slope=False, density=False):
     """(P, H1, H2) for V = s*G + a*N on the scale mixture ``rule``, a > 0.
 
     P = P(|V| > c), and H1, H2 the hinge and hinge-square.  One pass over
@@ -172,8 +174,9 @@ def _mixture_moments(s, a, c, rule, tail_slope=False):
     A = sum w sd phi give P = 2Q, H1 = 2(A - cQ) and
     H2 = 2((s^2 + c^2) Q + a^2 T - cA) + a^2 miss1.  The miss1 term
     restores the truncated tail tau -> inf, where h2 ~ a^2 tau.  With
-    ``tail_slope`` a fourth value, dP/ds = 2 c s sum w phi / sd^3, costs
-    one more weighted sum.
+    ``tail_slope`` a fourth value, dP/ds = 2 c s sum w phi / sd^3, and with
+    ``density`` the density of |V| at c, -dP/dc = 2 sum w phi / sd, cost
+    one more weighted sum each.
     """
     a2 = a * a
     sd2 = s * s + a2 * rule.tau
@@ -184,9 +187,11 @@ def _mixture_moments(s, a, c, rule, tail_slope=False):
     asum = float(rule.w @ (sd * ex)) / _SQRT2PI
     moments = (2.0 * qsum, 2.0 * (asum - c * qsum),
                2.0 * ((s * s + c * c) * qsum + a2 * tsum - c * asum) + a2 * rule.miss1)
-    if not tail_slope:
-        return moments
-    return moments + (2.0 * c * s * float(rule.w @ (ex / (sd * sd2))) / _SQRT2PI,)
+    if tail_slope:
+        moments += (2.0 * c * s * float(rule.w @ (ex / (sd * sd2))) / _SQRT2PI,)
+    if density:
+        moments += (2.0 * float(rule.w @ (ex / sd)) / _SQRT2PI,)
+    return moments
 
 
 # The hinge moments of V = sd*Z, Z ~ N(0, 1), sd > 0, given q = P(Z > c/sd)
@@ -206,16 +211,17 @@ def _h2_from(sd, c, q, ph):
 # Public expectation operations.
 # ---------------------------------------------------------------------------
 
-def e_hinge_moments(s, c, noise, *, tail_slope=False):
+def e_hinge_moments(s, c, noise, *, tail_slope=False, density=False):
     """(P(|V| > c), E (|V| - c)_+, E (|V| - c)_+^2) for V = s*G + N.
 
     One cdf/density pass gives all three: the Gaussian branch in scalar
     math, the scale mixture in one pass over the mixing rule
     (``_mixture_moments``).  The tail probability is the c-derivative
     -dH1/dc and, by Stein's lemma, dH2/ds = 2 s P.  With ``tail_slope``
-    a fourth value follows, dP/ds = 2 c s phi(c/sd)/sd^3 averaged over the
-    mixture (sd^2 = s^2 + tau), which the hard-SVR Newton step needs and
-    no other caller pays for.
+    dP/ds = 2 c s phi(c/sd)/sd^3 follows, and with ``density`` the density
+    of |V| at c, -dP/dc = 2 phi(c/sd)/sd, each averaged over the mixture
+    (sd^2 = s^2 + tau) and appended in that order.  The hard-SVR Newton
+    step needs dP/ds, the soft one both; no other caller pays for them.
     """
     s, c = float(s), float(c)
     if s < 0 or c < 0:
@@ -228,9 +234,12 @@ def e_hinge_moments(s, c, noise, *, tail_slope=False):
         ph = math.exp(-0.5 * z * z) / _SQRT2PI
         moments = 2.0 * q, _h1_from(sd, c, q, ph), _h2_from(sd, c, q, ph)
         if tail_slope:
-            return moments + (2.0 * ph * z * s / (sd * sd),)
+            moments += (2.0 * ph * z * s / (sd * sd),)
+        if density:
+            moments += (2.0 * ph / sd,)
         return moments
-    return _mixture_moments(s, 1.0, c, _mixing_rule(noise.dof, _ABS_TOL), tail_slope)
+    rule = _mixing_rule(noise.dof, _ABS_TOL)
+    return _mixture_moments(s, 1.0, c, rule, tail_slope, density)
 
 
 def hinge_sq_mean(s, a, c, noise):

@@ -34,6 +34,7 @@ from tests_support import (
     hsvr_risk_golden,
     hsvr_risk_nested,
     ssvr_risk_golden,
+    ssvr_risk_nested,
     sup_chi,
     sup_chi_golden,
 )
@@ -337,7 +338,7 @@ class TestSsvrFirstOrderConditions:
         assert val == 0.5 * 2.0 ** 2 + 0.5 * (0.3 - 1.0) ** 2
 
     def test_certificates(self):
-        # C = 20 puts the g1 root on a numerical step just below the hard edge
+        # C = 20 sits just below the hard edge, C = 1e6 on it (k = C g2/beta ~ 3e5)
         for prob in (SsvrProblem(2.0, 1.0, 1.0, 0.6, GAUSS, cost=2.4),
                      SsvrProblem(3.8, 1.0, 1.0, 0.8, NOISES["d3"], cost=3.2),
                      SsvrProblem(1.0, 0.5, 1.0, 0.5, GAUSS, cost=20.0),
@@ -352,10 +353,11 @@ class TestSsvrFirstOrderConditions:
         assert hsvr_risk(HsvrProblem(10.0, 1.0, 1.0, 0.1, GAUSS)).diagnostics["expect_evals"] > 0
 
     def test_expectation_budget(self):
-        # the benchmark's SSVR_POINT (294 calls): the g1 bracket stops at
-        # the first point where dV/dg1 > 0
+        # the benchmark's SSVR_POINT: 17 calls, 3 for the infeasible hard
+        # start and 7 residual evaluations of 2 calls; the bound leaves
+        # room for 2 more evaluations (the nested roots took 294 calls)
         sol = ssvr_risk(SsvrProblem(2.0, 1.0, 1.0, 0.6, GAUSS, cost=2.4))
-        assert sol.diagnostics["expect_evals"] <= 310
+        assert sol.diagnostics["expect_evals"] <= 21
 
     def test_edge_regimes_return_certified_values(self):
         # C -> 0 and delta -> 0 make g1 and k tiny, where E min(h, k)^2
@@ -372,6 +374,35 @@ class TestSsvrFirstOrderConditions:
         # the infeasible tube's risk settles as C grows (5.5e-6 apart here)
         near = ssvr_risk(SsvrProblem(2.0, 1.0, 1.0, 0.6, GAUSS, cost=1e6)).risk
         assert sol.risk == pytest.approx(near, rel=1e-4)
+
+    def test_matches_the_nested_roots_oracle(self):
+        # the 72-case grid of tools/layer_counts.py, the edge regimes below
+        # and a tube that is infeasible by far (k* = 0.0017), against a
+        # Brent root in g2 over a Brent root in g1 over a log-k root
+        cases = [(delta, 1.0, 1.0, eps, noise, cost) for noise in NOISES.values()
+                 for delta in (1.5, 2.0, 3.8) for eps in (0.2, 0.8)
+                 for cost in (0.8, 12.8, 100.0, 1e6)]
+        cases += [(2.0, 1.0, 1.0, 0.6, GAUSS, 1e-8), (1e-12, 1.0, 1.0, 0.6, GAUSS, 2.4),
+                  (2.0, 1.0, 1.0, 0.0, GAUSS, 2.4), (2.0, 1.0, 1.0, 0.6, GAUSS, 1e9),
+                  (1000.0, 1.0, 1.0, 1.0, NOISES["d3"], 1e6)]
+        for delta, sigma, beta, eps, noise, cost in cases:
+            prob = SsvrProblem(delta, sigma, beta, eps, noise, cost=cost)
+            want = ssvr_risk_nested(prob, tol=1e-11).risk
+            assert ssvr_risk(prob).risk == pytest.approx(want, rel=1e-9), (delta, eps, cost)
+
+    def test_certificates_up_to_the_hard_edge(self):
+        # from C = 15 to 1e6 the soft solution moves onto the hard edge;
+        # past it (C = 1e12, and delta = 1000 at C = 1e6) 1 - delta P_band
+        # ~ sigma k / C is a difference of nearly equal numbers
+        probs = [SsvrProblem(2.0, 1.0, 1.0, 0.6, GAUSS, cost=cost)
+                 for cost in (15.0, 20.0, 25.0, 30.0, 50.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e12)]
+        probs += [SsvrProblem(1.5, 1.0, 1.0, 1.0, GAUSS, cost=25.0),
+                  SsvrProblem(2.0, 1.0, 1.0, 1.2, GAUSS, cost=25.0),
+                  SsvrProblem(1000.0, 1.0, 1.0, 1.0, NOISES["d3"], cost=1e6)]
+        for prob in probs:
+            diag = ssvr_risk(prob).diagnostics
+            assert diag["stationarity"] <= 1e-6, (prob.delta, prob.eps, prob.cost)
+            assert diag["chi_residual"] <= 1e-6, (prob.delta, prob.eps, prob.cost)
 
     def test_large_cost_solves_the_hard_edge_equations(self):
         # C -> inf: g2 = (beta/sigma)(1 - delta P(|V| > c)) and
@@ -440,14 +471,16 @@ class TestHsvrFirstOrderConditions:
         assert abs(sol.diagnostics["d_residual"]) <= 1e-7
 
     def test_threshold_scan_matches_the_soft_limit(self):
-        # from 0.5 delta* to (1 - 1e-6) delta*; the soft reference runs at
-        # tol 1e-11, since at its default tol its own error reaches ~5e-6 here
+        # from 0.5 delta* to (1 - 1e-6) delta*, where g1 moves ~34 times as
+        # fast as g2 along the hard edge, at the soft solve's default tol
+        # and at tol 1e-11
         dstar = delta_star(1.0, 0.2, GAUSS)
         for f in (0.5, 0.7, 0.9, 0.99, 0.999, 1.0 - 1e-4, 1.0 - 1e-5, 1.0 - 1e-6):
             sol = hsvr_risk(HsvrProblem(f * dstar, 0.2, 2.0, 1.0, GAUSS))
-            soft = ssvr_risk(SsvrProblem(f * dstar, 0.2, 2.0, 1.0, GAUSS, cost=1e10), tol=1e-11)
+            prob = SsvrProblem(f * dstar, 0.2, 2.0, 1.0, GAUSS, cost=1e10)
             assert sol.feasible
-            assert sol.risk == pytest.approx(soft.risk, rel=1e-6), f
+            assert sol.risk == pytest.approx(ssvr_risk(prob).risk, rel=1e-8), f
+            assert sol.risk == pytest.approx(ssvr_risk(prob, tol=1e-11).risk, rel=1e-6), f
 
     def test_matches_the_nested_roots_oracle(self):
         # the criterion-2 anchors, the benchmark's hsvr points and a grid on

@@ -287,6 +287,23 @@ class TestTailMoments:
                   - e_hinge_moments(s, c + h, noise)[1]) / (2.0 * h)
             assert fd == pytest.approx(e_hinge_moments(s, c, noise)[0], abs=1e-7)
 
+    @pytest.mark.parametrize("noise", TAIL_NOISES, ids=["gauss", "d3", "d10"])
+    def test_tail_slope_and_density_add_the_derivatives_of_the_tail(self, noise):
+        # dP/ds and the density of |V| at c, -dP/dc, after the same three moments
+        h = 1e-5
+        for s, c in ((0.3, 0.5), (1.2, 0.2), (2.0, 2.5), (0.8, 6.0), (0.7, 0.0)):
+            *moments, dp_ds, dens = e_hinge_moments(s, c, noise, tail_slope=True, density=True)
+            assert tuple(moments) == e_hinge_moments(s, c, noise)
+            assert (*moments, dp_ds) == e_hinge_moments(s, c, noise, tail_slope=True)
+            assert (*moments, dens) == e_hinge_moments(s, c, noise, density=True)
+            fd_s = (e_hinge_moments(s + h, c, noise)[0]
+                    - e_hinge_moments(s - h, c, noise)[0]) / (2.0 * h)
+            assert dp_ds == pytest.approx(fd_s, abs=1e-8)
+            if c > 0.0:
+                fd_c = (e_hinge_moments(s, c - h, noise)[0]
+                        - e_hinge_moments(s, c + h, noise)[0]) / (2.0 * h)
+                assert dens == pytest.approx(fd_c, abs=1e-8)
+
     def test_hinge_moments_match_the_hinge_functionals(self):
         # hinge_sq_mean at a = 1 is the same vector pass on the mixture
         # (bit-identical) and the rescaled scalar closed form on the Gaussian

@@ -2,6 +2,7 @@
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog, minimize
@@ -12,9 +13,7 @@ from svrisk.asymptotics import (
     AsymptoticSolution,
     HsvrProblem,
     SsvrProblem,
-    _chi_level,
     _cosine_limit,
-    _dbar_g1_zero,
     _g1_edge,
     delta_star,
     hsvr_risk,
@@ -25,6 +24,7 @@ from svrisk.expectations import (
     _h1_from,
     _h2_from,
     _mixing_rule,
+    count_expectations,
     e_hinge_moments,
     hinge_sq_mean,
 )
@@ -582,11 +582,200 @@ def lp_feasible(x, y, eps):
     return res.status == 0 and res.x[p] <= eps + 1e-9
 
 
+_LOG_K_CAP = 300.0  # keeps (c + k)^2 finite in the hinge moments
+
+
+def _dbar_g1_zero(g2, prob):
+    """sup over chi of Dbar on the g1 = 0 boundary (chi drops out)."""
+    sigma = prob.sigma
+    thr = prob.eps / sigma
+    b = prob.beta / sigma
+    h1 = e_hinge_moments(abs(g2), thr, prob.noise)[1]
+    return (prob.cost * prob.delta / sigma) * h1 + 0.5 * (g2 - b) ** 2
+
+
+class _ChiLevel(NamedTuple):
+    """sup over chi of Dbar at fixed (g1 > 0, g2).
+
+    k = g1*C/chi is the Huber threshold at the maximiser: inf on the
+    hard-feasible slice, where chi* = 0.  emin2 = E min(h, k)^2 and
+    p_band = P(c < |V| < c + k), with h = (|V| - c)_+, V = sG + N.
+    """
+
+    k: float
+    value: float
+    emin2: float
+    p_band: float
+
+
+def _chi_level(g1, g2, prob, k_hint, log_tol):
+    """Solve the chi-level first-order condition delta E min(h, k)^2 = g1^2.
+
+    dDbar/dchi = (delta E min(h, k)^2 - g1^2) / (2 sigma g1), and
+    E min(h, k)^2 = H2(c) - H2(c+k) - 2k H1(c+k) increases in k from 0 to
+    H2(c) (H2, H1 the hinge-square and hinge).  If delta H2(c) <= g1^2 the
+    sup is the chi -> 0 limit q = g1^2/2 + (g2 - beta/sigma)^2/2.  Otherwise
+    the root in log k is bracketed between the bound from
+    E min(h, k)^2 <= k^2 P(h > 0) and an expansion from ``k_hint``, and
+    solved to ``log_tol``; the value is Dbar there, with
+    E rho_k(h) = (H2(c) - H2(c+k)) / 2.  E min(h, k)^2 is evaluated as
+    k^2 P(h > k) + E[h^2; h <= k], the second term clipped to its range
+    [0, k^2 P_band]: for small k the difference form cancels to rounding
+    noise, and the clip keeps the bracket's lower end below the root.
+    """
+    sigma, delta, noise = prob.sigma, prob.delta, prob.noise
+    c = prob.eps / sigma
+    s = math.hypot(g1, g2)
+    q = 0.5 * g1 * g1 + 0.5 * (g2 - prob.beta / sigma) ** 2
+    p0, _, h2_0 = e_hinge_moments(s, c, noise)
+    target = g1 * g1 / delta
+    if h2_0 <= target or p0 <= 0.0:
+        return _ChiLevel(math.inf, q, h2_0, p0)
+    moments = {}
+
+    def emin2(k, p_k, h1, h2):
+        band = h2_0 - h2 - 2.0 * k * h1 - k * k * p_k
+        return k * k * p_k + min(max(band, 0.0), k * k * (p0 - p_k))
+
+    def gap(y):
+        k = math.exp(y)
+        moments[y] = e_hinge_moments(s, c + k, noise)
+        return emin2(k, *moments[y]) - target
+
+    y_lo = 0.5 * math.log(target / p0) - 0.5
+    f_lo = None
+    y_hi = max(math.log(k_hint), y_lo)
+    f_hi = gap(y_hi)
+    step = 0.25
+    while f_hi <= 0.0:
+        if y_hi >= _LOG_K_CAP:  # the root is beyond float resolution: chi* = 0
+            return _ChiLevel(math.inf, q, h2_0, p0)
+        y_lo, f_lo = y_hi, f_hi
+        y_hi = min(y_hi + step, _LOG_K_CAP)
+        step *= 4.0
+        f_hi = gap(y_hi)
+    y = brent_root(gap, y_lo, y_hi, f_lo=f_lo, f_hi=f_hi, xtol=log_tol)
+    k = math.exp(y)
+    p_k, h1, h2 = moments[y]
+    value = prob.cost / (2.0 * sigma * k) * (delta * (h2_0 - h2) - g1 * g1) + q
+    return _ChiLevel(k, value, emin2(k, p_k, h1, h2), p0 - p_k)
+
+
+def ssvr_risk_nested(prob, tol=1e-8):
+    """Soft-SVR solution by three nested roots, its expectation calls in
+    ``diagnostics["expect_evals"]``.
+
+    The reference for ``svrisk.ssvr_risk``'s Newton solve on (g1, log g2):
+    the first-order conditions solved level by level, each by a
+    bracketed Brent root.  chi: delta E min(h, k)^2 = g1^2 in log k
+    (``_chi_level``); g1: dV/dg1 = g1 [1 - C (1 - delta P_band) /
+    (sigma k)] = 0, bracketed by doubling from the previous g1 root, with
+    the exact g1 = 0 branch when P(|V| > c) = 0 at g1 = 0; g2: the fixed
+    point g2 = (beta/sigma)(1 - delta P_band) on [0, beta/sigma], at
+    tolerance tol * max(1, beta/sigma), the inner roots 1e3 times tighter.
+    For large C the g1 root is a step onto the hard edge, where
+    ``stationarity`` (the norm of g2 sigma/beta - (1 - delta P_band) and
+    (dV/dg1)/g1, the second omitted on the edge) is not resolved.
+    """
+    with count_expectations() as counter:
+        sol = _ssvr_nested(prob, tol)
+    sol.diagnostics["expect_evals"] = counter.n
+    return sol
+
+
+def _ssvr_nested(prob, tol):
+    sigma, delta, cost, noise = prob.sigma, prob.delta, prob.cost, prob.noise
+    b = prob.beta / sigma
+    c = prob.eps / sigma
+    inner_tol = max(1e-3 * tol, 1e-14)
+    warm_g1, warm_k = 0.5, 1.0
+    n_values = 0
+
+    def level(g1, g2):
+        nonlocal n_values, warm_k
+        n_values += 1
+        lvl = _chi_level(g1, g2, prob, warm_k, inner_tol)
+        if math.isfinite(lvl.k):
+            warm_k = lvl.k
+        return lvl
+
+    def d_g1(g1, lvl):
+        if not math.isfinite(lvl.k):
+            return g1
+        return g1 * (1.0 - cost * (1.0 - delta * lvl.p_band) / (sigma * lvl.k))
+
+    def fixed_point_g2(g2, lvl):
+        return g2 - b * max(1.0 - delta * lvl.p_band, 0.0)
+
+    def g1_level(g2):
+        """(argmin over g1 >= 0 of V(., g2), its chi level)."""
+        nonlocal warm_g1
+        levels = {}
+
+        def at(g1):
+            if g1 not in levels:
+                levels[g1] = level(g1, g2)
+            return levels[g1]
+
+        def slope(g1):
+            return d_g1(g1, at(g1))
+
+        p0 = e_hinge_moments(abs(g2), c, noise)[0]
+        g1 = 0.0
+        if p0 > 0.0:
+            # V(., g2) is convex, so its slope rises from its g1 -> 0 limit
+            # and changes sign once
+            lo, hi, f_lo, f_hi = expand_bracket_root(
+                slope, 0.0, warm_g1, _T_CAP, f_lo=-cost * math.sqrt(delta * p0) / sigma)
+            xtol = inner_tol * max(1.0, hi)
+            g1 = brent_root(slope, lo, hi, f_lo=f_lo, f_hi=f_hi, xtol=xtol)
+        if g1 == 0.0:  # the exact g1 = 0 branch, where chi drops out
+            return 0.0, _ChiLevel(0.0, _dbar_g1_zero(g2, prob), 0.0, 0.0)
+        if slope(g1) < -1e-6 * g1:
+            # the root is a jump (large C): the other end of Brent's final
+            # bracket, less than 2 xtol above, is on the hard edge, where chi* = 0
+            up = g1 + 2.0 * xtol
+            if not math.isfinite(at(up).k):
+                g1 = up
+        warm_g1 = g1
+        return g1, levels[g1]
+
+    solved = {}
+
+    def outer(g2):
+        solved[g2] = g1_level(g2)
+        return fixed_point_g2(g2, solved[g2][1])
+
+    # brent_root returns a point it has evaluated, so solved holds it
+    g2 = brent_root(outer, 0.0, b, xtol=tol * max(1.0, b))
+    g1, lvl = solved[g2]
+    residuals = [fixed_point_g2(g2, lvl) / b]
+    if g1 == 0.0:
+        chi, chi_residual = None, 0.0
+    else:
+        # at the saddle sigma k = C (1 - delta P_band), so chi = g1 C / k is
+        # g1 sigma / (1 - delta P_band), which stays finite on the hard edge
+        u = 1.0 - delta * lvl.p_band
+        chi = g1 * sigma / u if u > 0.0 else math.inf
+        chi_residual = abs(delta * lvl.emin2 - g1 * g1)
+        if math.isfinite(lvl.k):
+            residuals.append(d_g1(g1, lvl) / g1)
+    risk = sigma ** 2 * (g1 ** 2 + g2 ** 2)
+    return AsymptoticSolution(
+        g1=g1, g2=g2, risk=risk,
+        cosine=_cosine_limit(g1, g2, b),
+        feasible=True, chi=chi,
+        diagnostics={"value": lvl.value, "value_evals": n_values,
+                     "chi_residual": chi_residual,
+                     "stationarity": math.hypot(*residuals)},
+    )
+
+
 def sup_chi(g1, g2, prob, chi_hint=1.0, log_tol=1e-6):
     """(chi*, sup over chi of Dbar) at fixed (g1 > 0, g2).
 
-    The first-order condition in chi solved by ``svrisk.asymptotics._chi_level``
-    (which ``ssvr_risk`` calls directly), returned as a (chi, value) pair;
+    The first-order condition in chi solved by ``_chi_level`` (the inner
+    level of ``ssvr_risk_nested``), returned as a (chi, value) pair;
     chi* = 0 on the hard-feasible slice.  ``log_tol`` is the tolerance on
     log chi*.
     """

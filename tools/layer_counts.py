@@ -15,7 +15,9 @@ Prints one JSON object:
   eps in {0.2, 0.8} x C in {0.8, 12.8, 100, 1e6} x {Gaussian, d = 3,
   d = 10}, at tol 1e-8 and at tol 1e-3, and at the benchmark's
   ``GAUSS_SCAN`` and ``HEAVY_SCAN`` (tol 1e-3) and ``SSVR_POINT`` (default
-  tol) points; sums of both counts, and the sorted ``diagnostics`` keys;
+  tol) points; sums of both counts, the sorted ``diagnostics`` keys, and
+  the largest ``stationarity`` and ``chi_residual`` over the grid at each
+  tol;
 - ``hsvr``: ``expect_evals`` and the risk (``repr``; None when
   infeasible) of each ``hsvr_risk`` solve at the criterion-2 anchors, the
   benchmark's un-jittered hsvr points (``perfbench/workloads.py``), a
@@ -108,20 +110,25 @@ def ssvr_counts(sv):
         return sv.standard_gaussian() if dof == 0 else sv.scale_mixture(dof)
 
     cases, keys = {}, set()
+    worst = {}
 
     def solve(label, d, e, c, dof, **kw):
         sol = sv.ssvr_risk(sv.SsvrProblem(d, 1.0, 1.0, e, noise(dof), cost=c), **kw)
         keys.update(sol.diagnostics)
         cases[label] = [sol.diagnostics["expect_evals"], sol.diagnostics["value_evals"],
                         repr(sol.risk)]
+        return sol.diagnostics
 
     for tol in (1e-8, 1e-3):
+        certs = worst[f"tol={tol:g}"] = {"stationarity": 0.0, "chi_residual": 0.0}
         for dof in (0, 3, 10):
             for d in (1.5, 2.0, 3.8):
                 for e in (0.2, 0.8):
                     for c in (0.8, 12.8, 100.0, 1e6):
-                        solve(f"grid:tol={tol:g},dof={dof},{d:g},{e:g},{c:g}",
-                              d, e, c, dof, tol=tol)
+                        diag = solve(f"grid:tol={tol:g},dof={dof},{d:g},{e:g},{c:g}",
+                                     d, e, c, dof, tol=tol)
+                        for name in certs:
+                            certs[name] = max(certs[name], diag[name])
     for name, points in (("gauss_scan", workloads.GAUSS_SCAN),
                          ("heavy_scan", workloads.HEAVY_SCAN)):
         for d, e, c, dof in points:
@@ -132,6 +139,7 @@ def ssvr_counts(sv):
         "expect_evals": sum(v[0] for v in cases.values()),
         "value_evals": sum(v[1] for v in cases.values()),
         "diagnostics_keys": sorted(keys),
+        "grid_max_certificates": worst,
         "cases": cases,
     }
 
