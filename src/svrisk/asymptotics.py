@@ -45,12 +45,18 @@ _EDGE_MAX_ITER = 200  # Newton from g1 = 0 halves its error at worst
 _HSVR_RTOL = 1e-14  # relative (g1, g2) step at which hsvr_risk's Newton solve stops
 _NOISE_STEP = 1e-9  # a Newton step this small (relative) that fails is rounding noise
 _HSVR_MAX_ITER = 100  # Newton steps of hsvr_risk; a step costs one call or more
+_HSVR_D_CERT = 1e-7  # |D| / max(1, g1) that certifies hsvr_risk's point
+_HSVR_STAT_CERT = 1e-5  # stationarity that does (its rounding floor near delta* is ~3e-7)
 _SSVR_CURVE_RTOL = 1e-2  # relative g1 step within which a point is on the D = 0 curve
 _SSVR_LOG_STEP = 2.0  # step down in log g2 while ssvr_risk's bracket has no lower end
 _SSVR_MAX_EVALS = 100  # residual evaluations of ssvr_risk (two calls each)
 _K_CAP = 1e100  # every tail at c + k is 0 past it, and (c + k)^2 stays finite
 _TUNE_EPS_CAP = 400.0  # tune_hsvr's largest eps, times sigma
 _TUNE_SSVR_ROUNDS = 2  # coordinate refinement rounds of tune_ssvr
+
+
+class UncertifiedLimit(ArithmeticError):
+    """Raised when a risk solve ends at a point its residuals do not certify."""
 
 
 @dataclass(frozen=True)
@@ -268,15 +274,30 @@ def hsvr_risk(prob: HsvrProblem):
     rounding floor (near delta*, where D is flat in g1), and further
     halving would only chase noise.  At delta = delta* the g2 = 0 edge is
     a double root (delta P = 1), and g2 = 0 is the solution.
+    The returned point is certified: |D| <= 1e-7 max(1, g1) and
+    stationarity <= 1e-5.  A solve that stops short of that (at large
+    beta/sigma the scaled norm stalls it) is repeated from the same edge
+    with the unscaled norm hypot(D, F2); ``UncertifiedLimit`` is raised
+    if that one fails too.
     Diagnostics: ``expect_evals`` (expectation evaluations); when
-    feasible, also ``d_residual`` = D(g1*, g2*) (|d_residual| <= 1e-7)
-    and ``stationarity`` = |F2| sigma/beta, the two residuals of the
-    Newton solve at the returned point.
+    feasible, also ``d_residual`` = D(g1*, g2*) and ``stationarity`` =
+    |F2| sigma/beta, the two residuals of the Newton solve at the
+    returned point.
     """
     with count_expectations() as counter:
         sol = _hsvr_solve(prob)
-    sol.diagnostics["expect_evals"] = counter.n
+    diag = sol.diagnostics
+    if sol.feasible and not _hsvr_certified(sol.g1, diag["d_residual"], diag["stationarity"]):
+        raise UncertifiedLimit(f"hsvr_risk did not converge: d_residual "
+                               f"{diag['d_residual']:.3g}, "
+                               f"stationarity {diag['stationarity']:.3g}")
+    diag["expect_evals"] = counter.n
     return sol
+
+
+def _hsvr_certified(g1, d_residual, stationarity):
+    return (abs(d_residual) <= _HSVR_D_CERT * max(1.0, g1)
+            and stationarity <= _HSVR_STAT_CERT)
 
 
 def _hsvr_solve(prob):
@@ -289,7 +310,6 @@ def _hsvr_solve(prob):
     delta, noise = prob.delta, prob.noise
     b = prob.beta / prob.sigma
     c = prob.eps / prob.sigma
-    scale = 1.0 / max(1.0, b)
 
     def conditions(g1, g2):
         """(D, F2) at (g1, g2), and (dD/dg1, dD/dg2, dF2/ds / s)."""
@@ -300,39 +320,43 @@ def _hsvr_solve(prob):
         slope = b * delta * dp / s if s > 0.0 else 0.0
         return (root - g1, g2 - b * (1.0 - delta * p)), (dd * g1 - 1.0, dd * g2, slope)
 
-    def merit(f):
-        return math.hypot(f[0], scale * f[1])
-
-    g1, g2 = edge[0], 0.0
-    f, jac = conditions(g1, g2)
-    norm = merit(f)
-    for _ in range(_HSVR_MAX_ITER):
-        a11, a12, slope = jac
-        if a11 >= 0.0:  # the g2 = 0 edge is the slice's double root: g2 = 0 solves
-            break
-        a21, a22 = slope * g1, 1.0 + slope * g2
-        det = a11 * a22 - a12 * a21  # <= a11 < 0
-        d1 = (a12 * f[1] - a22 * f[0]) / det
-        d2 = (a21 * f[0] - a11 * f[1]) / det
-        step = math.hypot(d1, d2)
-        size = step / (math.hypot(g1, g2) + step)  # relative; 1 at the origin
-        if size <= _HSVR_RTOL:
-            break
-        t = 1.0
-        while True:
-            t1, t2 = g1 + t * d1, g2 + t * d2
-            if t1 >= 0.0 and 0.0 <= t2 <= b:
-                ft, jt = conditions(t1, t2)
-                nt = merit(ft)
-                if nt < norm and jt[0] < 0.0:
-                    break
-            if t * size <= _NOISE_STEP:
-                t = 0.0
+    # The norm weighs F2 by 1/max(1, b).  At large beta/sigma both
+    # residuals grow like b and that weight stalls the iteration far from
+    # the root (at beta/sigma = 1e3 with |D| ~ 0.5): a solve that does not
+    # certify its point is repeated with both residuals weighed alike.
+    for scale in (1.0 / max(1.0, b), 1.0):
+        g1, g2 = edge[0], 0.0
+        f, jac = conditions(g1, g2)
+        norm = math.hypot(f[0], scale * f[1])
+        for _ in range(_HSVR_MAX_ITER):
+            a11, a12, slope = jac
+            if a11 >= 0.0:  # the g2 = 0 edge is the slice's double root: g2 = 0 solves
                 break
-            t *= 0.5
-        if t == 0.0:  # the residual is at its rounding floor
+            a21, a22 = slope * g1, 1.0 + slope * g2
+            det = a11 * a22 - a12 * a21  # <= a11 < 0
+            d1 = (a12 * f[1] - a22 * f[0]) / det
+            d2 = (a21 * f[0] - a11 * f[1]) / det
+            step = math.hypot(d1, d2)
+            size = step / (math.hypot(g1, g2) + step)  # relative; 1 at the origin
+            if size <= _HSVR_RTOL:
+                break
+            t = 1.0
+            while True:
+                t1, t2 = g1 + t * d1, g2 + t * d2
+                if t1 >= 0.0 and 0.0 <= t2 <= b:
+                    ft, jt = conditions(t1, t2)
+                    nt = math.hypot(ft[0], scale * ft[1])
+                    if nt < norm and jt[0] < 0.0:
+                        break
+                if t * size <= _NOISE_STEP:
+                    t = 0.0
+                    break
+                t *= 0.5
+            if t == 0.0:  # the residual is at its rounding floor
+                break
+            g1, g2, f, jac, norm = t1, t2, ft, jt, nt
+        if scale == 1.0 or _hsvr_certified(g1, f[0], abs(f[1]) / b):
             break
-        g1, g2, f, jac, norm = t1, t2, ft, jt, nt
     risk = prob.sigma ** 2 * (g1 ** 2 + g2 ** 2)
     return AsymptoticSolution(
         g1=g1, g2=g2, risk=risk,

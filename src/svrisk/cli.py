@@ -3,8 +3,8 @@
 Subcommands: delta-star, risk, tune, solve, estimate, sweep, figure.
 Values printed to stdout use 9 significant digits; tables are written as
 CSV with a '#'-prefixed metadata header (version, command, parameters).
-Exit codes: 0 success, 1 usage error, 2 mathematically infeasible or
-unsupported regime.
+Exit codes: 0 success, 1 usage error, 2 mathematically infeasible,
+unsupported regime or a limit that could not be certified.
 
 An argument @FILE stands for the arguments in FILE, each line split as a
 shell would split it ('#' starts a comment); a later flag overrides an
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import shlex
 import sys
 
@@ -25,13 +26,14 @@ from . import __version__
 from .asymptotics import (
     HsvrProblem,
     SsvrProblem,
+    UncertifiedLimit,
     delta_star,
     hsvr_risk,
     ssvr_risk,
     tune_hsvr,
     tune_ssvr,
 )
-from .montecarlo import ESTIMATOR_PARAMS, ESTIMATORS, SweepSpec, run_sweep
+from .montecarlo import ESTIMATOR_PARAMS, ESTIMATORS, SweepSpec, run_points, run_sweep
 from .noise import NoiseModel, scale_mixture, standard_gaussian
 from .scalar_opt import golden_section_min
 from .solvers import (
@@ -303,14 +305,11 @@ def cmd_figure(args):
     g = standard_gaussian()
     emp_rows = []
 
-    def empirical(estimator, noise, **params):
-        spec = SweepSpec(estimator=estimator, swept="delta",
-                         grid=(params["delta"],),
-                         fixed={k: v for k, v in params.items() if k != "delta"},
-                         p=p, trials=trials, base_seed=seed, theory=False,
-                         noise=noise)
-        emp_rows.append(run_sweep(spec)[0])
-        return emp_rows[-1]
+    def empirical(noise, points):
+        """Monte Carlo rows of (estimator, params) points, given in path order."""
+        rows = run_points(points, p, trials, seed, noise)
+        emp_rows.extend(rows)
+        return rows
 
     def write(cols, rows):
         write_csv(out, meta + _fit_meta(emp_rows, SolverConfig().tol), cols, rows)
@@ -331,15 +330,16 @@ def cmd_figure(args):
         for b in betas:
             cols += [f"risk_beta{b}", f"cos_beta{b}", f"emp_risk_beta{b}",
                      f"emp_stderr_beta{b}", f"null_beta{b}"]
+        deltas = [d for d in delta_grid if d <= 0.98 * dstar]
+        emp = iter(empirical(g, [("hsvr", {"delta": d, "sigma": 1.0, "beta": b, "eps": 1.0})
+                                 for d in deltas for b in betas]))
         rows = []
-        for d in delta_grid:
-            if d > 0.98 * dstar:
-                continue
+        for d in deltas:
             row = [d]
             for b in betas:
                 sol = hsvr_risk(HsvrProblem(d, 1.0, b, 1.0, g))
-                emp = empirical("hsvr", g, delta=d, sigma=1.0, beta=b, eps=1.0)
-                row += [sol.risk, sol.cosine, emp.mean_risk, emp.stderr_risk, b * b]
+                e = next(emp)
+                row += [sol.risk, sol.cosine, e.mean_risk, e.stderr_risk, b * b]
             rows.append(row)
         write(cols, rows)
         return EXIT_OK
@@ -351,14 +351,20 @@ def cmd_figure(args):
         cols = ["eps"]
         for s in sigmas:
             cols += [f"risk_sigma{s}", f"emp_risk_sigma{s}", f"emp_stderr_sigma{s}"]
+        # the path runs up the eps grid at the first sigma and back down at
+        # the second, so consecutive points differ in one parameter
+        path = [(s, e) for i, s in enumerate(sigmas)
+                for e in (eps_grid if i % 2 == 0 else eps_grid[::-1])]
+        emp = dict(zip(path, empirical(g, [
+            ("hsvr", {"delta": delta, "sigma": s, "beta": 1.0, "eps": e})
+            for s, e in path])))
         rows = []
         for e in eps_grid:
             row = [e]
             for s in sigmas:
                 sol = hsvr_risk(HsvrProblem(delta, s, 1.0, e, g))
-                emp = empirical("hsvr", g, delta=delta, sigma=s, beta=1.0, eps=e)
                 row += [sol.risk if sol.feasible else None,
-                        emp.mean_risk, emp.stderr_risk]
+                        emp[s, e].mean_risk, emp[s, e].stderr_risk]
             rows.append(row)
         write(cols, rows)
         return EXIT_OK
@@ -387,13 +393,18 @@ def cmd_figure(args):
                              if fid == "5a" else
                              tuple(np.round(np.logspace(-1, 2, 13), 10)))
         cols = ["eps" if fid == "5a" else "cost", "risk", "emp_risk", "emp_stderr"]
+        points = [{"delta": 2.0, "sigma": 1.0, "beta": 1.0,
+                   "eps": v if fid == "5a" else 0.6, "cost": 2.4 if fid == "5a" else v}
+                  for v in cols_grid]
+        # 5b walks its grid backwards, down in C: a step down puts
+        # coordinates on the box, which the warm start's polish takes (on
+        # the default grid 220 of 240 warm starts certify, 140 going up)
+        path = list(range(len(points)))[::-1 if fid == "5b" else 1]
+        emp = dict(zip(path, empirical(g, [("ssvr", points[i]) for i in path])))
         rows = []
-        for v in cols_grid:
-            eps = v if fid == "5a" else 0.6
-            cost = 2.4 if fid == "5a" else v
-            sol = ssvr_risk(SsvrProblem(2.0, 1.0, 1.0, eps, g, cost=cost))
-            emp = empirical("ssvr", g, delta=2.0, sigma=1.0, beta=1.0, eps=eps, cost=cost)
-            rows.append([v, sol.risk, emp.mean_risk, emp.stderr_risk])
+        for i, (v, pt) in enumerate(zip(cols_grid, points)):
+            sol = ssvr_risk(SsvrProblem(2.0, 1.0, 1.0, pt["eps"], g, cost=pt["cost"]))
+            rows.append([v, sol.risk, emp[i].mean_risk, emp[i].stderr_risk])
         write(cols, rows)
         return EXIT_OK
 
@@ -424,14 +435,18 @@ def cmd_figure(args):
     cols = ["delta", "hsvr", "ssvr", "ridge",
             "hsvr_emp", "hsvr_emp_stderr", "ssvr_emp", "ssvr_emp_stderr",
             "ridge_emp", "ridge_emp_stderr"]
+    tuned = [(d, tune_hsvr(d, 1.0, 1.0, noise), tune_ssvr(d, 1.0, 1.0, noise))
+             for d in delta_grid]
+    points = []
+    for d, (eps_h, _), (eps_s, cost_s, _) in tuned:
+        base = {"delta": d, "sigma": 1.0, "beta": 1.0}
+        points += [("hsvr", {**base, "eps": eps_h}),
+                   ("ssvr", {**base, "eps": eps_s, "cost": cost_s}),
+                   ("ridge_oracle", base)]
+    emp = iter(empirical(noise, points))
     rows = []
-    for d in delta_grid:
-        eps_h, risk_h = tune_hsvr(d, 1.0, 1.0, noise)
-        eps_s, cost_s, risk_s = tune_ssvr(d, 1.0, 1.0, noise)
-        emp_h = empirical("hsvr", noise, delta=d, sigma=1.0, beta=1.0, eps=eps_h)
-        emp_s = empirical("ssvr", noise,
-                          delta=d, sigma=1.0, beta=1.0, eps=eps_s, cost=cost_s)
-        emp_r = empirical("ridge_oracle", noise, delta=d, sigma=1.0, beta=1.0)
+    for d, (_, risk_h), (_, _, risk_s) in tuned:
+        emp_h, emp_s, emp_r = next(emp), next(emp), next(emp)
         rows.append([d, risk_h, risk_s, emp_r.mean_risk,
                      emp_h.mean_risk, emp_h.stderr_risk,
                      emp_s.mean_risk, emp_s.stderr_risk,
@@ -468,7 +483,9 @@ def _add_table(sp, defaults=_TABLE_DEFAULTS):
     sp.add_argument("--output", "-o", default=None)
 
 
+@functools.cache
 def build_parser():
+    """The parser, built once per process: ``main`` may run many times."""
     parser = _Parser(prog="svrisk", fromfile_prefix_chars="@",
                      description="High-dimensional SVR risk asymptotics and simulation; "
                                  "@FILE reads further arguments from FILE")
@@ -542,6 +559,9 @@ def main(argv=None) -> int:
     except (ValueError, UnsupportedRegime) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except UncertifiedLimit as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
 
 
 if __name__ == "__main__":

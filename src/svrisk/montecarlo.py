@@ -1,12 +1,18 @@
 """Seeded parameter sweeps tying the scalar limits to finite-sample runs.
 
-A sweep varies one parameter (delta, eps, or cost) over a grid, runs
-``trials`` independent datasets per grid point, and aggregates risks,
-cosines and feasibility.  Per-trial seeds derive from
+A sweep (``run_sweep``) varies one parameter (delta, eps, or cost) over a
+grid, runs ``trials`` independent datasets per grid point, and aggregates
+risks, cosines and feasibility.  Per-trial seeds derive from
 SeedSequence(base_seed, spawn_key=(grid_index, trial_index)), so results
 are independent of execution order and of the trial count beyond the
 index in question: rerunning with more trials leaves earlier trials
-untouched.
+untouched.  ``feasibility_curve`` is such a sweep over delta.
+
+A figure's points (``run_points``) all seed trial t with spawn_key=(0, t),
+so the points at one delta share trial t's design.  It is drawn once
+(``solvers.Design``) and every fit on it starts from the same
+estimator's previous point, walked in path order; each point is
+aggregated as a sweep's grid point is.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from .asymptotics import HsvrProblem, SsvrProblem, hsvr_risk, ssvr_risk
 from .noise import NoiseModel, standard_gaussian
 from .solvers import (
     DEFAULT_CONFIG,
+    Design,
     SolverConfig,
     cosine_similarity,
     generate_dataset,
@@ -126,40 +133,46 @@ def _theory_point(spec: SweepSpec, params):
     return sol.risk, sol.cosine
 
 
-def _run_trial(spec: SweepSpec, params, grid_index, trial_index):
-    """One dataset + fit; returns (risk, cosine, status, gap).
+def _fit(estimator, data, params, cfg, start=None):
+    """One fit on data; returns ((risk, cosine, status, gap), fit).
 
     status is the fit's ("converged", "infeasible" or "max_iters");
-    the closed-form estimators always report "converged", with gap None.
-    Risk and cosine are None unless the fit converged.
+    the closed-form estimators always report "converged", with gap None
+    and fit None.  Risk and cosine are None unless the fit converged.
+    A ``start`` is passed on to the solver only when there is one, so a
+    stand-in solver without that keyword still serves cold fits.
     """
+    gap, fit = None, None
+    if estimator == "null":
+        w = np.zeros(data.p)
+    elif estimator == "ridge_oracle":
+        _, w = oracle_ridge(data)
+    else:
+        warm = {} if start is None else {"start": start}
+        if estimator == "hsvr":
+            fit = solve_hard_svr(data, params["eps"], cfg, **warm)
+        else:
+            fit = solve_soft_svr(data, params["eps"], params["cost"], cfg, **warm)
+        if fit.status != "converged":
+            return (None, None, fit.status, None), fit
+        w, gap = fit.weights, fit.kkt_residual
+    return (prediction_risk(w, data.truth), cosine_similarity(w, data.truth),
+            "converged", gap), fit
+
+
+def _run_trial(spec: SweepSpec, params, grid_index, trial_index):
+    """One dataset + fit of a sweep; returns (risk, cosine, status, gap)."""
     ss = np.random.SeedSequence(spec.base_seed, spawn_key=(grid_index, trial_index))
     data = generate_dataset(spec.p, params["delta"], params["beta"],
                             params["sigma"], spec.noise, seed=ss)
-    gap = None
-    if spec.estimator == "null":
-        w = np.zeros(spec.p)
-    elif spec.estimator == "ridge_oracle":
-        _, w = oracle_ridge(data)
-    else:
-        if spec.estimator == "hsvr":
-            fit = solve_hard_svr(data, params["eps"], spec.solver)
-        else:
-            fit = solve_soft_svr(data, params["eps"], params["cost"], spec.solver)
-        if fit.status != "converged":
-            return None, None, fit.status, None
-        w, gap = fit.weights, fit.kkt_residual
-    return (prediction_risk(w, data.truth), cosine_similarity(w, data.truth),
-            "converged", gap)
+    return _fit(spec.estimator, data, params, spec.solver)[0]
 
 
-def _sweep_point(spec: SweepSpec, gi):
-    value = spec.grid[gi]
-    params = spec.params_at(value)
-    theory_risk, theory_cos = _theory_point(spec, params)
+def _row(value, theory, trials):
+    """SweepRow at ``value`` from (theory risk, theory cosine) and the
+    trials' (risk, cosine, status, gap) in trial order."""
     risks, cosines, gaps, infeasible, unconverged = [], [], [], 0, 0
-    for ti in range(spec.trials):
-        risk, cos, status, gap = _run_trial(spec, params, gi, ti)
+    for risk, cos, status, gap in trials:
         if status == "converged":
             risks.append(risk)
             if cos is not None:
@@ -179,16 +192,24 @@ def _sweep_point(spec: SweepSpec, gi):
         mean_cos = float(np.mean(cosines)) if cosines else None
     return SweepRow(
         swept_value=value,
-        theory_risk=theory_risk,
-        theory_cosine=theory_cos,
+        theory_risk=theory[0],
+        theory_cosine=theory[1],
         mean_risk=mean_risk,
         stderr_risk=stderr,
         mean_cosine=mean_cos,
-        feasibility_rate=(spec.trials - infeasible) / spec.trials,
+        feasibility_rate=(len(trials) - infeasible) / len(trials),
         trials_used=m,
         unconverged=unconverged,
         worst_gap=max(gaps) if gaps else None,
     )
+
+
+def _sweep_point(spec: SweepSpec, gi):
+    value = spec.grid[gi]
+    params = spec.params_at(value)
+    theory = _theory_point(spec, params)
+    return _row(value, theory, [_run_trial(spec, params, gi, ti)
+                                for ti in range(spec.trials)])
 
 
 def run_sweep(spec: SweepSpec):
@@ -209,3 +230,46 @@ def feasibility_curve(p, eps, sigma, noise, delta_grid, trials, base_seed,
                      {"sigma": sigma, "beta": 1.0, "eps": eps}, p=p, trials=trials,
                      base_seed=base_seed, theory=False, noise=noise, solver=cfg)
     return [(r.swept_value, r.feasibility_rate) for r in run_sweep(spec)]
+
+
+def run_points(points, p, trials, base_seed=0, noise=None,
+               cfg: SolverConfig = DEFAULT_CONFIG):
+    """Monte Carlo rows of a figure: one SweepRow (no theory) per point.
+
+    points is a sequence of (estimator, params), params holding delta,
+    sigma, beta and the estimator's ``ESTIMATOR_PARAMS``.  Trial t of every
+    point is drawn from SeedSequence(base_seed, spawn_key=(0, t)) at the
+    point's delta, so a point's row is the one a one-point ``run_sweep``
+    over delta would give, up to the solver's tol.  The loop is
+    trial-outer and walks the points in the given order: consecutive
+    points with the same delta share one ``Design`` (drawn once, with X'X
+    and the null(X) projector kept for every fit on it), and each SVR fit
+    starts from the same estimator's previous fit on that design.  Give
+    the points in path order, consecutive points differing in one
+    parameter, so that each start is a neighbour.  Rows come back in the
+    order of ``points``; swept_value is the point's delta.
+    """
+    noise = noise or standard_gaussian()
+    points = [(estimator, dict(params)) for estimator, params in points]
+    for estimator, params in points:
+        if estimator not in ESTIMATORS:
+            raise ValueError(f"estimator must be one of {ESTIMATORS}")
+        for name in ("delta", "sigma", "beta") + ESTIMATOR_PARAMS[estimator]:
+            if name not in params:
+                raise ValueError(f"{estimator} point needs {name!r}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    results = [[] for _ in points]
+    for ti in range(trials):
+        design = None
+        for (estimator, params), out in zip(points, results):
+            if design is None or params["delta"] != delta:
+                delta = params["delta"]
+                ss = np.random.SeedSequence(base_seed, spawn_key=(0, ti))
+                design, previous = Design(p, delta, noise, ss), {}
+            data = design.dataset(params["beta"], params["sigma"])
+            trial, previous[estimator] = _fit(estimator, data, params, cfg,
+                                              previous.get(estimator))
+            out.append(trial)
+    return [_row(params["delta"], (None, None), trial_results)
+            for (_, params), trial_results in zip(points, results)]

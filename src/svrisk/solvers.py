@@ -24,9 +24,9 @@ has y'v - eps ||v||_1 > 0 (the dual objective then grows linearly along
 v forever).  Every 25-iteration check of a hard solve that neither the
 gap test nor the polish has ended projects the iterate onto null(X) and
 tests the projection against that criterion; no other rule returns
-"infeasible".  The projector is factored at most once per hard solve,
-at the first such test, so a fit that converges at its first check
-never builds it.
+"infeasible".  The projector is factored at most once per design, at
+the first such test, so a fit that converges at its first check never
+builds it; a ``Design`` keeps it, and X'X, for every fit on the design.
 
 The same checks watch the sign pattern of the iterate (and, for the soft
 problem, which coordinates sit on the box).  At the first check, and
@@ -41,12 +41,21 @@ iterate from before the polish; a polish candidate that raises the
 objective without converging restarts the momentum from it after that
 test.  The forced check at max_iters tests convergence and
 infeasibility but does not polish.
+
+A fit may start from a converged fit on the same design at another eps,
+C, beta or sigma.  On a fixed sign/box pattern the dual solution is
+piecewise linear in eps and in 1/C and affine in y (the solution paths
+of Hastie, Rosset, Tibshirani & Zhu, JMLR 2004, and Gunter & Zhu,
+Neural Comput. 2007), so the previous fit's final pattern is usually
+this fit's: it is polished before the ascent, and a candidate that
+passes the check's test returns at iteration 0.  Otherwise the ascent
+runs from u = 0 as without a start.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,12 +72,15 @@ _RIDGE_LAMBDAS = np.logspace(-4.0, 6.0, 60)  # oracle_ridge's coarse grid
 class Dataset:
     """Synthetic regression instance y_i = truth . x_i + sigma * n_i.
 
-    features holds the p x n design (columns are samples).
+    features holds the p x n design (columns are samples).  design is the
+    ``Design`` the instance was built on, if any: the dual solvers then
+    take X'X and the null(X) projector from it.
     """
 
     features: np.ndarray
     responses: np.ndarray
     truth: np.ndarray
+    design: Design | None = field(default=None, repr=False, compare=False)
 
     @property
     def p(self) -> int:
@@ -92,7 +104,11 @@ class SvrFit:
     repairs included (each with one more product by the n x n Gram
     matrix); gram_products the n x n products of the gradient phase, one
     per backtracking trial plus one per polish candidate scored;
-    projector_builds whether the null(X) projector was factored (0 or 1).
+    projector_builds whether this fit factored the null(X) projector (0 or
+    1; a fit on a ``Design`` reuses one an earlier fit built).  pattern is
+    the dual's final sign/box pattern (``_active_pattern``), the one a
+    fit started from this one polishes first.  iterations is 0 for a fit
+    that such a start certified.
     """
 
     weights: np.ndarray
@@ -104,6 +120,7 @@ class SvrFit:
     polish_solves: int = 0
     gram_products: int = 0
     projector_builds: int = 0
+    pattern: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -117,33 +134,75 @@ class SolverConfig:
 DEFAULT_CONFIG = SolverConfig()
 
 
-def generate_dataset(p, delta, beta, sigma, noise=None, seed=0):
-    """i.i.d. standard-normal design with n = floor(delta * p) samples.
+class Design:
+    """One draw of the design, the truth direction and the unit noise.
 
-    The ground truth has norm exactly ``beta`` and a direction uniform on
-    the sphere (the limit theory depends only on the norm).  delta, sigma
-    and beta must be finite, sigma and beta nonnegative: a NaN sigma or
-    beta would send the dual solver to its iteration cap.
+    X is p x n with i.i.d. standard-normal entries, n = floor(delta * p);
+    the truth direction is uniform on the sphere and the n noise draws
+    come from ``noise``.  They are drawn once, from the three children of
+    ``seed`` (an int or a SeedSequence) in that order, and ``dataset``
+    builds the instance for any (beta, sigma) from them.  The dual
+    solvers keep X'X and the null(X) projector here, so every fit on the
+    design computes each at most once.  X is read-only: the datasets
+    share it.
     """
-    if not all(map(math.isfinite, (delta, sigma, beta))):
-        raise ValueError("delta, sigma, beta must be finite")
-    if sigma < 0 or beta < 0:
-        raise ValueError("sigma, beta must be nonnegative")
-    noise = noise or standard_gaussian()
-    n = int(np.floor(delta * p))
-    if n < 1:
-        raise ValueError(f"floor(delta * p) = {n}; need at least one sample")
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-    else:
-        ss = np.random.SeedSequence(int(seed))
-    kid_x, kid_dir, kid_noise = ss.spawn(3)
-    x = np.random.default_rng(kid_x).standard_normal((p, n))
-    v = np.random.default_rng(kid_dir).standard_normal(p)
-    truth = beta * v / np.linalg.norm(v)
-    draws = sample_noise_rng(noise, n, np.random.default_rng(kid_noise))
-    y = x.T @ truth + sigma * draws
-    return Dataset(features=x, responses=y, truth=truth)
+
+    def __init__(self, p, delta, noise=None, seed=0):
+        if not math.isfinite(delta):
+            raise ValueError("delta must be finite")
+        noise = noise or standard_gaussian()
+        n = int(np.floor(delta * p))
+        if n < 1:
+            raise ValueError(f"floor(delta * p) = {n}; need at least one sample")
+        if isinstance(seed, np.random.SeedSequence):
+            ss = seed
+        else:
+            ss = np.random.SeedSequence(int(seed))
+        kid_x, kid_dir, kid_noise = ss.spawn(3)
+        self.features = np.random.default_rng(kid_x).standard_normal((p, n))
+        self.features.flags.writeable = False
+        self.direction = np.random.default_rng(kid_dir).standard_normal(p)
+        self.draws = sample_noise_rng(noise, n, np.random.default_rng(kid_noise))
+        self._gram = None
+        self._projector = None  # (projector,) once factored
+
+    def dataset(self, beta, sigma):
+        """y = X'truth + sigma * draws with ||truth|| = beta exactly.
+
+        sigma and beta must be finite and nonnegative: a NaN sigma or
+        beta would send the dual solver to its iteration cap.
+        """
+        if not (math.isfinite(sigma) and math.isfinite(beta)):
+            raise ValueError("sigma, beta must be finite")
+        if sigma < 0 or beta < 0:
+            raise ValueError("sigma, beta must be nonnegative")
+        x, v = self.features, self.direction
+        truth = beta * v / np.linalg.norm(v)
+        y = x.T @ truth + sigma * self.draws
+        return Dataset(features=x, responses=y, truth=truth, design=self)
+
+    def gram(self):
+        """k = X'X, formed at the first call."""
+        if self._gram is None:
+            self._gram = self.features.T @ self.features
+        return self._gram
+
+    def null_projector(self):
+        """(``_null_projector`` of the design, 1 if this call factored it
+        and 0 if an earlier one did)."""
+        if self._projector is not None:
+            return self._projector[0], 0
+        self._projector = (_null_projector(self.features, self.gram()),)
+        return self._projector[0], 1
+
+
+def generate_dataset(p, delta, beta, sigma, noise=None, seed=0):
+    """The instance of ``Design(p, delta, noise, seed)`` at (beta, sigma).
+
+    It is not linked to the design (``design`` is None): a lone instance
+    keeps no n x n X'X alive after its fits.
+    """
+    return replace(Design(p, delta, noise, seed).dataset(beta, sigma), design=None)
 
 
 # ---------------------------------------------------------------------------
@@ -282,16 +341,24 @@ def _farkas_direction(projector, u, x, y, eps):
     return float(np.linalg.norm(x @ v)) <= 1e-8 * float(np.linalg.norm(x)) * nv
 
 
-def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig):
-    """Shared accelerated ascent; ``box`` is C/sqrt(p) or None (hard)."""
+def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig, start=None):
+    """Shared accelerated ascent; ``box`` is C/sqrt(p) or None (hard).
+
+    A converged ``start`` on the same design has its final pattern
+    polished first, and the candidate is accepted under the loop's own
+    test (objective >= F(0) = 0, gap and violation <= tol): the fit then
+    returns with iterations 0.  Otherwise the ascent runs from u = 0 as
+    without a start; the attempt's KKT solves and product still count.
+    """
     x, y = data.features, data.responses
     p, n = data.p, data.n
     sp = np.sqrt(p)
-    k = x.T @ x
+    design = data.design if data.design is not None and data.design.features is x else None
+    k = design.gram() if design is not None else x.T @ x
     lam = np.trace(k) / (n * p) * (np.sqrt(n) + np.sqrt(p)) ** 2  # ~ lambda_max(k)
     step = 1.0 / max(lam / p, 1e-12)
-    projector, projector_builds = None, 0  # built at the first Farkas test
-    gram_products = 0
+    projector, projector_builds, farkas_ready = None, 0, False  # at the first Farkas test
+    gram_products = polish_solves = 0
 
     def objective(u, ku):
         return float(-0.5 * (u @ ku) / p + (y @ u) / sp - eps * np.abs(u).sum() / sp)
@@ -309,6 +376,23 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig):
         gap = abs(pval - dval) / max(1.0, abs(pval))
         return w, viol, gap
 
+    def polish(pattern, floor):
+        """(candidate, its product, its objective, certified) from a polish
+        of pattern; None when the polish gives no candidate or its
+        objective falls below floor (up to rounding)."""
+        nonlocal polish_solves, gram_products
+        pol, solves = _polish(pattern, k, y, p, eps, box)
+        polish_solves += solves
+        if pol is None:
+            return None
+        k_pol = k @ pol
+        gram_products += 1
+        f_pol = objective(pol, k_pol)
+        if f_pol < floor - 1e-12 * max(1.0, abs(floor)):
+            return None
+        _, viol_p, gap_p = primal_gap(pol, f_pol)
+        return pol, k_pol, f_pol, gap_p <= cfg.tol and viol_p <= cfg.tol
+
     # u is the last accepted iterate and v the extrapolated point; ku and kv
     # are their products with k.  kv is a combination of the two latest
     # trial products, each a fresh matvec, so no rounding accumulates.
@@ -320,9 +404,20 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig):
     grow_since = 0
     status = "max_iters"
     iterations = cfg.max_iters
-    pattern, polished, polish_solves = None, set(), 0
+    pattern, polished = None, set()
+
+    if start is not None:
+        if start.pattern is None or start.pattern.shape != (n,):
+            raise ValueError("start must be a fit on the same design")
+        if start.status == "converged":
+            found = polish(start.pattern, 0.0)
+            if found is not None and found[3]:
+                best_u, best_f = found[0], found[2]
+                status, iterations = "converged", 0
 
     for it in range(1, cfg.max_iters + 1):
+        if status == "converged":  # certified from the start
+            break
         grad = (y - kv / sp) / sp
         f_v_smooth = float(-0.5 * (v @ kv) / p + (y @ v) / sp)
         # backtracking on the smooth majorization, with growth after streaks
@@ -375,27 +470,25 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig):
             # check; a pattern already polished would give the same candidate
             if held and pattern.tobytes() not in polished:
                 polished.add(pattern.tobytes())
-                pol, solves = _polish(pattern, k, y, p, eps, box)
-                polish_solves += solves
-                if pol is not None:
-                    k_pol = k @ pol
-                    gram_products += 1
-                    f_pol = objective(pol, k_pol)
-                    if f_pol >= best_f - 1e-12 * max(1.0, abs(best_f)):
-                        _, viol_p, gap_p = primal_gap(pol, f_pol)
-                        if gap_p <= cfg.tol and viol_p <= cfg.tol:
-                            best_u, best_f = pol, f_pol
-                            status = "converged"
-                            iterations = it
-                            break
-                        if f_pol > best_f:
-                            restart = pol, k_pol, f_pol
+                found = polish(pattern, best_f)
+                if found is not None:
+                    pol, k_pol, f_pol, certified = found
+                    if certified:
+                        best_u, best_f = pol, f_pol
+                        status = "converged"
+                        iterations = it
+                        break
+                    if f_pol > best_f:
+                        restart = pol, k_pol, f_pol
         # Farkas test on the pre-polish iterate, once neither the gap test
         # nor the polish has converged; the projector is factored on demand
         if box is None:
-            if not projector_builds:
-                projector = _null_projector(x, k)
-                projector_builds = 1
+            if not farkas_ready:
+                if design is not None:
+                    projector, projector_builds = design.null_projector()
+                else:
+                    projector, projector_builds = _null_projector(x, k), 1
+                farkas_ready = True
             if projector is not None and _farkas_direction(projector, u, x, y, eps):
                 best_u, best_f = u, f_u  # the certified iterate is the one returned
                 status = "infeasible"
@@ -413,7 +506,7 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig):
         kkt_residual=gap,
         constraint_violation=viol if box is None else box_over,
         polish_solves=polish_solves, gram_products=gram_products,
-        projector_builds=projector_builds,
+        projector_builds=projector_builds, pattern=_active_pattern(best_u, box),
     )
 
 
@@ -422,28 +515,32 @@ def _check_eps(eps):
         raise ValueError("eps must be finite and nonnegative")
 
 
-def solve_hard_svr(data: Dataset, eps, cfg: SolverConfig = DEFAULT_CONFIG):
+def solve_hard_svr(data: Dataset, eps, cfg: SolverConfig = DEFAULT_CONFIG, start=None):
     """Minimum-norm weights keeping every residual inside the eps tube.
 
     status "converged" certifies primal feasibility (max violation <=
     tol) and a relative duality gap <= tol; "infeasible" certifies that
     the tube is empty: the projection v of the returned dual onto null(X)
     has X v = 0 and y'v > eps ||v||_1 (tested every 25 iterations).
+    ``start``, a fit on the same design (another eps, beta or sigma),
+    warm-starts the solve if it converged (see ``_solve_dual``).
     """
     _check_eps(eps)
-    return _solve_dual(data, eps, box=None, cfg=cfg)
+    return _solve_dual(data, eps, box=None, cfg=cfg, start=start)
 
 
-def solve_soft_svr(data: Dataset, eps, cost, cfg: SolverConfig = DEFAULT_CONFIG):
+def solve_soft_svr(data: Dataset, eps, cost, cfg: SolverConfig = DEFAULT_CONFIG,
+                   start=None):
     """Soft-tube SVR: tube violations are charged C/p each in the primal.
 
-    The dual adds the box |u_i| <= C/sqrt(p); always feasible.
+    The dual adds the box |u_i| <= C/sqrt(p); always feasible.  ``start``
+    as for ``solve_hard_svr`` (another eps, C, beta or sigma).
     """
     _check_eps(eps)
     if not (math.isfinite(cost) and cost > 0):
         raise ValueError("cost must be finite and positive")
     box = cost / np.sqrt(data.p)
-    return _solve_dual(data, eps, box=box, cfg=cfg)
+    return _solve_dual(data, eps, box=box, cfg=cfg, start=start)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from svrisk import (
     tune_hsvr,
     tune_ssvr,
 )
-from svrisk.asymptotics import _g1_edge, _threshold_slope
+from svrisk import asymptotics
+from svrisk.asymptotics import UncertifiedLimit, _g1_edge, _threshold_slope
 from svrisk.expectations import count_expectations, e_hinge_moments
 from svrisk.scalar_opt import brent_root
 
@@ -504,6 +505,25 @@ class TestHsvrFirstOrderConditions:
             sol = hsvr_risk(prob)
             assert sol.feasible and feasible
             assert sol.risk == pytest.approx(risk, rel=1e-9), (delta, sigma, beta, eps, noise)
+
+    @pytest.mark.parametrize("sigma", [1e-3, 1e-4, 1e-6])
+    def test_large_signal_to_noise_is_certified(self, sigma):
+        # beta/sigma = 1e3 to 1e6: the first Newton pass stalls with |D| of
+        # 0.24-0.46 (it returned risks of 0.0813, 0.0261 and 0.0109); the
+        # repeat with the unscaled norm reaches the nested roots' 0.2890619
+        prob = HsvrProblem(2.0, sigma, 1.0, 0.6, GAUSS)
+        sol = hsvr_risk(prob)
+        feasible, _, _, risk = hsvr_risk_nested(prob)
+        assert sol.feasible and feasible
+        assert sol.risk == pytest.approx(risk, rel=1e-9)
+        assert abs(sol.diagnostics["d_residual"]) <= 1e-7 * sol.g1
+        assert sol.diagnostics["stationarity"] <= 1e-8
+
+    def test_uncertified_point_raises(self, monkeypatch):
+        # with one Newton step per pass neither pass certifies its point
+        monkeypatch.setattr(asymptotics, "_HSVR_MAX_ITER", 1)
+        with pytest.raises(UncertifiedLimit, match="did not converge"):
+            hsvr_risk(HsvrProblem(2.0, 1e-3, 1.0, 0.6, GAUSS))
 
     def test_expectation_cost(self):
         # the benchmark's theory_heavy points, and next to the threshold,

@@ -3,6 +3,10 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +18,8 @@ from svrisk import (
     hsvr_risk,
     standard_gaussian,
 )
-from svrisk import SolverConfig, montecarlo
-from svrisk.cli import main
+from svrisk import SolverConfig, asymptotics, montecarlo
+from svrisk.cli import fmt, main
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +99,17 @@ class TestRiskCommand:
         code, _, err = run_cli(capsys, "risk", "hsvr", "--delta", "1")
         assert code == 1
         assert "eps" in err
+
+    def test_large_signal_to_noise_certified_or_exit_2(self, capsys, monkeypatch):
+        argv = ("risk", "hsvr", "--delta", "2", "--sigma", "1e-4", "--eps", "0.6")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert float(out.splitlines()[0].split()[1]) == pytest.approx(0.2890624, rel=1e-6)
+        monkeypatch.setattr(asymptotics, "_HSVR_MAX_ITER", 1)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "did not converge" in err
 
 
 class TestTuneCommand:
@@ -255,6 +270,34 @@ class TestSweepCommand:
 
 
 class TestFigureCommand:
+    @pytest.mark.parametrize("fid, grid, points", [
+        ("2", "0.5", [("hsvr", {"delta": 0.5, "sigma": 1.0, "beta": b, "eps": 1.0})
+                      for b in (0.5, 1.0, 2.0)]),
+        ("3b", "0.2 0.5", [("hsvr", {"delta": 1.4, "sigma": s, "beta": 1.0, "eps": e})
+                           for e in (0.2, 0.5) for s in (0.5, 0.2)]),
+        ("5b", "0.5 2 10", [("ssvr", {"delta": 2.0, "sigma": 1.0, "beta": 1.0,
+                                      "eps": 0.6, "cost": c}) for c in (0.5, 2.0, 10.0)]),
+    ])
+    def test_empirical_columns_equal_one_point_sweeps(self, capsys, fid, grid, points):
+        # the figure walks its points in path order on shared designs; each
+        # (emp_risk, emp_stderr) pair, in column order, is the one-point
+        # sweep's over delta with the figure's seeds
+        code, out, _ = run_cli(capsys, "figure", fid, "--grid", grid, "--p", "40",
+                               "--trials", "3", "-o", "-")
+        assert code == 0
+        rows = list(csv.reader(l for l in out.splitlines() if not l.startswith("#")))
+        header, body = rows[0], rows[1:]
+        got = [(row[i], row[i + 1]) for row in body
+               for i, name in enumerate(header) if name.startswith("emp_risk")]
+        want = []
+        for estimator, params in points:
+            fixed = {k: v for k, v in params.items() if k != "delta"}
+            spec = montecarlo.SweepSpec(estimator, "delta", (params["delta"],), fixed,
+                                        p=40, trials=3, theory=False)
+            r = montecarlo.run_sweep(spec)[0]
+            want.append((fmt(r.mean_risk), fmt(r.stderr_risk)))
+        assert got == want  # no cell differs at these settings
+
     def test_figure_1_columns(self, capsys, tmp_path):
         out_path = tmp_path / "fig1.csv"
         code, _, _ = run_cli(capsys, "figure", "1", "--grid", "0.2 0.5",
@@ -317,6 +360,38 @@ class TestFigureCommand:
         body = [l for l in out_path.read_text().splitlines()
                 if not l.startswith("#")]
         assert body[0] == "delta,risk_eps1.0,risk_eps1.2,risk_eps1.5,risk_opt"
+
+
+class TestRepeatedMain:
+    def test_one_process_prints_what_fresh_processes_print(self, capsys, tmp_path,
+                                                             monkeypatch):
+        # the parser is built once per process; every call must still parse
+        # from scratch, @FILE and errors included
+        (tmp_path / "sweep.args").write_text(
+            'sweep null --swept delta --grid "0.5 1"\n--p 10 --trials 2 -o -\n')
+        commands = [
+            ("delta-star", "--eps", "0.5"),
+            ("risk", "hsvr", "--delta", "1.5", "--eps", "1"),
+            ("@sweep.args",),
+            ("figure", "1", "--grid", "0.5", "-o", "-"),
+            ("solve", "hsvr", "--delta", "0.5", "--eps", "0.2", "--lam", "1"),
+            ("risk", "hsvr", "--delta", "1"),
+            ("sweep", "null", "--swept", "delta", "--grid", "0.5", "--bogus"),
+            ("delta-star", "--eps", "0.5", "--sigma", "2"),
+        ]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src"),
+             os.environ.get("PYTHONPATH", "")])}
+        monkeypatch.chdir(tmp_path)
+        codes = set()
+        for argv in commands:
+            fresh = subprocess.run([sys.executable, "-m", "svrisk.cli", *argv],
+                                   capture_output=True, text=True, env=env,
+                                   cwd=tmp_path)
+            got = run_cli(capsys, *argv)
+            assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+            codes.add(got[0])
+        assert codes == {0, 1}
 
 
 class TestConfigFile:

@@ -7,11 +7,14 @@ import pytest
 
 from svrisk import (
     SolverConfig,
+    SweepRow,
     SweepSpec,
     feasibility_curve,
     run_sweep,
     standard_gaussian,
 )
+from svrisk import montecarlo
+from svrisk.montecarlo import run_points
 
 GAUSS = standard_gaussian()
 FAST = SolverConfig(tol=1e-6)
@@ -218,3 +221,76 @@ class TestConcentration:
                                  for r in rows))
             gaps[p] = float(np.median(worst))
         assert gaps[240] < gaps[60]
+
+
+class TestRunPoints:
+    """A figure's points, trial-outer on shared designs with warm starts."""
+
+    # path order: up eps at sigma 0.5 and back down at sigma 0.2 (an
+    # infeasible end included), a step in beta, a path in C, and the
+    # closed-form estimators on the soft points' designs
+    POINTS = (
+        [("hsvr", {"delta": 1.4, "sigma": 0.5, "beta": 1.0, "eps": e})
+         for e in (0.2, 0.5, 0.8)]
+        + [("hsvr", {"delta": 1.4, "sigma": 0.2, "beta": 1.0, "eps": e})
+           for e in (0.8, 0.5, 0.2, 0.05)]
+        + [("hsvr", {"delta": 1.4, "sigma": 0.2, "beta": 2.0, "eps": 0.05})]
+        + [("ssvr", {"delta": 2.0, "sigma": 1.0, "beta": 1.0, "eps": 0.6, "cost": c})
+           for c in (0.5, 1.0, 2.4, 10.0)]
+        + [("ridge_oracle", {"delta": 2.0, "sigma": 1.0, "beta": 1.0}),
+           ("null", {"delta": 2.0, "sigma": 1.0, "beta": 1.0})]
+    )
+
+    def test_rows_equal_the_one_point_sweeps(self):
+        rows = run_points(self.POINTS, p=40, trials=3, base_seed=4, noise=GAUSS)
+        diffs = []
+        for (estimator, params), row in zip(self.POINTS, rows):
+            fixed = {k: v for k, v in params.items() if k != "delta"}
+            spec = SweepSpec(estimator, "delta", (params["delta"],), fixed, p=40,
+                             trials=3, base_seed=4, theory=False, noise=GAUSS)
+            want = run_sweep(spec)[0]
+            diffs += [(estimator, params, f.name)
+                      for f in dataclasses.fields(SweepRow)
+                      if getattr(row, f.name) != getattr(want, f.name)]
+        # no cell moves on these points (figure 5b's default grid moves
+        # three in their 9th digit: warm fits within the solver's tol)
+        assert diffs == []
+        assert rows[6].feasibility_rate < 1.0  # the infeasible end of the eps path
+
+    def test_one_design_per_trial_and_delta(self, monkeypatch):
+        drawn = []
+
+        class Counting(montecarlo.Design):
+            def __init__(self, p, delta, noise, seed):
+                drawn.append((delta, tuple(seed.spawn_key)))
+                super().__init__(p, delta, noise, seed)
+
+        monkeypatch.setattr(montecarlo, "Design", Counting)
+        run_points(self.POINTS, p=40, trials=2, base_seed=4, noise=GAUSS)
+        assert drawn == [(1.4, (0, 0)), (2.0, (0, 0)), (1.4, (0, 1)), (2.0, (0, 1))]
+
+    def test_each_fit_starts_from_the_previous_point(self, monkeypatch):
+        fits = []
+        real = montecarlo.solve_hard_svr
+
+        def logged(data, eps, cfg, start=None):
+            fit = real(data, eps, cfg, start=start)
+            fits.append((start, fit))
+            return fit
+
+        monkeypatch.setattr(montecarlo, "solve_hard_svr", logged)
+        run_points(self.POINTS, p=40, trials=2, base_seed=4, noise=GAUSS)
+        per_trial = len(fits) // 2
+        for i, (start, fit) in enumerate(fits):
+            assert (start is None) == (i % per_trial == 0)
+            if start is not None:
+                assert start is fits[i - 1][1]
+        assert sum(fit.iterations == 0 for _, fit in fits) >= 4
+
+    def test_point_validation(self):
+        with pytest.raises(ValueError, match="needs 'eps'"):
+            run_points([("hsvr", {"delta": 1.0, "sigma": 1.0, "beta": 1.0})], 20, 2)
+        with pytest.raises(ValueError, match="estimator"):
+            run_points([("lasso", {"delta": 1.0, "sigma": 1.0, "beta": 1.0})], 20, 2)
+        with pytest.raises(ValueError, match="trials"):
+            run_points([("null", {"delta": 1.0, "sigma": 1.0, "beta": 1.0})], 20, 0)

@@ -1,6 +1,7 @@
 """Finite-sample solver tests: KKT certificates, independent-oracle agreement,
 feasibility detection, estimators."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 from svrisk import (
     SolverConfig,
+    SvrFit,
     cosine_similarity,
     delta_star,
     estimate_noise_signal,
@@ -27,6 +29,7 @@ from svrisk import (
 from svrisk import solvers
 from svrisk.solvers import (
     Dataset,
+    Design,
     UnsupportedRegime,
     _active_pattern,
     _null_projector,
@@ -422,6 +425,142 @@ class TestDualCost:
             if fit.status == "infeasible":
                 gain, leak = farkas_margin(data, 1.0, fit.dual)
                 assert gain > 1e-8 and leak <= 1e-8
+
+
+FIT_FIELDS = [f.name for f in dataclasses.fields(SvrFit)]
+
+
+def assert_same_fit(a, b, counters=True):
+    """Every field equal, arrays bit for bit; without counters, the work
+    counters (which count a failed warm-start attempt) are skipped."""
+    skip = () if counters else ("polish_solves", "gram_products", "projector_builds")
+    for name in FIT_FIELDS:
+        if name in skip:
+            continue
+        got, want = getattr(a, name), getattr(b, name)
+        if isinstance(want, np.ndarray):
+            assert got.tobytes() == want.tobytes(), name
+        else:
+            assert got == want, name
+
+
+class TestDesign:
+    @pytest.mark.parametrize("noise", [GAUSS, scale_mixture(3.0)], ids=["gauss", "d3"])
+    def test_datasets_equal_generate_dataset_bit_for_bit(self, noise):
+        for seed in (3, (5, (0, 2))):
+            def fresh():  # spawning children advances a SeedSequence
+                return seed if isinstance(seed, int) else np.random.SeedSequence(
+                    seed[0], spawn_key=seed[1])
+            design = Design(30, 1.4, noise, fresh())
+            for beta, sigma in ((0.5, 1.0), (1.0, 0.2), (2.0, 0.0)):
+                got = design.dataset(beta, sigma)
+                want = generate_dataset(30, 1.4, beta, sigma, noise, seed=fresh())
+                for name in ("features", "responses", "truth"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                assert got.design is design and want.design is None
+
+    def test_gram_and_projector_built_once_per_design(self, monkeypatch):
+        built = []
+        real = solvers._null_projector
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(solvers, "_null_projector", counting)
+        design = Design(200, 1.1 * delta_star(1.0, 1.0, GAUSS), GAUSS,
+                        np.random.SeedSequence(1, spawn_key=(0, 0)))
+        data = design.dataset(1.0, 1.0)
+        first, second = solve_hard_svr(data, 1.0), solve_hard_svr(data, 0.9)
+        assert first.status == second.status == "infeasible"
+        assert (first.projector_builds, second.projector_builds) == (1, 0)
+        assert len(built) == 1 and built[0][1] is design.gram()
+        gain, leak = farkas_margin(data, 0.9, second.dual)
+        assert gain > 1e-8 and leak <= 1e-8
+        assert_same_fit(first, solve_hard_svr(near_threshold(1.1, 1), 1.0))
+
+    def test_features_are_shared_and_read_only(self):
+        design = Design(10, 2.0, GAUSS, 0)
+        a, b = design.dataset(1.0, 1.0), design.dataset(2.0, 0.5)
+        assert a.features is b.features is design.features
+        with pytest.raises(ValueError):
+            a.features[0, 0] = 1.0
+
+
+class TestWarmStart:
+    """A start is the previous fit on the same design."""
+
+    def test_steps_in_beta_eps_and_cost_return_the_cold_weights(self):
+        hard = Design(200, 1.0, GAUSS, 0)
+        soft = Design(200, 2.0, GAUSS, 1)
+        paths = [
+            (lambda b, e, c: solve_hard_svr(hard.dataset(b, 1.0), e),
+             lambda b, e, c, start: solve_hard_svr(hard.dataset(b, 1.0), e, start=start),
+             [(0.5, 1.0, None), (1.0, 1.0, None), (2.0, 1.0, None), (2.0, 0.9, None),
+              (2.0, 0.8, None)]),
+            (lambda b, e, c: solve_soft_svr(soft.dataset(b, 1.0), e, c),
+             lambda b, e, c, start: solve_soft_svr(soft.dataset(b, 1.0), e, c, start=start),
+             [(1.0, 0.6, 0.5), (1.0, 0.6, 1.0), (1.0, 0.6, 2.4), (1.0, 0.8, 5.0),
+              (2.0, 0.8, 5.0)]),
+        ]
+        certified = 0
+        for cold_fit, warm_fit, steps in paths:
+            previous = None
+            for beta, eps, cost in steps:
+                cold = cold_fit(beta, eps, cost)
+                warm = warm_fit(beta, eps, cost, previous)
+                assert warm.status == cold.status == "converged"
+                assert warm.kkt_residual <= CFG.tol
+                np.testing.assert_allclose(warm.weights, cold.weights, rtol=0, atol=1e-12)
+                certified += warm.iterations == 0
+                previous = warm
+        # every hard step and the soft step in beta; a step the polish
+        # cannot repair runs the cold ascent
+        assert certified >= 6
+
+    @pytest.mark.parametrize("kind", ["hard", "soft"])
+    def test_an_unrelated_start_falls_back_to_the_cold_fit(self, kind):
+        delta = 1.4 if kind == "hard" else 2.0
+        data = Design(200, delta, GAUSS, 2).dataset(1.0, 1.0)
+        other = Design(200, delta, GAUSS, 9).dataset(1.0, 1.0)
+        if kind == "hard":
+            solve = lambda d, **kw: solve_hard_svr(d, 2.0, **kw)  # noqa: E731
+        else:
+            solve = lambda d, **kw: solve_soft_svr(d, 0.6, 2.4, **kw)  # noqa: E731
+        start = solve(other)
+        # every coordinate free: n > p, so the polish gives no candidate
+        rng = np.random.default_rng(0)
+        scrambled = dataclasses.replace(
+            start, pattern=rng.choice(np.array([-1, 1], np.int8), size=data.n))
+        cold = solve(data)
+        # the hard polish repairs another design's pattern into this one's
+        # (5 more solves at iteration 0); the soft one does not here
+        bad_starts = [(scrambled, False)] + [(start, True)] * (kind == "soft")
+        for bad, attempt_solves in bad_starts:
+            assert bad.status == "converged"
+            warm = solve(data, start=bad)
+            assert warm.iterations > 0
+            assert_same_fit(warm, cold, counters=False)
+            assert (warm.polish_solves > cold.polish_solves) == attempt_solves
+
+    def test_unconverged_fits_are_never_starts(self):
+        infeasible = solve_hard_svr(near_threshold(1.1, 1), 1.0)
+        assert infeasible.status == "infeasible"
+        data = near_threshold(1.1, 1)
+        cold = solve_hard_svr(data, 3.0)
+        assert cold.status == "converged"
+        assert_same_fit(solve_hard_svr(data, 3.0, start=infeasible), cold)
+        data = generate_dataset(200, 2.0, 1.0, 1.0, GAUSS, seed=0)
+        stopped = solve_soft_svr(data, 0.6, 2.4, SolverConfig(max_iters=5))
+        assert stopped.status == "max_iters"
+        assert_same_fit(solve_soft_svr(data, 0.6, 2.4, start=stopped),
+                        solve_soft_svr(data, 0.6, 2.4))
+
+    def test_a_start_on_another_size_is_rejected(self):
+        start = solve_hard_svr(generate_dataset(20, 1.0, 1.0, 1.0, GAUSS, seed=0), 1.0)
+        data = generate_dataset(20, 1.5, 1.0, 1.0, GAUSS, seed=0)
+        with pytest.raises(ValueError, match="same design"):
+            solve_hard_svr(data, 1.0, start=start)
 
 
 def designed(x, seed, sigma=1.0):

@@ -16,8 +16,8 @@ checkouts shows every byte a change moves:
 
 The CSV ``# command`` line echoes the arguments, so it matches too.  The
 list covers every subcommand, Gaussian and Student-t noise, the
-infeasible and eps = 0 paths and every figure preset except 3a/3b, on
-grids short enough that the whole list runs in about 25 s on 2 cores.
+infeasible and eps = 0 paths and every figure preset, on grids short
+enough that the whole list runs in about 25 s on 2 cores.
 """
 
 from __future__ import annotations
@@ -66,6 +66,8 @@ COMMANDS = [
     'figure 1 --grid "0.5 1" -o -',
     "figure 1 --grid 0.5 --p 50 -o -",
     "figure 2 --grid 0.5 --p 100 --trials 3 -o -",
+    'figure 3a --grid "0.1 0.3 0.5 0.7" --p 60 --trials 2 -o -',
+    'figure 3b --grid "0.2 0.5 0.8" --p 60 --trials 2 -o -',
     'figure 4 --grid "1 2" -o -',
     'figure 5a --grid "0.2 0.6" --p 60 --trials 2 -o -',
     'figure 5b --grid "0.5 100" --p 60 --trials 2 -o -',

@@ -12,7 +12,11 @@ by one JSON object with, per preset:
   soft SVR fit), and ``dual_s`` the wall time spent in them;
 - ``iterations`` and ``kkt_solves``: the summed ``SvrFit.iterations`` and
   ``SvrFit.polish_solves`` (null for a checkout without that counter);
-- ``max_iters``: the fits that stopped at the iteration cap.
+- ``max_iters``: the fits that stopped at the iteration cap;
+- ``iter0_fits``: the fits certified at iteration 0 (by a warm start from
+  an earlier fit on the same design);
+- ``designs``: the designs drawn, counted as calls of
+  ``svrisk.solvers.sample_noise_rng`` (one per draw, in every checkout).
 
 ``--csv-dir`` keeps each preset's CSV as ``fig<id>.csv`` there, so two
 checkouts' tables can be diffed; without it they go to a temporary
@@ -41,7 +45,9 @@ sys.path.insert(0, sys.argv[1])
 from svrisk import cli, solvers
 
 fits = []
+draws = []
 real = solvers._solve_dual
+real_noise = solvers.sample_noise_rng
 
 def timed(*args, **kwargs):
     t0 = time.perf_counter()
@@ -49,7 +55,12 @@ def timed(*args, **kwargs):
     fits.append((time.perf_counter() - t0, fit))
     return fit
 
+def drawn(*args, **kwargs):
+    draws.append(1)
+    return real_noise(*args, **kwargs)
+
 solvers._solve_dual = timed
+solvers.sample_noise_rng = drawn
 t0 = time.perf_counter()
 code = cli.main(["figure", sys.argv[2], "-o", f"fig{sys.argv[2]}.csv"])
 wall = time.perf_counter() - t0
@@ -60,6 +71,8 @@ print(json.dumps({
     "iterations": sum(fit.iterations for _, fit in fits),
     "kkt_solves": None if None in kkt else sum(kkt),
     "max_iters": sum(fit.status == "max_iters" for _, fit in fits),
+    "iter0_fits": sum(fit.status == "converged" and fit.iterations == 0 for _, fit in fits),
+    "designs": len(draws),
 }))
 """
 
@@ -84,7 +97,8 @@ def main(argv=None):
         csv_dir = args.csv_dir or tmp
         os.makedirs(csv_dir, exist_ok=True)
         report = {preset: run_preset(src, preset, csv_dir) for preset in PRESETS}
-    cols = ("wall_s", "fits", "dual_s", "iterations", "kkt_solves", "max_iters")
+    cols = ("wall_s", "fits", "dual_s", "iterations", "kkt_solves", "max_iters",
+            "iter0_fits", "designs")
     print(f"{'preset':>6} " + " ".join(f"{c:>10}" for c in cols))
     for preset, row in report.items():
         print(f"{preset:>6} " + " ".join(f"{str(row[c]):>10}" for c in cols))
