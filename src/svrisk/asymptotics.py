@@ -324,6 +324,7 @@ def _hsvr_solve(prob):
     # residuals grow like b and that weight stalls the iteration far from
     # the root (at beta/sigma = 1e3 with |D| ~ 0.5): a solve that does not
     # certify its point is repeated with both residuals weighed alike.
+    # That norm alone is no cure: near delta* it takes more calls.
     for scale in (1.0 / max(1.0, b), 1.0):
         g1, g2 = edge[0], 0.0
         f, jac = conditions(g1, g2)

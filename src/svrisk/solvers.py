@@ -200,9 +200,12 @@ def generate_dataset(p, delta, beta, sigma, noise=None, seed=0):
     """The instance of ``Design(p, delta, noise, seed)`` at (beta, sigma).
 
     It is not linked to the design (``design`` is None): a lone instance
-    keeps no n x n X'X alive after its fits.
+    keeps no n x n X'X alive after its fits, and nothing caches X'X from
+    its features, so they are writable.
     """
-    return replace(Design(p, delta, noise, seed).dataset(beta, sigma), design=None)
+    data = Design(p, delta, noise, seed).dataset(beta, sigma)
+    data.features.flags.writeable = True
+    return replace(data, design=None)
 
 
 # ---------------------------------------------------------------------------

@@ -287,10 +287,6 @@ class TestRunPoints:
                 assert start is fits[i - 1][1]
         assert sum(fit.iterations == 0 for _, fit in fits) >= 4
 
-    def test_point_validation(self):
-        with pytest.raises(ValueError, match="needs 'eps'"):
-            run_points([("hsvr", {"delta": 1.0, "sigma": 1.0, "beta": 1.0})], 20, 2)
-        with pytest.raises(ValueError, match="estimator"):
-            run_points([("lasso", {"delta": 1.0, "sigma": 1.0, "beta": 1.0})], 20, 2)
+    def test_trials_must_be_positive(self):
         with pytest.raises(ValueError, match="trials"):
             run_points([("null", {"delta": 1.0, "sigma": 1.0, "beta": 1.0})], 20, 0)

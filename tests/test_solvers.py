@@ -485,6 +485,11 @@ class TestDesign:
         assert a.features is b.features is design.features
         with pytest.raises(ValueError):
             a.features[0, 0] = 1.0
+        # a lone instance caches nothing from its features: they stay writable
+        lone = generate_dataset(10, 2.0, 1.0, 1.0, GAUSS, 0)
+        assert lone.design is None and lone.features.flags.writeable
+        np.testing.assert_array_equal(lone.features, design.features)
+        lone.features[0, 0] = 1.0
 
 
 class TestWarmStart:
