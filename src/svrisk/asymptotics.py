@@ -135,6 +135,13 @@ def _threshold_slope(t, sigma, c, noise):
     return 2.0 * sigma * u * h2 - 2.0 * p / t, u * u * h2
 
 
+def _check_positive(name, value):
+    # before a bracket, which would take inf or nan for a sign change and
+    # fail with a message that does not name the argument
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and strictly positive")
+
+
 def delta_star(eps, sigma, noise=None):
     """Hard-margin feasibility threshold 1 / inf_t E (|G + t*sigma*N| - t*eps)_+^2.
 
@@ -147,8 +154,7 @@ def delta_star(eps, sigma, noise=None):
     or f' <= 0 up to t = 1e12: the noiseless limit with eps > 0, where
     every delta is feasible).  eps >= 0 and sigma > 0 must be finite.
     """
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError("sigma must be finite and strictly positive")
+    _check_positive("sigma", sigma)
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError("eps must be finite and nonnegative")
     noise = noise or standard_gaussian()
@@ -180,7 +186,10 @@ def epsilon_star(delta, sigma, noise=None):
 
     Inverts the strictly increasing map eps -> delta_star(eps, sigma).
     For delta <= 1 every eps >= 0 is feasible, so the threshold is 0.
+    delta > 0 and sigma > 0 must be finite.
     """
+    _check_positive("delta", delta)
+    _check_positive("sigma", sigma)
     if delta <= 1.0:
         return 0.0
     noise = noise or standard_gaussian()
@@ -267,18 +276,21 @@ def hsvr_risk(prob: HsvrProblem):
     Safeguards: every iterate has g1 >= 0 and 0 <= g2 <= beta/sigma and
     stays on the lower-edge side, dD/dg1 < 0 (on the edge, delta P < 1),
     where det J <= dD/dg1 < 0, so every step is defined and no iterate
-    reaches a slice's upper root; a step is halved until the scaled
-    residual norm hypot(D, F2 / max(1, beta/sigma)) falls.  The iteration
-    stops at a relative step of 1e-14, or when a step of relative size
-    1e-9 still fails to lower that norm: the residual is then at its
-    rounding floor (near delta*, where D is flat in g1), and further
-    halving would only chase noise.  At delta = delta* the g2 = 0 edge is
-    a double root (delta P = 1), and g2 = 0 is the solution.
-    The returned point is certified: |D| <= 1e-7 max(1, g1) and
-    stationarity <= 1e-5.  A solve that stops short of that (at large
-    beta/sigma the scaled norm stalls it) is repeated from the same edge
-    with the unscaled norm hypot(D, F2); ``UncertifiedLimit`` is raised
-    if that one fails too.
+    reaches a slice's upper root.  A step is halved until it passes
+    Deuflhard's natural monotonicity test (P. Deuflhard, "Newton Methods
+    for Nonlinear Problems", Springer 2004): the simplified Newton
+    correction J(x)^-1 F(x + t dx) at the trial point, which reuses the
+    current Jacobian and so costs no expectation call, is shorter than
+    the full step dx.  The test measures residuals in units of (g1, g2)
+    and so does not depend on how D and F2 are scaled, which otherwise
+    differ by a factor of up to beta/sigma.  The iteration stops at a
+    relative step of 1e-14, or when a step of relative size 1e-9 still
+    fails the test: the residual is then at its rounding floor (near
+    delta*, where D is flat in g1), and further halving would only chase
+    noise.  At delta = delta* the g2 = 0 edge is a double root
+    (delta P = 1), and g2 = 0 is the solution.
+    The returned point is certified, |D| <= 1e-7 max(1, g1) and
+    stationarity <= 1e-5, or ``UncertifiedLimit`` is raised.
     Diagnostics: ``expect_evals`` (expectation evaluations); when
     feasible, also ``d_residual`` = D(g1*, g2*) and ``stationarity`` =
     |F2| sigma/beta, the two residuals of the Newton solve at the
@@ -287,17 +299,13 @@ def hsvr_risk(prob: HsvrProblem):
     with count_expectations() as counter:
         sol = _hsvr_solve(prob)
     diag = sol.diagnostics
-    if sol.feasible and not _hsvr_certified(sol.g1, diag["d_residual"], diag["stationarity"]):
+    if sol.feasible and not (abs(diag["d_residual"]) <= _HSVR_D_CERT * max(1.0, sol.g1)
+                             and diag["stationarity"] <= _HSVR_STAT_CERT):
         raise UncertifiedLimit(f"hsvr_risk did not converge: d_residual "
                                f"{diag['d_residual']:.3g}, "
                                f"stationarity {diag['stationarity']:.3g}")
     diag["expect_evals"] = counter.n
     return sol
-
-
-def _hsvr_certified(g1, d_residual, stationarity):
-    return (abs(d_residual) <= _HSVR_D_CERT * max(1.0, g1)
-            and stationarity <= _HSVR_STAT_CERT)
 
 
 def _hsvr_solve(prob):
@@ -320,44 +328,37 @@ def _hsvr_solve(prob):
         slope = b * delta * dp / s if s > 0.0 else 0.0
         return (root - g1, g2 - b * (1.0 - delta * p)), (dd * g1 - 1.0, dd * g2, slope)
 
-    # The norm weighs F2 by 1/max(1, b).  At large beta/sigma both
-    # residuals grow like b and that weight stalls the iteration far from
-    # the root (at beta/sigma = 1e3 with |D| ~ 0.5): a solve that does not
-    # certify its point is repeated with both residuals weighed alike.
-    # That norm alone is no cure: near delta* it takes more calls.
-    for scale in (1.0 / max(1.0, b), 1.0):
-        g1, g2 = edge[0], 0.0
-        f, jac = conditions(g1, g2)
-        norm = math.hypot(f[0], scale * f[1])
-        for _ in range(_HSVR_MAX_ITER):
-            a11, a12, slope = jac
-            if a11 >= 0.0:  # the g2 = 0 edge is the slice's double root: g2 = 0 solves
-                break
-            a21, a22 = slope * g1, 1.0 + slope * g2
-            det = a11 * a22 - a12 * a21  # <= a11 < 0
-            d1 = (a12 * f[1] - a22 * f[0]) / det
-            d2 = (a21 * f[0] - a11 * f[1]) / det
-            step = math.hypot(d1, d2)
-            size = step / (math.hypot(g1, g2) + step)  # relative; 1 at the origin
-            if size <= _HSVR_RTOL:
-                break
-            t = 1.0
-            while True:
-                t1, t2 = g1 + t * d1, g2 + t * d2
-                if t1 >= 0.0 and 0.0 <= t2 <= b:
-                    ft, jt = conditions(t1, t2)
-                    nt = math.hypot(ft[0], scale * ft[1])
-                    if nt < norm and jt[0] < 0.0:
-                        break
-                if t * size <= _NOISE_STEP:
-                    t = 0.0
-                    break
-                t *= 0.5
-            if t == 0.0:  # the residual is at its rounding floor
-                break
-            g1, g2, f, jac, norm = t1, t2, ft, jt, nt
-        if scale == 1.0 or _hsvr_certified(g1, f[0], abs(f[1]) / b):
+    g1, g2 = edge[0], 0.0
+    f, jac = conditions(g1, g2)
+    for _ in range(_HSVR_MAX_ITER):
+        a11, a12, slope = jac
+        if a11 >= 0.0:  # the g2 = 0 edge is the slice's double root: g2 = 0 solves
             break
+        a21, a22 = slope * g1, 1.0 + slope * g2
+        det = a11 * a22 - a12 * a21  # <= a11 < 0
+        d1 = (a12 * f[1] - a22 * f[0]) / det
+        d2 = (a21 * f[0] - a11 * f[1]) / det
+        step = math.hypot(d1, d2)
+        size = step / (math.hypot(g1, g2) + step)  # relative; 1 at the origin
+        if size <= _HSVR_RTOL:
+            break
+        t = 1.0
+        while True:
+            t1, t2 = g1 + t * d1, g2 + t * d2
+            if t1 >= 0.0 and 0.0 <= t2 <= b:
+                ft, jt = conditions(t1, t2)
+                # the simplified Newton correction J(x)^-1 F(x + t dx)
+                c1 = (a12 * ft[1] - a22 * ft[0]) / det
+                c2 = (a21 * ft[0] - a11 * ft[1]) / det
+                if math.hypot(c1, c2) < step and jt[0] < 0.0:
+                    break
+            if t * size <= _NOISE_STEP:
+                t = 0.0
+                break
+            t *= 0.5
+        if t == 0.0:  # the residual is at its rounding floor
+            break
+        g1, g2, f, jac = t1, t2, ft, jt
     risk = prob.sigma ** 2 * (g1 ** 2 + g2 ** 2)
     return AsymptoticSolution(
         g1=g1, g2=g2, risk=risk,
@@ -559,13 +560,6 @@ def _ssvr_solve(prob, tol):
 # Hyperparameter tuning.
 # ---------------------------------------------------------------------------
 
-def _check_tune_delta(delta):
-    # before epsilon_star, whose bracket would take delta = inf for a
-    # sign change and fail with a message that does not name delta
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValueError("delta must be finite and strictly positive")
-
-
 def tune_hsvr(delta, sigma, beta, noise=None):
     """Tube half-width minimizing the limiting hard-SVR risk.
 
@@ -575,7 +569,7 @@ def tune_hsvr(delta, sigma, beta, noise=None):
     (``_TUNE_EPS_CAP``): heavy-tailed cases can have their optimum
     effectively at infinity.  Returns (eps_opt, risk_opt).
     """
-    _check_tune_delta(delta)
+    _check_positive("delta", delta)
     noise = noise or standard_gaussian()
     eps_lo = 0.0
     if delta > 1.0:
@@ -611,7 +605,7 @@ def tune_ssvr(delta, sigma, beta, noise=None):
     refinement in log space around the best cell.  The returned risk
     never exceeds any scanned risk.  Returns (eps_opt, cost_opt, risk_opt).
     """
-    _check_tune_delta(delta)
+    _check_positive("delta", delta)
     noise = noise or standard_gaussian()
     eps_grid = [0.05 * sigma * 4.0 ** j for j in range(6)]  # 0.05..51.2 sigma
     cost_grid = [0.05 * 4.0 ** j for j in range(6)]

@@ -37,7 +37,7 @@ from .montecarlo import ESTIMATOR_PARAMS, ESTIMATORS, SweepSpec, run_points, run
 from .noise import NoiseModel, scale_mixture, standard_gaussian
 from .scalar_opt import golden_section_min
 from .solvers import (
-    SolverConfig,
+    DEFAULT_CONFIG,
     UnsupportedRegime,
     estimate_noise_signal,
     generate_dataset,
@@ -250,7 +250,7 @@ def cmd_sweep(args):
     out = [(r.swept_value, r.theory_risk, r.theory_cosine, r.mean_risk,
             r.stderr_risk, r.mean_cosine, r.feasibility_rate, r.trials_used)
            for r in rows]
-    write_csv(args.output, meta + _fit_meta(rows, spec.solver.tol), columns, out)
+    write_csv(args.output, meta + _fit_meta(rows, DEFAULT_CONFIG.tol), columns, out)
     return EXIT_OK
 
 
@@ -312,7 +312,7 @@ def cmd_figure(args):
         return rows
 
     def write(cols, rows):
-        write_csv(out, meta + _fit_meta(emp_rows, SolverConfig().tol), cols, rows)
+        write_csv(out, meta + _fit_meta(emp_rows, DEFAULT_CONFIG.tol), cols, rows)
 
     if fid == "1":
         eps_grid = grid or tuple(np.round(np.arange(0.05, 1.51, 0.05), 10))

@@ -25,9 +25,7 @@ import numpy as np
 from .asymptotics import HsvrProblem, SsvrProblem, hsvr_risk, ssvr_risk
 from .noise import NoiseModel, standard_gaussian
 from .solvers import (
-    DEFAULT_CONFIG,
     Design,
-    SolverConfig,
     cosine_similarity,
     generate_dataset,
     oracle_ridge,
@@ -62,7 +60,6 @@ class SweepSpec:
     base_seed: int = 0
     theory: bool = True
     noise: NoiseModel = field(default_factory=standard_gaussian)
-    solver: SolverConfig = DEFAULT_CONFIG
 
     def __post_init__(self):
         if self.estimator not in ESTIMATORS:
@@ -133,7 +130,7 @@ def _theory_point(spec: SweepSpec, params):
     return sol.risk, sol.cosine
 
 
-def _fit(estimator, data, params, cfg, start=None):
+def _fit(estimator, data, params, start=None):
     """One fit on data; returns ((risk, cosine, status, gap), fit).
 
     status is the fit's ("converged", "infeasible" or "max_iters");
@@ -150,9 +147,9 @@ def _fit(estimator, data, params, cfg, start=None):
     else:
         warm = {} if start is None else {"start": start}
         if estimator == "hsvr":
-            fit = solve_hard_svr(data, params["eps"], cfg, **warm)
+            fit = solve_hard_svr(data, params["eps"], **warm)
         else:
-            fit = solve_soft_svr(data, params["eps"], params["cost"], cfg, **warm)
+            fit = solve_soft_svr(data, params["eps"], params["cost"], **warm)
         if fit.status != "converged":
             return (None, None, fit.status, None), fit
         w, gap = fit.weights, fit.kkt_residual
@@ -165,7 +162,7 @@ def _run_trial(spec: SweepSpec, params, grid_index, trial_index):
     ss = np.random.SeedSequence(spec.base_seed, spawn_key=(grid_index, trial_index))
     data = generate_dataset(spec.p, params["delta"], params["beta"],
                             params["sigma"], spec.noise, seed=ss)
-    return _fit(spec.estimator, data, params, spec.solver)[0]
+    return _fit(spec.estimator, data, params)[0]
 
 
 def _row(value, theory, trials):
@@ -217,8 +214,7 @@ def run_sweep(spec: SweepSpec):
     return [_sweep_point(spec, gi) for gi in range(len(spec.grid))]
 
 
-def feasibility_curve(p, eps, sigma, noise, delta_grid, trials, base_seed,
-                      cfg: SolverConfig = DEFAULT_CONFIG):
+def feasibility_curve(p, eps, sigma, noise, delta_grid, trials, base_seed):
     """Empirical hard-tube feasibility rate at each delta in the grid.
 
     Rate = fraction of seeds whose hard solve did not certify infeasible,
@@ -228,7 +224,7 @@ def feasibility_curve(p, eps, sigma, noise, delta_grid, trials, base_seed,
     """
     spec = SweepSpec("hsvr", "delta", delta_grid,
                      {"sigma": sigma, "beta": 1.0, "eps": eps}, p=p, trials=trials,
-                     base_seed=base_seed, theory=False, noise=noise, solver=cfg)
+                     base_seed=base_seed, theory=False, noise=noise)
     return [(r.swept_value, r.feasibility_rate) for r in run_sweep(spec)]
 
 
@@ -260,7 +256,7 @@ def run_points(points, p, trials, base_seed=0, noise=None):
                 ss = np.random.SeedSequence(base_seed, spawn_key=(0, ti))
                 design, previous = Design(p, delta, noise, ss), {}
             data = design.dataset(params["beta"], params["sigma"])
-            trial, previous[estimator] = _fit(estimator, data, params, DEFAULT_CONFIG,
+            trial, previous[estimator] = _fit(estimator, data, params,
                                               previous.get(estimator))
             out.append(trial)
     return [_row(params["delta"], (None, None), trial_results)

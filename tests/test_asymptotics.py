@@ -167,6 +167,18 @@ class TestEpsilonStar:
             epsilon_star(2.0, 1.0, GAUSS)
         assert counter.n <= 700
 
+    @pytest.mark.parametrize("delta", [math.inf, math.nan, 0.0, -1.0])
+    def test_non_finite_or_non_positive_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            epsilon_star(delta, 1.0, GAUSS)
+
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, 0.0, -1.0])
+    def test_non_finite_or_non_positive_sigma_rejected(self, sigma):
+        # also for delta <= 1, where no bracket is searched
+        for delta in (0.5, 2.0):
+            with pytest.raises(ValueError, match="sigma must be finite"):
+                epsilon_star(delta, sigma, GAUSS)
+
 
 class TestDValue:
     PROB = HsvrProblem(1.3, 1.0, 1.0, 0.5, GAUSS)
@@ -360,6 +372,14 @@ class TestSsvrFirstOrderConditions:
         sol = ssvr_risk(SsvrProblem(2.0, 1.0, 1.0, 0.6, GAUSS, cost=2.4))
         assert sol.diagnostics["expect_evals"] <= 21
 
+    @pytest.mark.parametrize("cost", [2.4, 100.0])
+    def test_large_signal_to_noise_budget(self, cost):
+        # beta/sigma = 1e3: the hard start's Newton solve takes 9 calls here
+        # (a residual-norm step test took 954)
+        sol = ssvr_risk(SsvrProblem(2.0, 1e-3, 1.0, 0.6, GAUSS, cost=cost))
+        assert sol.diagnostics["expect_evals"] <= 30
+        assert sol.diagnostics["stationarity"] <= 1e-8
+
     def test_edge_regimes_return_certified_values(self):
         # C -> 0 and delta -> 0 make g1 and k tiny, where E min(h, k)^2
         # cancels to rounding noise in its difference form; eps = 0 and an
@@ -508,9 +528,11 @@ class TestHsvrFirstOrderConditions:
 
     @pytest.mark.parametrize("sigma", [1e-3, 1e-4, 1e-6])
     def test_large_signal_to_noise_is_certified(self, sigma):
-        # beta/sigma = 1e3 to 1e6: the first Newton pass stalls with |D| of
-        # 0.24-0.46 (it returned risks of 0.0813, 0.0261 and 0.0109); the
-        # repeat with the unscaled norm reaches the nested roots' 0.2890619
+        # beta/sigma = 1e3 to 1e6, where F2 is up to beta/sigma times
+        # larger than D: a step test on a residual norm weighs the two by
+        # their scale and crawls (954-1,398 calls); the monotonicity test
+        # on Newton corrections does not, and reaches the nested roots'
+        # 0.2890619 in a few steps
         prob = HsvrProblem(2.0, sigma, 1.0, 0.6, GAUSS)
         sol = hsvr_risk(prob)
         feasible, _, _, risk = hsvr_risk_nested(prob)
@@ -518,9 +540,11 @@ class TestHsvrFirstOrderConditions:
         assert sol.risk == pytest.approx(risk, rel=1e-9)
         assert abs(sol.diagnostics["d_residual"]) <= 1e-7 * sol.g1
         assert sol.diagnostics["stationarity"] <= 1e-8
+        assert sol.diagnostics["expect_evals"] <= 20
 
     def test_uncertified_point_raises(self, monkeypatch):
-        # with one Newton step per pass neither pass certifies its point
+        # one Newton step from the g2 = 0 edge leaves a point far from
+        # both conditions
         monkeypatch.setattr(asymptotics, "_HSVR_MAX_ITER", 1)
         with pytest.raises(UncertifiedLimit, match="did not converge"):
             hsvr_risk(HsvrProblem(2.0, 1e-3, 1.0, 0.6, GAUSS))

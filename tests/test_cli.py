@@ -238,7 +238,7 @@ class TestSweepCommand:
         assert "unconverged" not in out
         real = montecarlo.solve_soft_svr
 
-        def stopped(data, eps, cost, cfg):
+        def stopped(data, eps, cost):
             return real(data, eps, cost, SolverConfig(max_iters=5))
 
         monkeypatch.setattr(montecarlo, "solve_soft_svr", stopped)
@@ -259,7 +259,7 @@ class TestSweepCommand:
         assert "worst_gap" not in out
         real = montecarlo.solve_soft_svr
 
-        def loose(data, eps, cost, cfg):
+        def loose(data, eps, cost):
             return real(data, eps, cost, SolverConfig(tol=1e-3))
 
         monkeypatch.setattr(montecarlo, "solve_soft_svr", loose)

@@ -17,7 +17,6 @@ from svrisk import montecarlo
 from svrisk.montecarlo import run_points
 
 GAUSS = standard_gaussian()
-FAST = SolverConfig(tol=1e-6)
 
 
 def small_spec(**over):
@@ -31,7 +30,6 @@ def small_spec(**over):
         base_seed=7,
         theory=True,
         noise=GAUSS,
-        solver=FAST,
     )
     base.update(over)
     return SweepSpec(**base)
@@ -124,7 +122,7 @@ class TestDeterminism:
             assert rows == run_sweep(spec)
             for row in rows:
                 assert row.trials_used == spec.trials
-                assert 0.0 <= row.worst_gap <= spec.solver.tol
+                assert 0.0 <= row.worst_gap <= SolverConfig().tol
         ridge = small_spec(estimator="ridge_oracle", theory=False)
         assert all(row.worst_gap is None for row in run_sweep(ridge))
 
@@ -153,12 +151,17 @@ class TestHsvrSweep:
 
 
 class TestUnconvergedFits:
-    def test_stopped_fits_counted_and_left_out_of_means(self):
+    def test_stopped_fits_counted_and_left_out_of_means(self, monkeypatch):
+        stopped = SolverConfig(max_iters=5)
+        hard, soft = montecarlo.solve_hard_svr, montecarlo.solve_soft_svr
+        monkeypatch.setattr(montecarlo, "solve_hard_svr",
+                            lambda data, eps: hard(data, eps, stopped))
+        monkeypatch.setattr(montecarlo, "solve_soft_svr",
+                            lambda data, eps, cost: soft(data, eps, cost, stopped))
         for estimator, fixed in (("hsvr", {"sigma": 1.0, "beta": 1.0, "eps": 0.5}),
                                  ("ssvr", {"sigma": 1.0, "beta": 1.0, "eps": 0.5,
                                            "cost": 2.0})):
-            spec = small_spec(estimator=estimator, fixed=fixed, theory=False,
-                              solver=SolverConfig(max_iters=5))
+            spec = small_spec(estimator=estimator, fixed=fixed, theory=False)
             for row in run_sweep(spec):
                 assert row.unconverged == spec.trials
                 assert row.trials_used == 0
@@ -182,7 +185,7 @@ class TestFeasibilityCurve:
     def test_transition_at_unit_delta_for_zero_eps(self):
         rows = feasibility_curve(
             p=60, eps=0.0, sigma=1.0, noise=GAUSS,
-            delta_grid=(0.7, 1.3), trials=4, base_seed=1, cfg=FAST)
+            delta_grid=(0.7, 1.3), trials=4, base_seed=1)
         assert rows[0][1] == 1.0   # underdetermined: always feasible
         assert rows[1][1] == 0.0   # overdetermined with eps = 0: never
 
@@ -197,7 +200,7 @@ class TestConcentration:
             risks = []
             for seed in range(10):
                 data = generate_dataset(p, 1.0, 1.0, 0.2, GAUSS, seed=seed)
-                fit = solve_hard_svr(data, 0.1, FAST)
+                fit = solve_hard_svr(data, 0.1)
                 risks.append(prediction_risk(fit.weights, data.truth))
             stds[p] = float(np.std(risks, ddof=1))
         # 1/sqrt(p) scaling: quadrupling p should roughly halve the spread
@@ -273,8 +276,8 @@ class TestRunPoints:
         fits = []
         real = montecarlo.solve_hard_svr
 
-        def logged(data, eps, cfg, start=None):
-            fit = real(data, eps, cfg, start=start)
+        def logged(data, eps, start=None):
+            fit = real(data, eps, start=start)
             fits.append((start, fit))
             return fit
 

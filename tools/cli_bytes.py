@@ -46,9 +46,11 @@ COMMANDS = [
     f"risk hsvr --delta 0.95 --eps 1 {T3}",
     "risk hsvr --delta 1.5 --eps 1",
     "risk hsvr --delta 10 --eps 1",
+    "risk hsvr --delta 2 --eps 0.6 --sigma 0.001",
     f"risk ssvr --delta 3.8 --eps 0.8 --cost 3.2 {T3}",
     "risk ssvr --delta 2 --eps 0.6 --cost 2.4",
     "risk ssvr --delta 2 --eps 0.6 --cost 100",
+    "risk ssvr --delta 2 --eps 0.6 --cost 100 --sigma 0.001",
     f"tune hsvr --delta 5 {T3}",
     "tune hsvr --delta 2",
     "tune hsvr --delta 2 --noise mixture --dof 10",

@@ -26,8 +26,10 @@ Prints one JSON object:
   (Gaussian and Student-t d = 2.1, 3, 10; sigma in {0.2, 1}; eps in
   {0, 0.1, 1, 10, 30, 100}; beta in {0.5, 2}; delta/delta* in {0.5, 0.9,
   1 +- 1e-4, 1 +- 1e-7, 1 +- 1e-9, 1 +- 1e-11, 1.1, 1}; delta* = inf
-  skipped); the sum of the calls over the named points, over the grid,
-  and the grid's feasible count;
+  skipped) and a beta/sigma scan (Gaussian, beta = 1, eps = 0.5,
+  delta in {1, 2}, sigma in {1, 0.1, 0.02, 0.01, 0.002, 1e-3, 1e-6});
+  the sum of the calls over the named points, over the grid and over
+  the scan, and the grid's feasible count;
 - ``us_per_call``: median microseconds of one ``e_hinge_moments`` call,
   Gaussian and Student-t d = 3, 10, over 15 blocks of 2,000 calls;
 - with ``--fits``, ``polish``: status, iterations and KKT solves of 80 dual
@@ -178,12 +180,16 @@ def hsvr_counts(sv):
                     for f in fracs:
                         grid[f"dof={dof:g},{sigma:g},{eps:g},{beta:g},{f!r}"] = \
                             solve(f * dstar, sigma, beta, eps, dof)
+    scan = {f"{d:g},{sigma:g}": solve(d, sigma, 1.0, 0.5, 0)
+            for d in (1.0, 2.0) for sigma in (1.0, 0.1, 0.02, 0.01, 0.002, 1e-3, 1e-6)}
     return {
         "expect_evals": sum(v[0] for v in points.values()),
         "grid_expect_evals": sum(v[0] for v in grid.values()),
         "grid_feasible": sum(v[1] is not None for v in grid.values()),
+        "scan_expect_evals": sum(v[0] for v in scan.values()),
         "points": points,
         "grid": grid,
+        "scan": scan,
     }
 
 
