@@ -36,20 +36,32 @@ primal-dual active-set method does (Hintermueller, Ito & Kunisch, 2002):
 up to 30 repairs, until the pattern stops changing, with a one-at-a-time
 fallback against cycling.  Its candidate is accepted only if the dual
 objective does not fall and the duality gap and violation are within
-tol, so most fits stop at the first check.  The Farkas test sees the
-iterate from before the polish; a polish candidate that raises the
-objective without converging restarts the momentum from it after that
-test.  The forced check at max_iters tests convergence and
+tol, so most fits that run the ascent stop at the first check.  The
+Farkas test sees the iterate from before the polish; a polish candidate
+that raises the objective without converging restarts the momentum from
+it after that test.  The forced check at max_iters tests convergence and
 infeasibility but does not polish.
+
+A cold fit (no converged start) with n <= p polishes the all-zero
+pattern before any ascent; its first repair enters every coordinate with
+|y_i| > eps with sign(y_i).  For a generic design with n <= p the tube is
+feasible and X'X nonsingular, and the repairs often reach the final
+pattern.  The guess takes full repairs only while they shrink and gives
+up where the polish would fall back to one-at-a-time repairs: on the
+figure presets those cost more KKT solves than the ascent they save.  A
+candidate that passes the check's test returns at iteration 0;
+otherwise the ascent runs from u = 0, and the attempt's KKT solves and
+product still count.  With n > p the guess is not tried, as it rarely
+certifies there.
 
 A fit may start from a converged fit on the same design at another eps,
 C, beta or sigma.  On a fixed sign/box pattern the dual solution is
 piecewise linear in eps and in 1/C and affine in y (the solution paths
 of Hastie, Rosset, Tibshirani & Zhu, JMLR 2004, and Gunter & Zhu,
 Neural Comput. 2007), so the previous fit's final pattern is usually
-this fit's: it is polished before the ascent, and a candidate that
-passes the check's test returns at iteration 0.  Otherwise the ascent
-runs from u = 0 as without a start.
+this fit's: it is polished before the ascent (instead of the zero
+pattern), and a candidate that passes the check's test returns at
+iteration 0.  Otherwise the ascent runs from u = 0.
 """
 
 from __future__ import annotations
@@ -108,7 +120,8 @@ class SvrFit:
     1; a fit on a ``Design`` reuses one an earlier fit built).  pattern is
     the dual's final sign/box pattern (``_active_pattern``), the one a
     fit started from this one polishes first.  iterations is 0 for a fit
-    that such a start certified.
+    certified before the ascent: by such a start or, for a cold fit with
+    n <= p, by the polish of the zero pattern (see ``_solve_dual``).
     """
 
     weights: np.ndarray
@@ -229,7 +242,7 @@ def _active_pattern(u, box):
     return pattern.astype(np.int8)
 
 
-def _polish(pattern, k, y, p, eps, box):
+def _polish(pattern, k, y, p, eps, box, fallback=True):
     """Primal-dual active-set solve from a starting pattern.
 
     Returns (candidate, solves).  Free coordinates (|pattern| = 1) satisfy
@@ -244,8 +257,10 @@ def _polish(pattern, k, y, p, eps, box):
     primal-dual active-set method from cycling).  A violation is the
     distance of s_i u_i from [0, box] for a free coordinate, of |r_i| from
     [0, eps] for a zero one and of s_i r_i from [eps, inf) for one on the
-    box.  The candidate is returned once the pattern stops changing, within
-    _POLISH_REPAIRS repairs; otherwise it is None.  It is None, before
+    box.  With fallback False the polish gives up instead of taking a
+    one-at-a-time repair: the candidate is None.  The candidate is
+    returned once the pattern stops changing, within _POLISH_REPAIRS
+    repairs; otherwise it is None.  It is None, before
     any further solve, once more than p coordinates are free: K_II =
     X_I'X_I has rank at most p for any design, so it is then singular,
     and ``np.linalg.solve`` would return a near-singular answer instead
@@ -289,6 +304,8 @@ def _polish(pattern, k, y, p, eps, box):
             fewest = changed.size
             pattern = repaired
             continue
+        if not fallback:
+            return None, solves
         excess = np.abs(r) - eps
         excess[idx] = np.maximum(-sol * sgn, sol * sgn - cap)
         if box is not None:
@@ -348,10 +365,11 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig, start=None):
     """Shared accelerated ascent; ``box`` is C/sqrt(p) or None (hard).
 
     A converged ``start`` on the same design has its final pattern
-    polished first, and the candidate is accepted under the loop's own
-    test (objective >= F(0) = 0, gap and violation <= tol): the fit then
-    returns with iterations 0.  Otherwise the ascent runs from u = 0 as
-    without a start; the attempt's KKT solves and product still count.
+    polished first; a cold fit with n <= p polishes the zero pattern,
+    without the one-at-a-time fallback.  The candidate is accepted under
+    the loop's own test (objective >= F(0) = 0, gap and violation <=
+    tol): the fit then returns with iterations 0.  Otherwise the ascent
+    runs from u = 0; the attempt's KKT solves and product still count.
     """
     x, y = data.features, data.responses
     p, n = data.p, data.n
@@ -379,12 +397,12 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig, start=None):
         gap = abs(pval - dval) / max(1.0, abs(pval))
         return w, viol, gap
 
-    def polish(pattern, floor):
+    def polish(pattern, floor, fallback=True):
         """(candidate, its product, its objective, certified) from a polish
         of pattern; None when the polish gives no candidate or its
         objective falls below floor (up to rounding)."""
         nonlocal polish_solves, gram_products
-        pol, solves = _polish(pattern, k, y, p, eps, box)
+        pol, solves = _polish(pattern, k, y, p, eps, box, fallback)
         polish_solves += solves
         if pol is None:
             return None
@@ -409,14 +427,16 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig, start=None):
     iterations = cfg.max_iters
     pattern, polished = None, set()
 
-    if start is not None:
-        if start.pattern is None or start.pattern.shape != (n,):
-            raise ValueError("start must be a fit on the same design")
-        if start.status == "converged":
-            found = polish(start.pattern, 0.0)
-            if found is not None and found[3]:
-                best_u, best_f = found[0], found[2]
-                status, iterations = "converged", 0
+    if start is not None and (start.pattern is None or start.pattern.shape != (n,)):
+        raise ValueError("start must be a fit on the same design")
+    found = None
+    if start is not None and start.status == "converged":
+        found = polish(start.pattern, 0.0)
+    elif n <= p:  # cold: the zero pattern, full repairs only
+        found = polish(np.zeros(n, np.int8), 0.0, fallback=False)
+    if found is not None and found[3]:
+        best_u, best_f = found[0], found[2]
+        status, iterations = "converged", 0
 
     for it in range(1, cfg.max_iters + 1):
         if status == "converged":  # certified from the start

@@ -152,16 +152,20 @@ class TestHsvrSweep:
 
 class TestUnconvergedFits:
     def test_stopped_fits_counted_and_left_out_of_means(self, monkeypatch):
+        # n > p: a cold fit with n <= p can be certified at iteration 0,
+        # before the cap; eps = 2 puts delta* near 10, so every hard tube
+        # here is feasible and no fit is certified infeasible
         stopped = SolverConfig(max_iters=5)
         hard, soft = montecarlo.solve_hard_svr, montecarlo.solve_soft_svr
         monkeypatch.setattr(montecarlo, "solve_hard_svr",
                             lambda data, eps: hard(data, eps, stopped))
         monkeypatch.setattr(montecarlo, "solve_soft_svr",
                             lambda data, eps, cost: soft(data, eps, cost, stopped))
-        for estimator, fixed in (("hsvr", {"sigma": 1.0, "beta": 1.0, "eps": 0.5}),
+        for estimator, fixed in (("hsvr", {"sigma": 1.0, "beta": 1.0, "eps": 2.0}),
                                  ("ssvr", {"sigma": 1.0, "beta": 1.0, "eps": 0.5,
                                            "cost": 2.0})):
-            spec = small_spec(estimator=estimator, fixed=fixed, theory=False)
+            spec = small_spec(estimator=estimator, fixed=fixed, grid=(1.5, 2.0),
+                              theory=False)
             for row in run_sweep(spec):
                 assert row.unconverged == spec.trials
                 assert row.trials_used == 0

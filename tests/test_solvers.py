@@ -568,6 +568,117 @@ class TestWarmStart:
             solve_hard_svr(data, 1.0, start=start)
 
 
+class TestColdGuess:
+    """A cold fit with n <= p first polishes the zero pattern."""
+
+    def test_fits_certified_at_iteration_0_match_the_oracles(self):
+        certified = {"hard": 0, "soft": 0}
+        for p in (12, 20):
+            for delta in (0.5, 1.0):
+                for seed in range(2):
+                    data = generate_dataset(p, delta, 1.0, 0.5, GAUSS, seed=seed)
+                    x, y = data.features, data.responses
+                    fits = [("hard", 1.0, None, solve_hard_svr(data, 1.0))]
+                    fits += [("soft", 0.6, cost, solve_soft_svr(data, 0.6, cost))
+                             for cost in (2.4, 100.0)]
+                    for kind, eps, cost, fit in fits:
+                        if fit.iterations:
+                            continue
+                        certified[kind] += 1
+                        assert fit.status == "converged"
+                        # gap and violation from the returned weights and dual
+                        u, w = fit.dual, fit.weights
+                        np.testing.assert_array_equal(w, x @ u / np.sqrt(p))
+                        r = y - x.T @ w
+                        dual = (-0.5 * float(w @ w) + (y @ u) / np.sqrt(p)
+                                - eps * np.abs(u).sum() / np.sqrt(p))
+                        if kind == "hard":
+                            assert lp_feasible(x, y, eps)
+                            assert np.maximum(np.abs(r) - eps, 0.0).max() <= CFG.tol
+                            primal = 0.5 * float(w @ w)
+                            oracle = primal_hard_oracle(x, y, eps)
+                        else:
+                            assert np.abs(u).max() <= cost / np.sqrt(p) * (1 + 1e-12)
+                            primal = 0.5 * float(w @ w) + cost / p * float(
+                                np.maximum(np.abs(r) - eps, 0.0).sum())
+                            oracle = primal_soft_oracle(x, y, eps, cost)
+                        assert abs(primal - dual) / max(1.0, abs(primal)) <= CFG.tol
+                        np.testing.assert_allclose(w, oracle, atol=1e-5)
+        assert certified["hard"] >= 6 and certified["soft"] >= 12
+
+    def test_no_zero_pattern_polish_when_n_exceeds_p(self, monkeypatch):
+        calls = []  # (pattern, fallback) of every _polish call
+        real = solvers._polish
+
+        def recording(pattern, k, y, p, eps, box, fallback=True):
+            calls.append((pattern.copy(), fallback))
+            return real(pattern, k, y, p, eps, box, fallback)
+
+        monkeypatch.setattr(solvers, "_polish", recording)
+        data = generate_dataset(40, 1.5, 1.0, 1.0, GAUSS, seed=0)
+        fits = [solve_hard_svr(data, 1.0), solve_hard_svr(data, 0.2),
+                solve_soft_svr(data, 0.6, 2.4), solve_soft_svr(data, 0.6, 100.0)]
+        assert [fit.status for fit in fits] == ["converged", "infeasible",
+                                                "converged", "converged"]
+        assert calls and all(np.any(pattern) and fallback for pattern, fallback in calls)
+        # n <= p: the zero pattern first, without the one-at-a-time fallback;
+        # a converged start is polished instead
+        square = generate_dataset(40, 1.0, 1.0, 1.0, GAUSS, seed=0)
+        del calls[:]
+        start = solve_hard_svr(square, 1.0)
+        assert not np.any(calls[0][0]) and calls[0][1] is False
+        del calls[:]
+        warm = solve_hard_svr(square, 0.9, start=start)
+        assert warm.status == "converged"
+        assert np.array_equal(calls[0][0], start.pattern) and calls[0][1] is True
+
+    def test_a_failed_guess_ends_with_the_ascents_status(self, monkeypatch):
+        data = generate_dataset(12, 1.0, 1.0, 0.5, GAUSS, seed=0)
+        # x_1 = x_2 with conflicting responses: infeasible although n < p
+        dup = tiny_dataset(np.array([[1.0, 1.0], [0.5, 0.5], [-2.0, -2.0]]), [0.0, 3.0])
+        solves = [
+            (lambda: solve_hard_svr(data, 0.3), "converged"),
+            (lambda: solve_soft_svr(data, 0.6, 0.5), "converged"),
+            (lambda: solve_soft_svr(data, 0.6, 0.5, SolverConfig(max_iters=5)), "max_iters"),
+            (lambda: solve_hard_svr(dup, 1.0), "infeasible"),
+        ]
+        guessed = [solve() for solve, _ in solves]
+        real = solvers._polish
+
+        def no_guess(pattern, k, y, p, eps, box, fallback=True):
+            return (None, 0) if not fallback else real(pattern, k, y, p, eps, box)
+
+        monkeypatch.setattr(solvers, "_polish", no_guess)
+        for fit, (solve, status) in zip(guessed, solves):
+            assert fit.iterations > 0 and fit.status == status
+            ascent = solve()
+            # the guess's solves are counted; the rest of the fit is the ascent's
+            assert_same_fit(fit, ascent, counters=False)
+            assert fit.polish_solves >= ascent.polish_solves
+        gain, leak = farkas_margin(dup, 1.0, guessed[-1].dual)
+        assert gain > 1e-8 and leak <= 1e-8
+
+    def test_an_uncertified_guess_is_not_accepted(self, monkeypatch):
+        # 0.9 times the optimum keeps the objective above F(0) = 0 (F is
+        # concave) but misses the gap test, so the ascent runs
+        data = generate_dataset(20, 0.5, 1.0, 0.5, GAUSS, seed=0)
+        solves = [lambda: solve_hard_svr(data, 1.0), lambda: solve_soft_svr(data, 0.6, 100.0)]
+        colds = [solve() for solve in solves]
+        real = solvers._polish
+
+        def shrunk_guess(pattern, k, y, p, eps, box, fallback=True):
+            cand, count = real(pattern, k, y, p, eps, box, fallback)
+            return (cand if fallback or cand is None else 0.9 * cand), count
+
+        monkeypatch.setattr(solvers, "_polish", shrunk_guess)
+        for cold, solve in zip(colds, solves):
+            assert cold.iterations == 0
+            fit = solve()
+            assert fit.status == "converged" and fit.iterations > 0
+            assert fit.kkt_residual <= CFG.tol
+            np.testing.assert_allclose(fit.weights, cold.weights, rtol=0, atol=1e-6)
+
+
 def designed(x, seed, sigma=1.0):
     """Dataset on a fixed design: a unit-norm truth and N(0, sigma^2) noise."""
     rng = np.random.default_rng(seed)
@@ -589,15 +700,23 @@ class TestClosedFormStart:
         p, n = x.shape
         lam = float((x * x).sum()) / (n * p) * (math.sqrt(n) + math.sqrt(p)) ** 2
         top = np.linalg.eigvalsh(x.T @ x)[-1]
+        # the step's start acts only in the ascent: a cold fit with n <= p
+        # that the zero-pattern polish certifies runs none, and its one
+        # product scores the candidate
+        first = solve_hard_svr(data, eps, SolverConfig(max_iters=3))
+        fit = solve_hard_svr(data, eps)
+        for run in (first, fit):
+            if run.iterations == 0:
+                assert n <= p and run.status == "converged" and run.gram_products == 1
         # no x1.3 growth acts before iteration 4, so every extra product of
         # the first three halves a start that was too large
-        first = solve_hard_svr(data, eps, SolverConfig(max_iters=3))
-        assert first.gram_products - first.iterations <= math.log2(top / lam) + 2
-        fit = solve_hard_svr(data, eps)
+        if first.iterations:
+            assert first.gram_products - first.iterations <= math.log2(top / lam) + 2
         # over a whole fit the growth brings a rejected trial about every 8
         # iterations; a start that kept being rejected would exceed this
-        extra = fit.gram_products - fit.iterations
-        assert extra <= fit.iterations / 8 + math.log2(top / lam) + 2
+        if fit.iterations:
+            extra = fit.gram_products - fit.iterations
+            assert extra <= fit.iterations / 8 + math.log2(top / lam) + 2
         if lp_feasible(x, y, eps):
             assert fit.status == "converged"
             np.testing.assert_allclose(fit.weights, primal_hard_oracle(x, y, eps), atol=1e-5)

@@ -42,7 +42,14 @@ Prints one JSON object:
   the gradient phase, null(X) projector builds] and sum each count: the
   gradient/polish split of every solve.  The last two read null for a
   checkout whose ``SvrFit`` does not count them; a checkout whose
-  ``SvrFit`` has a counter named in ``LEGACY`` gets it appended.
+  ``SvrFit`` has a counter named in ``LEGACY`` gets it appended.  Every
+  fit of these two sections has n > p.  ``cold``: the same for 50 cold
+  fits with n <= p at p = 200, sigma = beta = 1, seeds 0-9
+  (``SeedSequence(s, spawn_key=(3, 0))``): hard at eps = 1 and delta in
+  {0.5, 1}, soft at eps = 0.6, delta = 1 and C in {0.5, 2.4, 100}, with
+  ``iter0_fits`` the fits certified at iteration 0 (the zero-pattern
+  guess of ``solvers._solve_dual``; the rest pay its KKT solves and run
+  the ascent).
 
 ``--src`` points at the ``src`` directory of the checkout to measure
 (default: this one), so one harness gives before and after numbers.
@@ -266,6 +273,28 @@ def near_threshold_fits(sv):
     return fit_summary(fits, labels)
 
 
+def cold_fits(sv):
+    import numpy as np
+
+    gauss = sv.standard_gaussian()
+    fits, labels = [], []
+
+    def data(delta, seed):
+        return sv.generate_dataset(200, delta, 1.0, 1.0, gauss,
+                                   seed=np.random.SeedSequence(seed, spawn_key=(3, 0)))
+
+    for seed in range(10):
+        for delta in (0.5, 1.0):
+            fits.append(sv.solve_hard_svr(data(delta, seed), 1.0))
+            labels.append(f"hard:delta={delta},seed={seed}")
+        square = data(1.0, seed)
+        for cost in (0.5, 2.4, 100.0):
+            fits.append(sv.solve_soft_svr(square, 0.6, cost))
+            labels.append(f"soft:C={cost:g},seed={seed}")
+    iter0 = sum(fit.status == "converged" and fit.iterations == 0 for fit in fits)
+    return {"iter0_fits": iter0, **fit_summary(fits, labels)}
+
+
 def main(argv=None):
     args = parse_args(sys.argv[1:] if argv is None else argv)
     sys.path.insert(0, args.src)
@@ -282,6 +311,7 @@ def main(argv=None):
     if args.fits:
         report["polish"] = polish_fits(sv)
         report["near_threshold"] = near_threshold_fits(sv)
+        report["cold"] = cold_fits(sv)
     print(json.dumps(report, indent=1))
     return 0
 

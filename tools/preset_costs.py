@@ -7,21 +7,27 @@ preset per fresh interpreter, with the svrisk under ``--src`` (default:
 this checkout's ``src``), and prints a table followed, on the last line,
 by one JSON object with, per preset:
 
+- ``exit``: the exit code of the command;
 - ``wall_s``: the wall time of the command (import excluded);
 - ``fits``: the calls of ``svrisk.solvers._solve_dual`` (every hard and
   soft SVR fit), and ``dual_s`` the wall time spent in them;
 - ``iterations`` and ``kkt_solves``: the summed ``SvrFit.iterations`` and
   ``SvrFit.polish_solves`` (null for a checkout without that counter);
 - ``max_iters``: the fits that stopped at the iteration cap;
-- ``iter0_fits``: the fits certified at iteration 0 (by a warm start from
-  an earlier fit on the same design);
+- ``iter0_fits``: the fits certified at iteration 0, by a warm start from
+  an earlier fit on the same design or, for a fit with n <= p, by the
+  polish of the zero pattern; ``cold_iter0`` counts those of them made
+  without a converged ``start``;
 - ``designs``: the designs drawn, counted as calls of
   ``svrisk.solvers.sample_noise_rng`` (one per draw, in every checkout).
 
 ``--csv-dir`` keeps each preset's CSV as ``fig<id>.csv`` there, so two
 checkouts' tables can be diffed; without it they go to a temporary
 directory.  Counts repeat exactly for a checkout; times depend on the
-host.  All ten presets take about a minute on 2 cores.
+host.  All ten presets take about a minute on 2 cores.  The command exits
+1 if any preset exits non-zero (``exit``; a child that fails outside
+``svrisk figure`` reports only its own exit code) and 0 otherwise; the
+children's stderr is passed on.
 """
 
 from __future__ import annotations
@@ -52,7 +58,9 @@ real_noise = solvers.sample_noise_rng
 def timed(*args, **kwargs):
     t0 = time.perf_counter()
     fit = real(*args, **kwargs)
-    fits.append((time.perf_counter() - t0, fit))
+    start = kwargs.get("start")
+    fits.append((time.perf_counter() - t0, fit,
+                 start is None or start.status != "converged"))
     return fit
 
 def drawn(*args, **kwargs):
@@ -64,14 +72,15 @@ solvers.sample_noise_rng = drawn
 t0 = time.perf_counter()
 code = cli.main(["figure", sys.argv[2], "-o", f"fig{sys.argv[2]}.csv"])
 wall = time.perf_counter() - t0
-kkt = [getattr(fit, "polish_solves", None) for _, fit in fits]
+kkt = [getattr(fit, "polish_solves", None) for _, fit, _ in fits]
+iter0 = [cold for _, fit, cold in fits if fit.status == "converged" and fit.iterations == 0]
 print(json.dumps({
     "exit": code, "wall_s": round(wall, 3), "fits": len(fits),
-    "dual_s": round(sum(t for t, _ in fits), 3),
-    "iterations": sum(fit.iterations for _, fit in fits),
+    "dual_s": round(sum(t for t, _, _ in fits), 3),
+    "iterations": sum(fit.iterations for _, fit, _ in fits),
     "kkt_solves": None if None in kkt else sum(kkt),
-    "max_iters": sum(fit.status == "max_iters" for _, fit in fits),
-    "iter0_fits": sum(fit.status == "converged" and fit.iterations == 0 for _, fit in fits),
+    "max_iters": sum(fit.status == "max_iters" for _, fit, _ in fits),
+    "iter0_fits": len(iter0), "cold_iter0": sum(iter0),
     "designs": len(draws),
 }))
 """
@@ -85,8 +94,13 @@ def parse_args(argv):
 
 
 def run_preset(src, preset, csv_dir):
+    """The child's row; only ``exit`` if the child itself failed.  The
+    child's stderr is passed on."""
     out = subprocess.run([sys.executable, "-c", CHILD_CODE, src, preset], cwd=csv_dir,
-                         capture_output=True, text=True, check=True)
+                         capture_output=True, text=True)
+    sys.stderr.write(out.stderr)
+    if out.returncode:
+        return {"exit": out.returncode}
     return json.loads(out.stdout.splitlines()[-1])
 
 
@@ -97,13 +111,13 @@ def main(argv=None):
         csv_dir = args.csv_dir or tmp
         os.makedirs(csv_dir, exist_ok=True)
         report = {preset: run_preset(src, preset, csv_dir) for preset in PRESETS}
-    cols = ("wall_s", "fits", "dual_s", "iterations", "kkt_solves", "max_iters",
-            "iter0_fits", "designs")
+    cols = ("exit", "wall_s", "fits", "dual_s", "iterations", "kkt_solves", "max_iters",
+            "iter0_fits", "cold_iter0", "designs")
     print(f"{'preset':>6} " + " ".join(f"{c:>10}" for c in cols))
     for preset, row in report.items():
-        print(f"{preset:>6} " + " ".join(f"{str(row[c]):>10}" for c in cols))
+        print(f"{preset:>6} " + " ".join(f"{str(row.get(c)):>10}" for c in cols))
     print(json.dumps({"src": src, "presets": report}))
-    return 0
+    return int(any(row["exit"] for row in report.values()))
 
 
 if __name__ == "__main__":
