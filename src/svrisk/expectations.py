@@ -55,13 +55,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, ndtr
 
 from .noise import standard_gaussian
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
 _STANDARD_NORMAL = standard_gaussian()
+# scipy.special.ndtr, bound by the first ``_mixing_rule``: Gaussian-only
+# use never imports scipy
+_ndtr = None
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +146,13 @@ def _mixing_rule(dof, abs_tol):
     Massart 2000), and the step resolves the bulk, whose width in x is
     ~ sqrt(2/d).  The weights are normalised to sum 1: the mass outside the
     rule is below abs_tol * 1e-4, while the rounding of the log-density
-    grows like 1e-16 * d log d.
+    grows like 1e-16 * d log d.  The first rule built imports
+    scipy.special.
     """
+    global _ndtr
+    from scipy.special import gammaln, ndtr
+
+    _ndtr = ndtr
     d = float(dof)
     x_lo = math.log(abs_tol * 1e-4) / (0.5 * (d - 1.0))
     u_lo = d - 12.0 * math.sqrt(2.0 * d)
@@ -181,7 +188,7 @@ def _mixture_moments(s, a, c, rule, tail_slope=False, density=False):
     a2 = a * a
     sd2 = s * s + a2 * rule.tau
     sd = np.sqrt(sd2)
-    q = ndtr(-c / sd)
+    q = _ndtr(-c / sd)
     qsum, tsum = (rule.w2 @ q).tolist()
     ex = np.exp((-0.5 * c * c) / sd2)
     asum = float(rule.w @ (sd * ex)) / _SQRT2PI

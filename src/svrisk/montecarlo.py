@@ -184,9 +184,15 @@ def _row(value, theory, trials):
     if m == 0:
         mean_risk = stderr = mean_cos = None
     else:
-        mean_risk = float(np.mean(risks))
-        stderr = float(np.std(risks, ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-        mean_cos = float(np.mean(cosines)) if cosines else None
+        # the reductions of np.mean and np.std(ddof=1) without their
+        # per-call overhead; numpy's pairwise sums (not Python's sum, which
+        # differs in the last bit from 8 trials on) keep the bits
+        values = np.array(risks)
+        mean = values.sum() / m
+        dev = values - mean
+        mean_risk = float(mean)
+        stderr = math.sqrt((dev * dev).sum() / (m - 1)) / math.sqrt(m) if m > 1 else 0.0
+        mean_cos = float(np.array(cosines).sum() / len(cosines)) if cosines else None
     return SweepRow(
         swept_value=value,
         theory_risk=theory[0],

@@ -14,9 +14,10 @@ accepted trial's product gives the objective, and the gradient at the
 extrapolated point v = a + m (a - u) is (1 + m) k a - m k u, from the
 products of the last two accepted iterates.  The step starts from the
 leading-order largest eigenvalue of X'X for an i.i.d. design, (mean
-squared entry) (sqrt n + sqrt p)^2 (Geman, 1980), and backtracking
-settles it: a step that starts too large costs one product per halving,
-once, and one that starts too small is recovered by the growth.
+squared entry) (sqrt n + sqrt p)^2 (Geman, 1980), formed only when the
+ascent runs, and backtracking settles it: a step that starts too large
+costs one product per halving, once, and one that starts too small is
+recovered by the growth.
 
 An infeasible hard instance has an unbounded dual.  Unboundedness is
 certified exactly: the tube is empty iff some direction v with X v = 0
@@ -40,7 +41,10 @@ tol, so most fits that run the ascent stop at the first check.  The
 Farkas test sees the iterate from before the polish; a polish candidate
 that raises the objective without converging restarts the momentum from
 it after that test.  The forced check at max_iters tests convergence and
-infeasibility but does not polish.
+infeasibility but does not polish.  A fit returns the weights, gap and
+violation that its exit test computed for the returned dual; only an
+"infeasible" fit, or one whose dual no test has seen, computes them at
+the exit.
 
 A cold fit (no converged start) with n <= p polishes the all-zero
 pattern before any ascent; its first repair enters every coordinate with
@@ -175,6 +179,7 @@ class Design:
         self.features = np.random.default_rng(kid_x).standard_normal((p, n))
         self.features.flags.writeable = False
         self.direction = np.random.default_rng(kid_dir).standard_normal(p)
+        self._direction_norm = np.linalg.norm(self.direction)
         self.draws = sample_noise_rng(noise, n, np.random.default_rng(kid_noise))
         self._gram = None
         self._projector = None  # (projector,) once factored
@@ -190,7 +195,7 @@ class Design:
         if sigma < 0 or beta < 0:
             raise ValueError("sigma, beta must be nonnegative")
         x, v = self.features, self.direction
-        truth = beta * v / np.linalg.norm(v)
+        truth = beta * v / self._direction_norm
         y = x.T @ truth + sigma * self.draws
         return Dataset(features=x, responses=y, truth=truth, design=self)
 
@@ -272,14 +277,15 @@ def _polish(pattern, k, y, p, eps, box, fallback=True):
     solves = 0
     fewest = None  # fewest coordinates a repair has changed so far
     for _ in range(_POLISH_REPAIRS + 1):
-        idx = np.flatnonzero(np.abs(pattern) == 1)
+        mag = np.abs(pattern)
+        idx = (mag == 1).nonzero()[0]
         if idx.size > p:
             return None, solves
         sgn = pattern[idx].astype(float)
         rhs = sp * (y[idx] - eps * sgn)
         u_new = np.zeros(len(pattern))
         if box is not None:
-            at_box = np.flatnonzero(np.abs(pattern) == 2)
+            at_box = (mag == 2).nonzero()[0]
             s_box = np.sign(pattern[at_box]).astype(float)
             u_new[at_box] = s_box * box
             rhs = rhs - k.take(idx, 0).take(at_box, 1) @ u_new[at_box]
@@ -290,14 +296,17 @@ def _polish(pattern, k, y, p, eps, box, fallback=True):
             except np.linalg.LinAlgError:
                 return None, solves
         r = y - k @ u_new / sp
-        sol = u_new[idx]
-        repaired = np.where(np.abs(r) > eps, np.sign(r), 0.0)  # zeros entering
-        repaired[idx] = np.where(np.sign(sol) == sgn, sgn, 0.0)
+        r_mag = np.abs(r)
+        s_sol = u_new[idx] * sgn  # s_i u_i of the free coordinates
+        repaired = np.copysign(r_mag > eps, r)  # zeros entering, with sign(r_i)
+        kept = sgn * (s_sol > 0.0)  # a free coordinate keeps its sign while s_i u_i > 0
         if box is not None:
-            repaired[idx] *= 1.0 + (np.abs(sol) > box)
-            repaired[at_box] = s_box * (1.0 + (r[at_box] * s_box >= eps))
+            kept *= 1.0 + (s_sol > box)  # doubled past the box
+            s_r_box = r[at_box] * s_box
+            repaired[at_box] = s_box * (1.0 + (s_r_box >= eps))
+        repaired[idx] = kept
         repaired = repaired.astype(np.int8)
-        changed = np.flatnonzero(repaired != pattern)
+        changed = (repaired != pattern).nonzero()[0]
         if not changed.size:
             return u_new, solves
         if fewest is None or changed.size < fewest:
@@ -306,10 +315,10 @@ def _polish(pattern, k, y, p, eps, box, fallback=True):
             continue
         if not fallback:
             return None, solves
-        excess = np.abs(r) - eps
-        excess[idx] = np.maximum(-sol * sgn, sol * sgn - cap)
+        excess = r_mag - eps
+        excess[idx] = np.maximum(-s_sol, s_sol - cap)
         if box is not None:
-            excess[at_box] = eps - r[at_box] * s_box
+            excess[at_box] = eps - s_r_box
         worst = changed[np.argmax(excess[changed])]
         pattern = pattern.copy()
         pattern[worst] = repaired[worst]
@@ -317,14 +326,16 @@ def _polish(pattern, k, y, p, eps, box, fallback=True):
 
 
 def _null_projector(x, k):
-    """Factors (a, b) such that u - a @ (b @ u) projects u onto null(X).
+    """Factors (a, m) such that u - a @ (m @ (a' u)) projects u onto null(X);
+    m None stands for the identity.
 
     k is X'X.  None when null(X) = {0}, which holds when the smaller Gram
     matrix (k for n <= p, XX' otherwise, formed here) has a Cholesky
     factor.  With n > p and a full-rank design the factors are X' and
-    (XX')^-1 X, so a projection costs two matrix-vector products.  A
-    rank-deficient design (for instance duplicated samples) takes its
-    range basis from an eigendecomposition of k instead.
+    (XX')^-1, so a projection costs three matrix-vector products, two of
+    them p x n.  A rank-deficient design (for instance duplicated samples)
+    takes an orthonormal range basis a of X' from an eigendecomposition of
+    k instead, with m None.
     """
     p, n = x.shape
     try:
@@ -333,12 +344,11 @@ def _null_projector(x, k):
             return None
         gram = x @ x.T
         np.linalg.cholesky(gram)
-        return x.T, np.linalg.inv(gram) @ x
+        return x.T, np.linalg.inv(gram)
     except np.linalg.LinAlgError:
         pass
     evals, vecs = np.linalg.eigh(k)
-    span = vecs[:, evals > 1e-10 * max(evals[-1], 1.0)]
-    return span, span.T
+    return vecs[:, evals > 1e-10 * max(evals[-1], 1.0)], None
 
 
 def _farkas_direction(projector, u, x, y, eps):
@@ -349,8 +359,9 @@ def _farkas_direction(projector, u, x, y, eps):
     an exact Farkas direction up to round-off: for every w,
     max_i |y_i - x_i'w| >= (y'v - w'Xv) / ||v||_1 > eps.
     """
-    a, b = projector
-    v = u - a @ (b @ u)
+    a, m = projector
+    coef = a.T @ u
+    v = u - a @ (coef if m is None else m @ coef)
     nv = float(np.linalg.norm(v))
     if nv == 0.0 or nv < 1e-6 * float(np.linalg.norm(u)):
         return False
@@ -376,8 +387,6 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig, start=None):
     sp = np.sqrt(p)
     design = data.design if data.design is not None and data.design.features is x else None
     k = design.gram() if design is not None else x.T @ x
-    lam = np.trace(k) / (n * p) * (np.sqrt(n) + np.sqrt(p)) ** 2  # ~ lambda_max(k)
-    step = 1.0 / max(lam / p, 1e-12)
     projector, projector_builds, farkas_ready = None, 0, False  # at the first Farkas test
     gram_products = polish_solves = 0
 
@@ -397,9 +406,13 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig, start=None):
         gap = abs(pval - dval) / max(1.0, abs(pval))
         return w, viol, gap
 
+    def certified(cert):
+        """The check's test on a ``primal_gap``: gap and violation <= tol."""
+        return cert[2] <= cfg.tol and cert[1] <= cfg.tol
+
     def polish(pattern, floor, fallback=True):
-        """(candidate, its product, its objective, certified) from a polish
-        of pattern; None when the polish gives no candidate or its
+        """(candidate, its product, its objective, its ``primal_gap``) from
+        a polish of pattern; None when the polish gives no candidate or its
         objective falls below floor (up to rounding)."""
         nonlocal polish_solves, gram_products
         pol, solves = _polish(pattern, k, y, p, eps, box, fallback)
@@ -411,8 +424,7 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig, start=None):
         f_pol = objective(pol, k_pol)
         if f_pol < floor - 1e-12 * max(1.0, abs(floor)):
             return None
-        _, viol_p, gap_p = primal_gap(pol, f_pol)
-        return pol, k_pol, f_pol, gap_p <= cfg.tol and viol_p <= cfg.tol
+        return pol, k_pol, f_pol, primal_gap(pol, f_pol)
 
     # u is the last accepted iterate and v the extrapolated point; ku and kv
     # are their products with k.  kv is a combination of the two latest
@@ -426,6 +438,7 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig, start=None):
     status = "max_iters"
     iterations = cfg.max_iters
     pattern, polished = None, set()
+    cert = None  # primal_gap(best_u, best_f), or None until a check computes it
 
     if start is not None and (start.pattern is None or start.pattern.shape != (n,)):
         raise ValueError("start must be a fit on the same design")
@@ -434,9 +447,12 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig, start=None):
         found = polish(start.pattern, 0.0)
     elif n <= p:  # cold: the zero pattern, full repairs only
         found = polish(np.zeros(n, np.int8), 0.0, fallback=False)
-    if found is not None and found[3]:
-        best_u, best_f = found[0], found[2]
+    if found is not None and certified(found[3]):
+        best_u, _, best_f, cert = found
         status, iterations = "converged", 0
+    else:  # the ascent runs: its step from lambda_max(k) ~ the Geman estimate
+        lam = np.trace(k) / (n * p) * (np.sqrt(n) + np.sqrt(p)) ** 2
+        step = 1.0 / max(lam / p, 1e-12)
 
     for it in range(1, cfg.max_iters + 1):
         if status == "converged":  # certified from the start
@@ -465,7 +481,7 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig, start=None):
         # monotone safeguard: continue momentum from the trial point but
         # report/keep the best iterate so the dual value never decreases
         if f_new >= best_f:
-            best_u, best_f = cand, f_new
+            best_u, best_f, cert = cand, f_new, None
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
         if f_new < f_u:  # adaptive restart
             v, kv = cand, k_cand
@@ -479,8 +495,8 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig, start=None):
 
         if it % _CHECK_EVERY and it != cfg.max_iters:
             continue
-        _, viol, gap = primal_gap(best_u, best_f)
-        if gap <= cfg.tol and viol <= cfg.tol:
+        cert = primal_gap(best_u, best_f)
+        if certified(cert):
             status = "converged"
             iterations = it
             break
@@ -495,9 +511,9 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig, start=None):
                 polished.add(pattern.tobytes())
                 found = polish(pattern, best_f)
                 if found is not None:
-                    pol, k_pol, f_pol, certified = found
-                    if certified:
-                        best_u, best_f = pol, f_pol
+                    pol, k_pol, f_pol, pol_cert = found
+                    if certified(pol_cert):
+                        best_u, best_f, cert = pol, f_pol, pol_cert
                         status = "converged"
                         iterations = it
                         break
@@ -513,16 +529,18 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig, start=None):
                     projector, projector_builds = _null_projector(x, k), 1
                 farkas_ready = True
             if projector is not None and _farkas_direction(projector, u, x, y, eps):
-                best_u, best_f = u, f_u  # the certified iterate is the one returned
+                best_u, best_f, cert = u, f_u, None  # the certified iterate is returned
                 status = "infeasible"
                 iterations = it
                 break
         if restart is not None:
             u, ku, f_u = restart
-            best_u, best_f = u, f_u
+            best_u, best_f, cert = u, f_u, None
             v, kv, t_momentum = u, ku, 1.0
 
-    w, viol, gap = primal_gap(best_u, best_f)
+    if cert is None:
+        cert = primal_gap(best_u, best_f)
+    w, viol, gap = cert
     box_over = 0.0 if box is None else max(float(np.abs(best_u).max()) - box, 0.0)
     return SvrFit(
         weights=w, dual=best_u, status=status, iterations=iterations,
@@ -593,18 +611,19 @@ def oracle_ridge(data: Dataset):
     c = vecs.T @ (x @ y)
     t = vecs.T @ data.truth
 
-    def risk_of(lam):
-        return float(np.sum((c / (evals + lam) - t) ** 2))
+    def risks_of(lams):
+        return np.sum((c / (evals + lams[:, None]) - t) ** 2, axis=1)
 
-    risks = np.array([risk_of(l) for l in _RIDGE_LAMBDAS])
-    j = int(np.argmin(risks))
+    risks = risks_of(_RIDGE_LAMBDAS)
+    j = int(np.argmin(risks))  # the first minimum
     lam_best, best = _RIDGE_LAMBDAS[j], risks[j]
     lo = _RIDGE_LAMBDAS[max(j - 1, 0)]
     hi = _RIDGE_LAMBDAS[min(j + 1, len(_RIDGE_LAMBDAS) - 1)]
-    for lam in np.logspace(np.log10(lo), np.log10(hi), 20):
-        r = risk_of(lam)
-        if r < best:
-            lam_best, best = lam, r
+    fine = np.logspace(np.log10(lo), np.log10(hi), 20)
+    risks = risks_of(fine)
+    j = int(np.argmin(risks))
+    if risks[j] < best:
+        lam_best = fine[j]
     w = vecs @ (c / (evals + lam_best))
     return float(lam_best), w
 
@@ -627,8 +646,10 @@ def cosine_similarity(weights, truth):
     truth = np.asarray(truth, dtype=float)
     if weights.shape != truth.shape:
         raise ValueError("weights and truth must have matching shapes")
-    nw = np.linalg.norm(weights)
-    nt = np.linalg.norm(truth)
+    # sqrt(x.dot(x)) is what np.linalg.norm computes for a vector, without
+    # its per-call checks
+    nw = math.sqrt(weights.dot(weights))
+    nt = math.sqrt(truth.dot(truth))
     if nw == 0.0 or nt == 0.0:
         return None
     return float(weights @ truth / (nw * nt))

@@ -86,6 +86,26 @@ class TestNullEstimator:
         assert rows[0].trials_used == 1
 
 
+class TestRowStatistics:
+    def test_equal_to_np_mean_and_std_bit_for_bit(self):
+        # 1 to 40 converged trials, with an infeasible and an unconverged one
+        # and a trial without a cosine; Python's sum differs from numpy's
+        # pairwise one in the last bit for some of these lengths
+        rng = np.random.default_rng(0)
+        for m in range(1, 41):
+            risks = rng.gamma(2.0, 0.3, m) * 10.0 ** rng.integers(-3, 3, m)
+            cosines = rng.uniform(-1.0, 1.0, m)
+            trials = [(float(r), float(c) if i else None, "converged", 0.0)
+                      for i, (r, c) in enumerate(zip(risks, cosines))]
+            trials += [(None, None, "infeasible", None), (None, None, "max_iters", None)]
+            row = montecarlo._row(1.0, (None, None), trials)
+            assert row.mean_risk == float(np.mean(risks))
+            assert row.stderr_risk == (
+                float(np.std(risks, ddof=1) / np.sqrt(m)) if m > 1 else 0.0)
+            assert row.mean_cosine == (float(np.mean(cosines[1:])) if m > 1 else None)
+            assert (row.trials_used, row.unconverged) == (m, 1)
+
+
 class TestDeterminism:
     def test_identical_reruns(self):
         spec = small_spec(estimator="ridge_oracle", theory=False, trials=4)

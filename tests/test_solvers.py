@@ -679,6 +679,53 @@ class TestColdGuess:
             np.testing.assert_allclose(fit.weights, cold.weights, rtol=0, atol=1e-6)
 
 
+def fresh_certificate(data, fit, eps, cost=None):
+    """(weights, kkt_residual, constraint_violation) formed anew from
+    fit.dual, with the arithmetic of the solver's ``primal_gap``."""
+    x, y, p = data.features, data.responses, data.p
+    sp = np.sqrt(p)
+    u = fit.dual
+    dval = float(-0.5 * (u @ (x.T @ x @ u)) / p + (y @ u) / sp - eps * np.abs(u).sum() / sp)
+    w = x @ u / sp
+    r = y - x.T @ w
+    if cost is None:
+        pval = 0.5 * float(w @ w)
+        viol = max(np.abs(r).max() - eps, 0.0)
+    else:
+        pval = 0.5 * float(w @ w) + cost / p * float(np.maximum(np.abs(r) - eps, 0.0).sum())
+        viol = max(float(np.abs(u).max()) - cost / sp, 0.0)
+    return w, abs(pval - dval) / max(1.0, abs(pval)), viol
+
+
+class TestExitCertificate:
+    """The certificate a fit returns is the one its exit test computed, or
+    computed at the exit: equal to the bit to one formed from the dual."""
+
+    def test_every_exit_returns_the_certificate_of_its_dual(self, monkeypatch):
+        square = generate_dataset(20, 0.5, 1.0, 0.5, GAUSS, seed=0)
+        wide = generate_dataset(40, 1.5, 1.0, 1.0, GAUSS, seed=0)
+        design = Design(40, 1.0, GAUSS, 0)
+        start = solve_hard_svr(design.dataset(1.0, 1.0), 1.0)
+        # (fit, its data, eps, C or None, (status, iterations) of its exit path)
+        cases = [
+            (solve_hard_svr(square, 1.0), square, 1.0, None, ("converged", 0)),  # zero pattern
+            (solve_hard_svr(design.dataset(1.0, 1.0), 0.9, start=start),
+             design.dataset(1.0, 1.0), 0.9, None, ("converged", 0)),  # warm start
+            (solve_soft_svr(wide, 0.6, 2.4), wide, 0.6, 2.4, ("converged", 25)),  # polish
+            (solve_soft_svr(wide, 0.6, 2.4, SolverConfig(max_iters=3)), wide, 0.6, 2.4,
+             ("max_iters", 3)),
+            (solve_hard_svr(wide, 0.2), wide, 0.2, None, ("infeasible", 25)),
+        ]
+        monkeypatch.setattr(solvers, "_polish", lambda *args, **kw: (None, 0))
+        # without the polish only the gap test certifies
+        cases.append((solve_soft_svr(wide, 0.6, 2.4), wide, 0.6, 2.4, ("converged", 250)))
+        for fit, data, eps, cost, path in cases:
+            assert (fit.status, fit.iterations) == path
+            w, gap, viol = fresh_certificate(data, fit, eps, cost)
+            assert fit.weights.tobytes() == w.tobytes(), path
+            assert (fit.kkt_residual, fit.constraint_violation) == (gap, viol), path
+
+
 def designed(x, seed, sigma=1.0):
     """Dataset on a fixed design: a unit-norm truth and N(0, sigma^2) noise."""
     rng = np.random.default_rng(seed)
@@ -788,6 +835,29 @@ def test_solves_load_no_scipy_linalg():
     assert after == "False" or before == "True", out.stdout
 
 
+def test_gaussian_use_loads_no_scipy_special():
+    # scipy.special (the mixture rule's ndtr and gammaln) doubled the start-up
+    # of a Gaussian `svrisk figure 2`; it is imported by the first mixture rule
+    code = (
+        "import contextlib, io, sys\n"
+        "import svrisk.cli\n"
+        "from svrisk import (HsvrProblem, e_hinge_moments, generate_dataset, hsvr_risk,\n"
+        "                    scale_mixture, solve_hard_svr)\n"
+        "hsvr_risk(HsvrProblem(1.0, 1.0, 1.0, 1.0))\n"
+        "solve_hard_svr(generate_dataset(40, 2.0, 1.0, 1.0, seed=0), 1.0)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = svrisk.cli.main(['figure', '2', '--p', '40', '--trials', '1',\n"
+        "                            '--grid', '0.5', '-o', '-'])\n"
+        "gaussian = 'scipy.special' in sys.modules\n"
+        "e_hinge_moments(1.0, 0.5, scale_mixture(3.0))\n"
+        "print(code, gaussian, 'scipy.special' in sys.modules)\n"
+    )
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
+    assert out.stdout.split() == ["0", "False", "True"], out.stdout
+
+
 class TestRidge:
     def test_large_lambda_shrinks_to_zero(self):
         data = generate_dataset(20, 2.0, 1.0, 0.5, GAUSS, seed=2)
@@ -811,6 +881,35 @@ class TestRidge:
         risk = prediction_risk(w, data.truth)
         for fixed in (1e-3, 1e-1, 1.0, 10.0):
             assert risk <= prediction_risk(solve_ridge(data, fixed), data.truth) + 1e-12
+
+    def test_oracle_equals_the_one_lambda_at_a_time_search(self):
+        def reference(data):
+            x, y = data.features, data.responses
+            evals, vecs = np.linalg.eigh(x @ x.T)
+            c, t = vecs.T @ (x @ y), vecs.T @ data.truth
+
+            def risk_of(lam):
+                return float(np.sum((c / (evals + lam) - t) ** 2))
+
+            grid = solvers._RIDGE_LAMBDAS
+            risks = [risk_of(lam) for lam in grid]
+            j = int(np.argmin(risks))
+            lam_best, best = grid[j], risks[j]
+            lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
+            for lam in np.logspace(np.log10(lo), np.log10(hi), 20):
+                r = risk_of(lam)
+                if r < best:  # the first minimum
+                    lam_best, best = lam, r
+            return float(lam_best), vecs @ (c / (evals + lam_best))
+
+        # beta = 0 puts the minimum at the grid's top end
+        for seed, (delta, beta, noise) in enumerate(
+                [(0.5, 1.0, GAUSS), (1.5, 1.0, GAUSS), (3.8, 1.0, scale_mixture(3.0)),
+                 (2.0, 0.0, GAUSS), (3.8, 2.0, GAUSS)]):
+            data = generate_dataset(30 + 7 * seed, delta, beta, 1.0, noise, seed=seed)
+            lam, w = oracle_ridge(data)
+            want_lam, want_w = reference(data)
+            assert lam == want_lam and w.tobytes() == want_w.tobytes()
 
 
 class TestMetrics:

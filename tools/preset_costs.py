@@ -17,7 +17,8 @@ by one JSON object with, per preset:
 - ``iter0_fits``: the fits certified at iteration 0, by a warm start from
   an earlier fit on the same design or, for a fit with n <= p, by the
   polish of the zero pattern; ``cold_iter0`` counts those of them made
-  without a converged ``start``;
+  without a converged ``start``, and ``iter0_dual_s`` is the part of
+  ``dual_s`` spent in them;
 - ``designs``: the designs drawn, counted as calls of
   ``svrisk.solvers.sample_noise_rng`` (one per draw, in every checkout).
 
@@ -73,14 +74,15 @@ t0 = time.perf_counter()
 code = cli.main(["figure", sys.argv[2], "-o", f"fig{sys.argv[2]}.csv"])
 wall = time.perf_counter() - t0
 kkt = [getattr(fit, "polish_solves", None) for _, fit, _ in fits]
-iter0 = [cold for _, fit, cold in fits if fit.status == "converged" and fit.iterations == 0]
+iter0 = [(t, cold) for t, fit, cold in fits if fit.status == "converged" and fit.iterations == 0]
 print(json.dumps({
     "exit": code, "wall_s": round(wall, 3), "fits": len(fits),
     "dual_s": round(sum(t for t, _, _ in fits), 3),
     "iterations": sum(fit.iterations for _, fit, _ in fits),
     "kkt_solves": None if None in kkt else sum(kkt),
     "max_iters": sum(fit.status == "max_iters" for _, fit, _ in fits),
-    "iter0_fits": len(iter0), "cold_iter0": sum(iter0),
+    "iter0_fits": len(iter0), "cold_iter0": sum(cold for _, cold in iter0),
+    "iter0_dual_s": round(sum(t for t, _ in iter0), 3),
     "designs": len(draws),
 }))
 """
@@ -111,8 +113,8 @@ def main(argv=None):
         csv_dir = args.csv_dir or tmp
         os.makedirs(csv_dir, exist_ok=True)
         report = {preset: run_preset(src, preset, csv_dir) for preset in PRESETS}
-    cols = ("exit", "wall_s", "fits", "dual_s", "iterations", "kkt_solves", "max_iters",
-            "iter0_fits", "cold_iter0", "designs")
+    cols = ("exit", "wall_s", "fits", "dual_s", "iter0_dual_s", "iterations", "kkt_solves",
+            "max_iters", "iter0_fits", "cold_iter0", "designs")
     print(f"{'preset':>6} " + " ".join(f"{c:>10}" for c in cols))
     for preset, row in report.items():
         print(f"{preset:>6} " + " ".join(f"{str(row.get(c)):>10}" for c in cols))
