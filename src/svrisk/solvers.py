@@ -17,7 +17,11 @@ leading-order largest eigenvalue of X'X for an i.i.d. design, (mean
 squared entry) (sqrt n + sqrt p)^2 (Geman, 1980), formed only when the
 ascent runs, and backtracking settles it: a step that starts too large
 costs one product per halving, once, and one that starts too small is
-recovered by the growth.
+recovered by the growth.  The loop updates its vectors in place, with
+``ndarray.dot`` (the BLAS kernel of ``@`` without matmul's per-call
+overhead) and Python-float scalars; it makes each rounding of the plain
+formulas, in their order, so its iterates are theirs bit for bit at a
+lower cost per numpy call.
 
 An infeasible hard instance has an unbounded dual.  Unboundedness is
 certified exactly: the tube is empty iff some direction v with X v = 0
@@ -230,10 +234,6 @@ def generate_dataset(p, delta, beta, sigma, noise=None, seed=0):
 # Dual ascent machinery.
 # ---------------------------------------------------------------------------
 
-def _soft_threshold(v, thr):
-    return np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
-
-
 def _active_pattern(u, box):
     """Per-coordinate pattern of a dual iterate, as int8.
 
@@ -351,25 +351,28 @@ def _null_projector(x, k):
     return vecs[:, evals > 1e-10 * max(evals[-1], 1.0)], None
 
 
-def _farkas_direction(projector, u, x, y, eps):
+def _farkas_direction(projector, u, x, y, eps, x_norm, y_max):
     """True when the null(X) projection v of u proves the tube empty.
 
     Requires y'v - eps ||v||_1 > 1e-8 ||v||_1 (1 + max|y|), a leak
     ||X v|| <= 1e-8 ||X||_F ||v|| and ||v|| >= 1e-6 ||u||, so that v is
     an exact Farkas direction up to round-off: for every w,
-    max_i |y_i - x_i'w| >= (y'v - w'Xv) / ||v||_1 > eps.
+    max_i |y_i - x_i'w| >= (y'v - w'Xv) / ||v||_1 > eps.  x_norm is
+    ||X||_F and y_max is max|y|, formed once per fit; each norm is
+    sqrt(v.v), as ``np.linalg.norm`` computes it.
     """
     a, m = projector
-    coef = a.T @ u
-    v = u - a @ (coef if m is None else m @ coef)
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0 or nv < 1e-6 * float(np.linalg.norm(u)):
+    coef = a.T.dot(u)
+    v = u - a.dot(coef if m is None else m.dot(coef))
+    nv = math.sqrt(v.dot(v))
+    if nv == 0.0 or nv < 1e-6 * math.sqrt(u.dot(u)):
         return False
     l1 = float(np.abs(v).sum())
-    gain = float(y @ v) - eps * l1
-    if not gain > 1e-8 * l1 * (1.0 + float(np.abs(y).max())):
+    gain = float(y.dot(v)) - eps * l1
+    if not gain > 1e-8 * l1 * (1.0 + y_max):
         return False
-    return float(np.linalg.norm(x @ v)) <= 1e-8 * float(np.linalg.norm(x)) * nv
+    xv = x.dot(v)
+    return math.sqrt(xv.dot(xv)) <= 1e-8 * x_norm * nv
 
 
 def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig, start=None):
@@ -384,24 +387,25 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig, start=None):
     """
     x, y = data.features, data.responses
     p, n = data.p, data.n
-    sp = np.sqrt(p)
+    sp = math.sqrt(p)
     design = data.design if data.design is not None and data.design.features is x else None
     k = design.gram() if design is not None else x.T @ x
     projector, projector_builds, farkas_ready = None, 0, False  # at the first Farkas test
+    x_norm = y_max = None  # ||X||_F and max|y|, with the projector
     gram_products = polish_solves = 0
 
     def objective(u, ku):
-        return float(-0.5 * (u @ ku) / p + (y @ u) / sp - eps * np.abs(u).sum() / sp)
+        return float(-0.5 * u.dot(ku) / p + y.dot(u) / sp - eps * np.abs(u).sum() / sp)
 
     def primal_gap(u, dval):
-        w = x @ u / sp
-        r = y - x.T @ w
+        w = x.dot(u) / sp
+        r = y - x.T.dot(w)
         viol = max(np.abs(r).max() - eps, 0.0)
         if box is None:
-            pval = 0.5 * float(w @ w)
+            pval = 0.5 * float(w.dot(w))
         else:
             cost = box * sp  # recover C
-            pval = 0.5 * float(w @ w) + cost / p * float(np.maximum(np.abs(r) - eps, 0.0).sum())
+            pval = 0.5 * float(w.dot(w)) + cost / p * float(np.maximum(np.abs(r) - eps, 0.0).sum())
             viol = 0.0  # soft problem is unconstrained in w
         gap = abs(pval - dval) / max(1.0, abs(pval))
         return w, viol, gap
@@ -419,7 +423,7 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig, start=None):
         polish_solves += solves
         if pol is None:
             return None
-        k_pol = k @ pol
+        k_pol = k.dot(pol)
         gram_products += 1
         f_pol = objective(pol, k_pol)
         if f_pol < floor - 1e-12 * max(1.0, abs(floor)):
@@ -452,23 +456,34 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig, start=None):
         status, iterations = "converged", 0
     else:  # the ascent runs: its step from lambda_max(k) ~ the Geman estimate
         lam = np.trace(k) / (n * p) * (np.sqrt(n) + np.sqrt(p)) ** 2
-        step = 1.0 / max(lam / p, 1e-12)
+        step = float(1.0 / max(lam / p, 1e-12))
 
+    # The prox step and the momentum updates make one numpy call per
+    # operation of z = v + step grad, cand = sign(z) min((|z| - step eps /
+    # sqrt p)_+, box), v = cand + m (cand - u) and kv = (1 + m) k cand -
+    # m k u, in place where the operand is a fresh array.
     for it in range(1, cfg.max_iters + 1):
         if status == "converged":  # certified from the start
             break
         grad = (y - kv / sp) / sp
-        f_v_smooth = float(-0.5 * (v @ kv) / p + (y @ v) / sp)
+        f_v_smooth = -0.5 * float(v.dot(kv)) / p + float(y.dot(v)) / sp
         # backtracking on the smooth majorization, with growth after streaks
         for _ in range(60):
-            cand = _soft_threshold(v + step * grad, step * eps / sp)
+            z = grad * step
+            z += v
+            mag = np.abs(z)
+            mag -= step * eps / sp
+            np.maximum(mag, 0.0, out=mag)
             if box is not None:
-                np.clip(cand, -box, box, out=cand)
+                np.minimum(mag, box, out=mag)
+            cand = np.sign(z, out=z)
+            cand *= mag
             diff = cand - v
-            k_cand = k @ cand
+            k_cand = k.dot(cand)
             gram_products += 1
-            smooth_cand = float(-0.5 * (cand @ k_cand) / p + (y @ cand) / sp)
-            if smooth_cand >= f_v_smooth + grad @ diff - 0.5 / step * (diff @ diff) - 1e-12 * abs(f_v_smooth):
+            smooth_cand = -0.5 * float(cand.dot(k_cand)) / p + float(y.dot(cand)) / sp
+            if smooth_cand >= (f_v_smooth + float(grad.dot(diff))
+                               - 0.5 / step * float(diff.dot(diff)) - 1e-12 * abs(f_v_smooth)):
                 break
             step *= _STEP_SHRINK
         grow_since += 1
@@ -476,20 +491,23 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig, start=None):
             step *= _STEP_GROWTH
             grow_since = 0
 
-        # the last trial is the accepted point
-        f_new = smooth_cand - eps * np.abs(cand).sum() / sp
+        # the last trial is the accepted point; |cand| is its mag
+        f_new = smooth_cand - eps * float(mag.sum()) / sp
         # monotone safeguard: continue momentum from the trial point but
         # report/keep the best iterate so the dual value never decreases
         if f_new >= best_f:
             best_u, best_f, cert = cand, f_new, None
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
         if f_new < f_u:  # adaptive restart
             v, kv = cand, k_cand
             t_next = 1.0
         else:
             mom = (t_momentum - 1.0) / t_next
-            v = cand + mom * (cand - u)
-            kv = (1.0 + mom) * k_cand - mom * ku
+            v = cand - u
+            v *= mom
+            v += cand
+            kv = k_cand * (1.0 + mom)
+            kv -= mom * ku
         u, ku, f_u = cand, k_cand, f_new
         t_momentum = t_next
 
@@ -527,8 +545,10 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig, start=None):
                     projector, projector_builds = design.null_projector()
                 else:
                     projector, projector_builds = _null_projector(x, k), 1
+                x_norm, y_max = float(np.linalg.norm(x)), float(np.abs(y).max())
                 farkas_ready = True
-            if projector is not None and _farkas_direction(projector, u, x, y, eps):
+            if projector is not None and _farkas_direction(projector, u, x, y, eps,
+                                                           x_norm, y_max):
                 best_u, best_f, cert = u, f_u, None  # the certified iterate is returned
                 status = "infeasible"
                 iterations = it

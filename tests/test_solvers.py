@@ -35,7 +35,7 @@ from svrisk.solvers import (
     _null_projector,
     _polish,
 )
-from tests_support import lp_feasible, primal_hard_oracle, primal_soft_oracle
+from tests_support import ascent_reference, lp_feasible, primal_hard_oracle, primal_soft_oracle
 
 GAUSS = standard_gaussian()
 CFG = SolverConfig()
@@ -297,6 +297,37 @@ class TestDualMonotonicity:
                     for m in range(1, full.iterations + 1)]
             assert vals[-1] == objective(full.dual, eps)
             assert np.all(np.diff(vals) >= 0.0)
+
+
+class TestAscentReference:
+    """A run capped before the first check returns the best iterate of
+    ``tests_support.ascent_reference``, the documented update written as a
+    plain loop, bit for bit, after the same backtracking trials."""
+
+    @pytest.mark.parametrize("m", (1, 2, 3, 5, 24))
+    def test_capped_runs_equal_the_plain_loop(self, m):
+        hard = generate_dataset(100, 1.1 * delta_star(1.0, 1.0, GAUSS), 1.0, 1.0, GAUSS, seed=0)
+        soft = generate_dataset(100, 2.0, 1.0, 1.0, GAUSS, seed=0)
+        assert hard.n > hard.p and soft.n > soft.p  # no zero-pattern polish
+        runs = []
+        # C = 0.5 puts iterates on the box and, by iteration 24, restarts
+        # the momentum once
+        for data, eps, cost in ((hard, 1.0, None), (soft, 0.6, 100.0), (soft, 0.6, 0.5)):
+            cfg = SolverConfig(max_iters=m)
+            if cost is None:
+                fit, box = solve_hard_svr(data, eps, cfg), None
+            else:
+                fit, box = solve_soft_svr(data, eps, cost, cfg), cost / np.sqrt(data.p)
+            ref = ascent_reference(data, eps, box, m)
+            assert fit.status == "max_iters" and fit.iterations == m
+            assert fit.dual.tobytes() == ref.best.tobytes()
+            assert fit.gram_products == ref.trials
+            runs.append((ref, box))
+        if m == 24:  # every branch of the update has acted
+            assert sum(ref.halvings for ref, _ in runs) > 0
+            assert sum(ref.restarts for ref, _ in runs) > 0
+            ref, box = runs[-1]
+            assert np.abs(ref.best).max() == box
 
 
 class TestPolishGate:
