@@ -9,19 +9,21 @@ maximized over all of R^n for the hard tube constraint and over the box
 w = X u / sqrt(p).  The maximization uses accelerated proximal gradient
 ascent (soft-threshold prox, box clipping for the soft case) with a
 monotone safeguard and growth/backtracking steps.  An iteration makes
-one n x n product per backtracking trial (usually a single trial): the
-accepted trial's product gives the objective, and the gradient at the
-extrapolated point v = a + m (a - u) is (1 + m) k a - m k u, from the
-products of the last two accepted iterates.  The step starts from the
+one n x n product per backtracking trial (usually a single trial).  Each
+accepted iterate a and its product k a are the two rows of one 2 x n
+array, so the extrapolated point v = a + m (a - u) and its product k v
+= k a + m (k a - k u) take three whole-array operations on the products
+of the last two accepted iterates; the gradient at v is y/sqrt p - k v/p,
+and y'v = (1 + m) y'a - m y'u comes from the two iterates' own dots, so
+the objective at v costs the one dot v'kv.  The step starts from the
 leading-order largest eigenvalue of X'X for an i.i.d. design, (mean
 squared entry) (sqrt n + sqrt p)^2 (Geman, 1980), formed only when the
 ascent runs, and backtracking settles it: a step that starts too large
 costs one product per halving, once, and one that starts too small is
-recovered by the growth.  The loop updates its vectors in place, with
-``ndarray.dot`` (the BLAS kernel of ``@`` without matmul's per-call
-overhead) and Python-float scalars; it makes each rounding of the plain
-formulas, in their order, so its iterates are theirs bit for bit at a
-lower cost per numpy call.
+recovered by the growth.  The loop writes into buffers reused across
+iterations, with ``ndarray.dot`` (the BLAS kernel of ``@`` without
+matmul's per-call overhead) and Python-float scalars: about 20 numpy
+calls per iteration, 21 for a soft fit.
 
 An infeasible hard instance has an unbounded dual.  Unboundedness is
 certified exactly: the tube is empty iff some direction v with X v = 0
@@ -430,11 +432,17 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig, start=None):
             return None
         return pol, k_pol, f_pol, primal_gap(pol, f_pol)
 
-    # u is the last accepted iterate and v the extrapolated point; ku and kv
-    # are their products with k.  kv is a combination of the two latest
-    # trial products, each a fresh matvec, so no rounding accumulates.
-    u, ku = np.zeros(n), np.zeros(n)
-    v, kv = u, ku
+    # The state is stacked: U = [u; k u] holds the last accepted iterate and
+    # its product, C = [cand; k cand] the trial, and the extrapolated point
+    # [v; k v] = C + m (C - U) is thus a combination of the two latest trial
+    # products, each a fresh matvec, so no rounding accumulates; likewise
+    # y'v = (1 + m) y'c - m y'u from the trials' own dots.  Each accepted
+    # trial keeps its fresh C: best_u and the Farkas test refer to its first
+    # row.
+    U = np.zeros((2, n))
+    u = v = U[0]
+    kv = U[1]
+    yu = yv = 0.0  # y'u and y'v
     f_u = 0.0
     t_momentum = 1.0
     best_u, best_f = u, f_u
@@ -457,31 +465,43 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig, start=None):
     else:  # the ascent runs: its step from lambda_max(k) ~ the Geman estimate
         lam = np.trace(k) / (n * p) * (np.sqrt(n) + np.sqrt(p)) ** 2
         step = float(1.0 / max(lam / p, 1e-12))
+        y_sp = y / sp
+        eps_sp = eps / sp
+        grad, z, mag, diff = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+        v_buf = np.empty((2, n))
+        v_rows = v_buf[0], v_buf[1]
+        # the loop's numpy functions and methods, looked up once
+        divide, subtract, multiply, absolute = np.divide, np.subtract, np.multiply, np.abs
+        maximum, minimum, copysign, empty = np.maximum, np.minimum, np.copysign, np.empty
+        k_dot, y_dot = k.dot, y.dot
 
-    # The prox step and the momentum updates make one numpy call per
-    # operation of z = v + step grad, cand = sign(z) min((|z| - step eps /
-    # sqrt p)_+, box), v = cand + m (cand - u) and kv = (1 + m) k cand -
-    # m k u, in place where the operand is a fresh array.
+    # One numpy call per operation of grad = y/sqrt p - k v/p, z = v + step
+    # grad, cand = copysign(min((|z| - step (eps/sqrt p))_+, box), z) and
+    # [v; k v] = C + m (C - U), into buffers reused across iterations.  A
+    # zero entry of cand may be -0.0; the pattern and every norm read it as 0.
     for it in range(1, cfg.max_iters + 1):
         if status == "converged":  # certified from the start
             break
-        grad = (y - kv / sp) / sp
-        f_v_smooth = -0.5 * float(v.dot(kv)) / p + float(y.dot(v)) / sp
+        divide(kv, p, out=grad)
+        subtract(y_sp, grad, out=grad)
+        f_v_smooth = -0.5 * float(v.dot(kv)) / p + yv / sp
+        C = empty((2, n))
+        cand, k_cand = C[0], C[1]
         # backtracking on the smooth majorization, with growth after streaks
         for _ in range(60):
-            z = grad * step
+            multiply(grad, step, out=z)
             z += v
-            mag = np.abs(z)
-            mag -= step * eps / sp
-            np.maximum(mag, 0.0, out=mag)
+            absolute(z, out=mag)
+            mag -= step * eps_sp
+            maximum(mag, 0.0, out=mag)
             if box is not None:
-                np.minimum(mag, box, out=mag)
-            cand = np.sign(z, out=z)
-            cand *= mag
-            diff = cand - v
-            k_cand = k.dot(cand)
+                minimum(mag, box, out=mag)
+            copysign(mag, z, out=cand)
+            subtract(cand, v, out=diff)
+            k_dot(cand, out=k_cand)
             gram_products += 1
-            smooth_cand = -0.5 * float(cand.dot(k_cand)) / p + float(y.dot(cand)) / sp
+            yc = float(y_dot(cand))
+            smooth_cand = -0.5 * float(cand.dot(k_cand)) / p + yc / sp
             if smooth_cand >= (f_v_smooth + float(grad.dot(diff))
                                - 0.5 / step * float(diff.dot(diff)) - 1e-12 * abs(f_v_smooth)):
                 break
@@ -499,16 +519,16 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig, start=None):
             best_u, best_f, cert = cand, f_new, None
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
         if f_new < f_u:  # adaptive restart
-            v, kv = cand, k_cand
+            v, kv, yv = cand, k_cand, yc
             t_next = 1.0
         else:
             mom = (t_momentum - 1.0) / t_next
-            v = cand - u
-            v *= mom
-            v += cand
-            kv = k_cand * (1.0 + mom)
-            kv -= mom * ku
-        u, ku, f_u = cand, k_cand, f_new
+            subtract(C, U, out=v_buf)
+            v_buf *= mom
+            v_buf += C
+            v, kv = v_rows
+            yv = (1.0 + mom) * yc - mom * yu
+        U, u, yu, f_u = C, cand, yc, f_new
         t_momentum = t_next
 
         if it % _CHECK_EVERY and it != cfg.max_iters:
@@ -554,9 +574,13 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig, start=None):
                 iterations = it
                 break
         if restart is not None:
-            u, ku, f_u = restart
+            pol, k_pol, f_u = restart
+            U = np.stack((pol, k_pol))
+            u = v = U[0]
+            kv = U[1]
+            yu = yv = float(y.dot(u))
             best_u, best_f, cert = u, f_u, None
-            v, kv, t_momentum = u, ku, 1.0
+            t_momentum = 1.0
 
     if cert is None:
         cert = primal_gap(best_u, best_f)

@@ -329,6 +329,26 @@ class TestAscentReference:
             ref, box = runs[-1]
             assert np.abs(ref.best).max() == box
 
+    @pytest.mark.parametrize("m", (1, 5, 24))
+    def test_cold_run_after_a_failed_guess_equals_the_plain_loop(self, m):
+        # n <= p: the zero-pattern guess runs first and does not certify,
+        # so the ascent starts from u = 0 (figure 7a's soft fits at small
+        # delta take this path)
+        data = generate_dataset(100, 0.5, 1.0, 1.0, GAUSS, seed=0)
+        eps, cost = 0.6, 0.5
+        box = cost / np.sqrt(data.p)
+        assert data.n <= data.p
+        x, y = data.features, data.responses
+        guess, solves = _polish(np.zeros(data.n, np.int8), x.T @ x, y, data.p, eps, box,
+                                fallback=False)
+        fit = solve_soft_svr(data, eps, cost, SolverConfig(max_iters=m))
+        ref = ascent_reference(data, eps, box, m)
+        assert fit.status == "max_iters" and fit.iterations == m
+        assert fit.polish_solves == solves > 0
+        assert fit.dual.tobytes() == ref.best.tobytes()
+        # the guess's candidate, if it gave one, was scored by one product
+        assert fit.gram_products == ref.trials + (guess is not None)
+
 
 class TestPolishGate:
     def test_polish_as_soon_as_the_pattern_holds(self):
@@ -749,7 +769,7 @@ class TestExitCertificate:
         ]
         monkeypatch.setattr(solvers, "_polish", lambda *args, **kw: (None, 0))
         # without the polish only the gap test certifies
-        cases.append((solve_soft_svr(wide, 0.6, 2.4), wide, 0.6, 2.4, ("converged", 250)))
+        cases.append((solve_soft_svr(wide, 0.6, 2.4), wide, 0.6, 2.4, ("converged", 675)))
         for fit, data, eps, cost, path in cases:
             assert (fit.status, fit.iterations) == path
             w, gap, viol = fresh_certificate(data, fit, eps, cost)

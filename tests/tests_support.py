@@ -598,42 +598,43 @@ def ascent_reference(data, eps, box, iters):
     u = 0, as a plain loop of the documented update.
 
     F(u) = smooth(u) - (eps/sqrt p) ||u||_1 with smooth(u) = -(1/2p) u'ku
-    + (1/sqrt p) y'u and k = X'X.  An iteration takes the prox step
-    sign(z) (|z| - step eps/sqrt p)_+ from z = v + step grad(v), clipped
-    to the box for the soft problem, halves the step until the trial
-    passes the majorization test and grows it x1.3 every third iteration.
-    The best iterate is kept, and a fall of F below the last iterate's
-    value restarts the momentum at the trial; otherwise v = a + m (a - u)
-    and k v = (1 + m) k a - m k u, with t' = (1 + sqrt(1 + 4t^2)) / 2 and
-    m = (t - 1)/t'.  The step starts from the Geman estimate of
-    lambda_max(k).  Written with ``np.dot``, in the solver's order of
+    + (1/sqrt p) y'u and k = X'X.  An iteration takes the gradient y/sqrt p
+    - k v/p and the prox step copysign((|z| - step (eps/sqrt p))_+, z) from
+    z = v + step grad, clipped to the box for the soft problem, halves the
+    step until the trial passes the majorization test and grows it x1.3
+    every third iteration.  The best iterate is kept, and a fall of F below
+    the last iterate's value restarts the momentum at the trial; otherwise
+    v = a + m (a - u), k v = k a + m (k a - k u) and y'v = (1 + m) y'a -
+    m y'u, from the trials' own products and dots, with t' = (1 + sqrt(1 +
+    4t^2)) / 2 and m = (t - 1)/t'.  The step starts from the Geman estimate
+    of lambda_max(k).  Written with ``np.dot``, in the solver's order of
     operations, so that it pins that order and not a BLAS call path.
     """
     x, y = data.features, data.responses
     p, n = x.shape
     k = x.T @ x  # the solver's Gram matrix
     sp = np.sqrt(p)
+    y_sp, eps_sp = y / sp, eps / sp
     lam = np.trace(k) / (n * p) * (np.sqrt(n) + np.sqrt(p)) ** 2
     step = 1.0 / max(lam / p, 1e-12)
 
-    def smooth(u, ku):
-        return -0.5 * np.dot(u, ku) / p + np.dot(y, u) / sp
-
     u = ku = np.zeros(n)
-    v, kv, f_u, t = u, ku, 0.0, 1.0
+    v, kv, yu, yv, f_u, t = u, ku, 0.0, 0.0, 0.0, 1.0
     best, best_f = u, 0.0
     trials = halvings = restarts = grown = 0
     for _ in range(iters):
-        grad = (y - kv / sp) / sp
-        f_v = smooth(v, kv)
+        grad = y_sp - kv / p
+        f_v = -0.5 * np.dot(v, kv) / p + yv / sp
         for _ in range(60):
             z = v + step * grad
-            cand = np.sign(z) * np.maximum(np.abs(z) - step * eps / sp, 0.0)
+            mag = np.maximum(np.abs(z) - step * eps_sp, 0.0)
             if box is not None:
-                cand = np.clip(cand, -box, box)
+                mag = np.minimum(mag, box)
+            cand = np.copysign(mag, z)
             k_cand = np.dot(k, cand)
             trials += 1
-            f_cand = smooth(cand, k_cand)
+            yc = np.dot(y, cand)
+            f_cand = -0.5 * np.dot(cand, k_cand) / p + yc / sp
             d = cand - v
             if f_cand >= f_v + np.dot(grad, d) - 0.5 / step * np.dot(d, d) - 1e-12 * abs(f_v):
                 break
@@ -643,18 +644,19 @@ def ascent_reference(data, eps, box, iters):
         if grown == 3:
             step *= 1.3
             grown = 0
-        f = f_cand - eps * np.abs(cand).sum() / sp
+        f = f_cand - eps * mag.sum() / sp
         if f >= best_f:
             best, best_f = cand, f
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         if f < f_u:
-            v, kv, t_next = cand, k_cand, 1.0
+            v, kv, yv, t_next = cand, k_cand, yc, 1.0
             restarts += 1
         else:
             m = (t - 1.0) / t_next
             v = cand + m * (cand - u)
-            kv = (1.0 + m) * k_cand - m * ku
-        u, ku, f_u, t = cand, k_cand, f, t_next
+            kv = k_cand + m * (k_cand - ku)
+            yv = (1.0 + m) * yc - m * yu
+        u, ku, yu, f_u, t = cand, k_cand, yc, f, t_next
     return AscentRun(best, trials, halvings, restarts)
 
 

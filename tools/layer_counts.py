@@ -55,10 +55,13 @@ Prints one JSON object:
   ``solvers._polish`` and ``solvers._null_projector``, over its
   iterations; fits certified at iteration 0 are left out) and the median
   milliseconds per fit in ``_polish`` (``polish_ms``): the gradient/polish
-  split in time.  The tool wraps those functions and
-  ``solvers._solve_dual`` while the fits run; the package is not changed.
-  The timings sit under their own key so that the count sections diff
-  exactly.
+  split in time.  The three sections run ``ROUNDS`` = 5 times, one
+  round of all three after another, so that a drift of the host's speed
+  reaches every section alike; each fit's times are the median over the
+  rounds, and every round must give the same counts.
+  The tool wraps those functions and ``solvers._solve_dual`` while the
+  fits run; the package is not changed.  The timings sit under their own
+  key so that the count sections diff exactly.
 
 ``--src`` points at the ``src`` directory of the checkout to measure
 (default: this one), so one harness gives before and after numbers.
@@ -77,6 +80,7 @@ import timeit
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+ROUNDS = 5  # timed rounds of the --fits sections
 
 
 def parse_args(argv):
@@ -246,15 +250,18 @@ def fit_summary(fits, labels):
 
 class FitClock:
     """Times every ``solvers._solve_dual`` call made inside the ``with``
-    block, and the part of it spent in ``_polish`` and ``_null_projector``
-    (each wrapped only if the checkout has it)."""
+    blocks it is entered for, and the part of it spent in ``_polish`` and
+    ``_null_projector`` (each wrapped only if the checkout has it).  Each
+    block is one round of the same fits: ``records`` holds one list per
+    round."""
 
     def __init__(self, solvers):
         self.solvers = solvers
-        self.records = []  # (fit, wall s, s in _polish, s in _null_projector)
+        self.records = []  # per round: (fit, wall s, s in _polish, s in _null_projector)
         self._inner = [0.0, 0.0]
 
     def __enter__(self):
+        self.records.append([])
         self.saved = {name: getattr(self.solvers, name, None)
                       for name in ("_solve_dual", "_polish", "_null_projector")}
         self.solvers._solve_dual = self._fit(self.saved["_solve_dual"])
@@ -273,7 +280,7 @@ class FitClock:
             inner = self._inner = [0.0, 0.0]
             start = time.perf_counter()
             fit = real(*args, **kw)
-            self.records.append((fit, time.perf_counter() - start, *inner))
+            self.records[-1].append((fit, time.perf_counter() - start, *inner))
             return fit
         return timed
 
@@ -287,13 +294,19 @@ class FitClock:
         return timed
 
     def summary(self):
-        per_iter = [(wall - polish - proj) / fit.iterations * 1e6
-                    for fit, wall, polish, proj in self.records if fit.iterations]
+        """Medians over the fits of each fit's median over the rounds."""
+        per_iter, polish_ms = [], []
+        for runs in zip(*self.records):  # one fit, every round
+            fit = runs[0][0]
+            polish_ms.append(statistics.median(polish * 1e3 for _, _, polish, _ in runs))
+            if fit.iterations:
+                per_iter.append(statistics.median((wall - polish - proj) / fit.iterations * 1e6
+                                                  for _, wall, polish, proj in runs))
         return {
+            "rounds": len(self.records),
             "ascent_fits": len(per_iter),
             "us_per_iter": round(statistics.median(per_iter), 2) if per_iter else None,
-            "polish_ms": round(statistics.median(polish * 1e3 for _, _, polish, _
-                                                 in self.records), 3),
+            "polish_ms": round(statistics.median(polish_ms), 3),
         }
 
 
@@ -372,13 +385,16 @@ def main(argv=None):
         "us_per_call": us_per_call(sv),
     }
     if args.fits:
-        timing = {}
-        for name, section in (("polish", polish_fits), ("near_threshold", near_threshold_fits),
-                              ("cold", cold_fits)):
-            with FitClock(sv.solvers) as clock:
-                report[name] = section(sv)
-            timing[name] = clock.summary()
-        report["timing"] = timing
+        sections = (("polish", polish_fits), ("near_threshold", near_threshold_fits),
+                    ("cold", cold_fits))
+        clocks = {name: FitClock(sv.solvers) for name, _ in sections}
+        for _ in range(ROUNDS):
+            for name, section in sections:
+                with clocks[name]:
+                    counts = section(sv)
+                if report.setdefault(name, counts) != counts:
+                    raise SystemExit(f"{name}: a round gave other counts than the first")
+        report["timing"] = {name: clock.summary() for name, clock in clocks.items()}
     print(json.dumps(report, indent=1))
     return 0
 
