@@ -308,46 +308,39 @@ class TestAscentReference:
     def test_capped_runs_equal_the_plain_loop(self, m):
         hard = generate_dataset(100, 1.1 * delta_star(1.0, 1.0, GAUSS), 1.0, 1.0, GAUSS, seed=0)
         soft = generate_dataset(100, 2.0, 1.0, 1.0, GAUSS, seed=0)
-        assert hard.n > hard.p and soft.n > soft.p  # no zero-pattern polish
+        # n <= p: the zero-pattern guess runs first and does not certify,
+        # so the ascent starts from u = 0 (figure 7a's soft fits at small
+        # delta take this path)
+        square = generate_dataset(100, 0.5, 1.0, 1.0, GAUSS, seed=0)
+        assert hard.n > hard.p and soft.n > soft.p and square.n <= square.p
         runs = []
         # C = 0.5 puts iterates on the box and, by iteration 24, restarts
         # the momentum once
-        for data, eps, cost in ((hard, 1.0, None), (soft, 0.6, 100.0), (soft, 0.6, 0.5)):
+        for data, eps, cost in ((hard, 1.0, None), (soft, 0.6, 100.0), (soft, 0.6, 0.5),
+                                (square, 0.6, 0.5)):
             cfg = SolverConfig(max_iters=m)
             if cost is None:
                 fit, box = solve_hard_svr(data, eps, cfg), None
             else:
                 fit, box = solve_soft_svr(data, eps, cost, cfg), cost / np.sqrt(data.p)
+            guess, solves = None, 0
+            if data.n <= data.p:
+                x = data.features
+                guess, solves = _polish(np.zeros(data.n, np.int8), x.T @ x, data.responses,
+                                        data.p, eps, box, fallback=False)
+                assert solves > 0
             ref = ascent_reference(data, eps, box, m)
             assert fit.status == "max_iters" and fit.iterations == m
+            assert fit.polish_solves == solves
             assert fit.dual.tobytes() == ref.best.tobytes()
-            assert fit.gram_products == ref.trials
+            # plus the guess's candidate, if it gave one, scored by one product
+            assert fit.gram_products == ref.trials + (guess is not None)
             runs.append((ref, box))
         if m == 24:  # every branch of the update has acted
             assert sum(ref.halvings for ref, _ in runs) > 0
             assert sum(ref.restarts for ref, _ in runs) > 0
-            ref, box = runs[-1]
+            ref, box = runs[2]
             assert np.abs(ref.best).max() == box
-
-    @pytest.mark.parametrize("m", (1, 5, 24))
-    def test_cold_run_after_a_failed_guess_equals_the_plain_loop(self, m):
-        # n <= p: the zero-pattern guess runs first and does not certify,
-        # so the ascent starts from u = 0 (figure 7a's soft fits at small
-        # delta take this path)
-        data = generate_dataset(100, 0.5, 1.0, 1.0, GAUSS, seed=0)
-        eps, cost = 0.6, 0.5
-        box = cost / np.sqrt(data.p)
-        assert data.n <= data.p
-        x, y = data.features, data.responses
-        guess, solves = _polish(np.zeros(data.n, np.int8), x.T @ x, y, data.p, eps, box,
-                                fallback=False)
-        fit = solve_soft_svr(data, eps, cost, SolverConfig(max_iters=m))
-        ref = ascent_reference(data, eps, box, m)
-        assert fit.status == "max_iters" and fit.iterations == m
-        assert fit.polish_solves == solves > 0
-        assert fit.dual.tobytes() == ref.best.tobytes()
-        # the guess's candidate, if it gave one, was scored by one product
-        assert fit.gram_products == ref.trials + (guess is not None)
 
 
 class TestPolishGate:
