@@ -400,8 +400,7 @@ def ssvr_risk(prob: SsvrProblem, tol=1e-8):
     form cancels to rounding noise.
 
     The start is g2 = min(beta/(2 sigma), beta/C) (k = 1 for large C),
-    with g1 the lower root of D(., g2) by Newton from g1 = 0, or the
-    ``hsvr_risk`` solution when it is feasible with a larger g2.  A step
+    with g1 the lower root of D(., g2) by Newton from g1 = 0.  A step
     in y is the shorter of the Newton steps in g2 and in log g2, and g1
     follows from the linearised D = 0.  A bracket in y safeguards it: on
     the lower branch of the D = 0 curve F2 < 0 as g2 -> 0 and F2 >= 0 at
@@ -417,15 +416,14 @@ def ssvr_risk(prob: SsvrProblem, tol=1e-8):
     halves (the rounding floor).
 
     Diagnostics: ``value`` (V at the optimum), ``value_evals`` (residual
-    evaluations, two expectation calls each), ``expect_evals``
-    (expectation evaluations, those of the hard start included),
-    ``chi_residual`` = |delta E min(h, k)^2 - g1^2| and ``stationarity``,
-    the norm of two relative residuals of F2: F2 sigma/beta, and
-    (dV/dg1)/g1 = F2/g2 measured in log k, i.e. divided by its log-k
-    derivative 1 + delta C f(c + k)/sigma.  Undivided, F2/g2 would read
-    the rounding error of P_band times delta C/(sigma k) at a converged
-    point, which grows as C -> inf on an infeasible tube.  Always
-    feasible.
+    evaluations), ``expect_evals`` (expectation evaluations, two per
+    residual evaluation), ``chi_residual`` = |delta E min(h, k)^2 - g1^2|
+    and ``stationarity``, the norm of two relative residuals of F2:
+    F2 sigma/beta, and (dV/dg1)/g1 = F2/g2 measured in log k, i.e.
+    divided by its log-k derivative 1 + delta C f(c + k)/sigma.
+    Undivided, F2/g2 would read the rounding error of P_band times
+    delta C/(sigma k) at a converged point, which grows as C -> inf on an
+    infeasible tube.  Always feasible.
     """
     with count_expectations() as counter:
         sol = _ssvr_solve(prob, tol)
@@ -481,23 +479,15 @@ def _ssvr_solve(prob, tol):
             f, jac, extra = conditions(g1, y)
         return g1, y, f, jac, extra
 
-    hard = _hsvr_solve(prob)
-    g2 = min(0.5 * b, prob.beta / prob.cost)
     y_lo, y_hi = -math.inf, math.log(b)
-    if hard.feasible and hard.g2 > g2:
-        g1, y = hard.g1, math.log(hard.g2)
-        f, jac, extra = conditions(g1, y)
-        on_curve = False
-    else:
-        y = math.log(g2)
+    y = math.log(min(0.5 * b, prob.beta / prob.cost))
+    state = curve(y)
+    while state is None:
+        y_hi = y
+        y -= _SSVR_LOG_STEP
         state = curve(y)
-        while state is None:
-            y_hi = y
-            y -= _SSVR_LOG_STEP
-            state = curve(y)
-        g1, y, f, jac, extra = state
-        on_curve = True
-    last = math.inf
+    g1, y, f, jac, extra = state
+    on_curve, last = True, math.inf
     while True:
         a11, a12, a21, a22 = jac
         s = math.hypot(g1, math.exp(y))

@@ -136,8 +136,6 @@ def _fit(estimator, data, params, start=None):
     status is the fit's ("converged", "infeasible" or "max_iters");
     the closed-form estimators always report "converged", with gap None
     and fit None.  Risk and cosine are None unless the fit converged.
-    A ``start`` is passed on to the solver only when there is one, so a
-    stand-in solver without that keyword still serves cold fits.
     """
     gap, fit = None, None
     if estimator == "null":
@@ -145,11 +143,10 @@ def _fit(estimator, data, params, start=None):
     elif estimator == "ridge_oracle":
         _, w = oracle_ridge(data)
     else:
-        warm = {} if start is None else {"start": start}
         if estimator == "hsvr":
-            fit = solve_hard_svr(data, params["eps"], **warm)
+            fit = solve_hard_svr(data, params["eps"], start=start)
         else:
-            fit = solve_soft_svr(data, params["eps"], params["cost"], **warm)
+            fit = solve_soft_svr(data, params["eps"], params["cost"], start=start)
         if fit.status != "converged":
             return (None, None, fit.status, None), fit
         w, gap = fit.weights, fit.kkt_residual

@@ -41,16 +41,15 @@ whenever the pattern has held for one check, a polish solves the KKT
 system on that pattern and repairs the pattern from the solution, as a
 primal-dual active-set method does (Hintermueller, Ito & Kunisch, 2002):
 up to 30 repairs, until the pattern stops changing, with a one-at-a-time
-fallback against cycling.  Its candidate is accepted only if the dual
-objective does not fall and the duality gap and violation are within
-tol, so most fits that run the ascent stop at the first check.  The
-Farkas test sees the iterate from before the polish; a polish candidate
-that raises the objective without converging restarts the momentum from
-it after that test.  The forced check at max_iters tests convergence and
-infeasibility but does not polish.  A fit returns the weights, gap and
-violation that its exit test computed for the returned dual; only an
-"infeasible" fit, or one whose dual no test has seen, computes them at
-the exit.
+fallback against cycling.  A pattern that stops changing gives an exact
+KKT point, scored by the product the last repair formed; it ends the
+fit if its duality gap and violation are within tol, and otherwise it
+leaves no trace: the ascent goes on from its own iterate.  Most fits
+that run the ascent stop at the first check.  The forced check at
+max_iters tests convergence and infeasibility but does not polish.  A
+fit returns the weights, gap and violation that its exit test computed
+for the returned dual; only an "infeasible" fit, or one whose dual no
+test has seen, computes them at the exit.
 
 A cold fit (no converged start) with n <= p polishes the all-zero
 pattern before any ascent; its first repair enters every coordinate with
@@ -60,8 +59,8 @@ pattern.  The guess takes full repairs only while they shrink and gives
 up where the polish would fall back to one-at-a-time repairs: on the
 figure presets those cost more KKT solves than the ascent they save.  A
 candidate that passes the check's test returns at iteration 0;
-otherwise the ascent runs from u = 0, and the attempt's KKT solves and
-product still count.  With n > p the guess is not tried, as it rarely
+otherwise the ascent runs from u = 0, and the attempt's KKT solves
+still count.  With n > p the guess is not tried, as it rarely
 certifies there.
 
 A fit may start from a converged fit on the same design at another eps,
@@ -125,7 +124,7 @@ class SvrFit:
     fit's cost: polish_solves counts the active-set KKT solves, pattern
     repairs included (each with one more product by the n x n Gram
     matrix); gram_products the n x n products of the gradient phase, one
-    per backtracking trial plus one per polish candidate scored;
+    per backtracking trial;
     projector_builds whether this fit factored the null(X) projector (0 or
     1; a fit on a ``Design`` reuses one an earlier fit built).  pattern is
     the dual's final sign/box pattern (``_active_pattern``), the one a
@@ -252,7 +251,8 @@ def _active_pattern(u, box):
 def _polish(pattern, k, y, p, eps, box, fallback=True):
     """Primal-dual active-set solve from a starting pattern.
 
-    Returns (candidate, solves).  Free coordinates (|pattern| = 1) satisfy
+    Returns (candidate, k candidate, solves); the product is the one the
+    last repair formed.  Free coordinates (|pattern| = 1) satisfy
     r_i = eps * sign(u_i), with r = y - k u / sqrt(p); soft coordinates on
     the box (|pattern| = 2) stay there; the rest are 0.  After each KKT
     solve the pattern is repaired: a free coordinate whose sign flipped
@@ -271,8 +271,7 @@ def _polish(pattern, k, y, p, eps, box, fallback=True):
     any further solve, once more than p coordinates are free: K_II =
     X_I'X_I has rank at most p for any design, so it is then singular,
     and ``np.linalg.solve`` would return a near-singular answer instead
-    of raising.  The caller accepts a candidate only if it does not lower
-    the dual objective and certifies it.
+    of raising.  The caller accepts a candidate only if it certifies it.
     """
     sp = np.sqrt(p)
     cap = np.inf if box is None else box
@@ -282,7 +281,7 @@ def _polish(pattern, k, y, p, eps, box, fallback=True):
         mag = np.abs(pattern)
         idx = (mag == 1).nonzero()[0]
         if idx.size > p:
-            return None, solves
+            return None, None, solves
         sgn = pattern[idx].astype(float)
         rhs = sp * (y[idx] - eps * sgn)
         u_new = np.zeros(len(pattern))
@@ -296,8 +295,9 @@ def _polish(pattern, k, y, p, eps, box, fallback=True):
             try:
                 u_new[idx] = np.linalg.solve(k.take(idx, 0).take(idx, 1), rhs)
             except np.linalg.LinAlgError:
-                return None, solves
-        r = y - k @ u_new / sp
+                return None, None, solves
+        ku = k @ u_new
+        r = y - ku / sp
         r_mag = np.abs(r)
         s_sol = u_new[idx] * sgn  # s_i u_i of the free coordinates
         repaired = np.copysign(r_mag > eps, r)  # zeros entering, with sign(r_i)
@@ -310,13 +310,13 @@ def _polish(pattern, k, y, p, eps, box, fallback=True):
         repaired = repaired.astype(np.int8)
         changed = (repaired != pattern).nonzero()[0]
         if not changed.size:
-            return u_new, solves
+            return u_new, ku, solves
         if fewest is None or changed.size < fewest:
             fewest = changed.size
             pattern = repaired
             continue
         if not fallback:
-            return None, solves
+            return None, None, solves
         excess = r_mag - eps
         excess[idx] = np.maximum(-s_sol, s_sol - cap)
         if box is not None:
@@ -324,7 +324,7 @@ def _polish(pattern, k, y, p, eps, box, fallback=True):
         worst = changed[np.argmax(excess[changed])]
         pattern = pattern.copy()
         pattern[worst] = repaired[worst]
-    return None, solves
+    return None, None, solves
 
 
 def _null_projector(x, k):
@@ -383,9 +383,9 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig, start=None):
     A converged ``start`` on the same design has its final pattern
     polished first; a cold fit with n <= p polishes the zero pattern,
     without the one-at-a-time fallback.  The candidate is accepted under
-    the loop's own test (objective >= F(0) = 0, gap and violation <=
-    tol): the fit then returns with iterations 0.  Otherwise the ascent
-    runs from u = 0; the attempt's KKT solves and product still count.
+    the checks' own test (gap and violation <= tol): the fit then returns
+    with iterations 0.  Otherwise the ascent runs from u = 0; the
+    attempt's KKT solves still count.
     """
     x, y = data.features, data.responses
     p, n = data.p, data.n
@@ -416,21 +416,17 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig, start=None):
         """The check's test on a ``primal_gap``: gap and violation <= tol."""
         return cert[2] <= cfg.tol and cert[1] <= cfg.tol
 
-    def polish(pattern, floor, fallback=True):
-        """(candidate, its product, its objective, its ``primal_gap``) from
-        a polish of pattern; None when the polish gives no candidate or its
-        objective falls below floor (up to rounding)."""
-        nonlocal polish_solves, gram_products
-        pol, solves = _polish(pattern, k, y, p, eps, box, fallback)
+    def polish(pattern, fallback=True):
+        """(candidate, its objective, its ``primal_gap``) from a polish of
+        pattern if the check's test certifies it, else None."""
+        nonlocal polish_solves
+        pol, k_pol, solves = _polish(pattern, k, y, p, eps, box, fallback)
         polish_solves += solves
         if pol is None:
             return None
-        k_pol = k.dot(pol)
-        gram_products += 1
         f_pol = objective(pol, k_pol)
-        if f_pol < floor - 1e-12 * max(1.0, abs(floor)):
-            return None
-        return pol, k_pol, f_pol, primal_gap(pol, f_pol)
+        cert = primal_gap(pol, f_pol)
+        return (pol, f_pol, cert) if certified(cert) else None
 
     # The state is stacked: U = [u; k u] holds the last accepted iterate and
     # its product, C = [cand; k cand] the trial, and the extrapolated point
@@ -456,11 +452,11 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig, start=None):
         raise ValueError("start must be a fit on the same design")
     found = None
     if start is not None and start.status == "converged":
-        found = polish(start.pattern, 0.0)
+        found = polish(start.pattern)
     elif n <= p:  # cold: the zero pattern, full repairs only
-        found = polish(np.zeros(n, np.int8), 0.0, fallback=False)
-    if found is not None and certified(found[3]):
-        best_u, _, best_f, cert = found
+        found = polish(np.zeros(n, np.int8), fallback=False)
+    if found is not None:
+        best_u, best_f, cert = found
         status, iterations = "converged", 0
     else:  # the ascent runs: its step from lambda_max(k) ~ the Geman estimate
         lam = np.trace(k) / (n * p) * (np.sqrt(n) + np.sqrt(p)) ** 2
@@ -538,7 +534,6 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig, start=None):
             status = "converged"
             iterations = it
             break
-        restart = None
         if not it % _CHECK_EVERY:  # the forced check at max_iters does not polish
             current = _active_pattern(best_u, box)
             held = pattern is None or np.array_equal(current, pattern)
@@ -547,18 +542,14 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig, start=None):
             # check; a pattern already polished would give the same candidate
             if held and pattern.tobytes() not in polished:
                 polished.add(pattern.tobytes())
-                found = polish(pattern, best_f)
+                found = polish(pattern)
                 if found is not None:
-                    pol, k_pol, f_pol, pol_cert = found
-                    if certified(pol_cert):
-                        best_u, best_f, cert = pol, f_pol, pol_cert
-                        status = "converged"
-                        iterations = it
-                        break
-                    if f_pol > best_f:
-                        restart = pol, k_pol, f_pol
-        # Farkas test on the pre-polish iterate, once neither the gap test
-        # nor the polish has converged; the projector is factored on demand
+                    best_u, best_f, cert = found
+                    status = "converged"
+                    iterations = it
+                    break
+        # Farkas test, once neither the gap test nor the polish has
+        # converged; the projector is factored on demand
         if box is None:
             if not farkas_ready:
                 if design is not None:
@@ -573,14 +564,6 @@ def _solve_dual(data: Dataset, eps, box, cfg: SolverConfig, start=None):
                 status = "infeasible"
                 iterations = it
                 break
-        if restart is not None:
-            pol, k_pol, f_u = restart
-            U = np.stack((pol, k_pol))
-            u = v = U[0]
-            kv = U[1]
-            yu = yv = float(y.dot(u))
-            best_u, best_f, cert = u, f_u, None
-            t_momentum = 1.0
 
     if cert is None:
         cert = primal_gap(best_u, best_f)

@@ -366,19 +366,32 @@ class TestSsvrFirstOrderConditions:
         assert hsvr_risk(HsvrProblem(10.0, 1.0, 1.0, 0.1, GAUSS)).diagnostics["expect_evals"] > 0
 
     def test_expectation_budget(self):
-        # the benchmark's SSVR_POINT: 17 calls, 3 for the infeasible hard
-        # start and 7 residual evaluations of 2 calls; the bound leaves
-        # room for 2 more evaluations (the nested roots took 294 calls)
+        # the benchmark's SSVR_POINT: 14 calls, 7 residual evaluations of
+        # 2 calls; the bound leaves room for 3 more evaluations (the nested
+        # roots took 294 calls)
         sol = ssvr_risk(SsvrProblem(2.0, 1.0, 1.0, 0.6, GAUSS, cost=2.4))
         assert sol.diagnostics["expect_evals"] <= 21
 
     @pytest.mark.parametrize("cost", [2.4, 100.0])
     def test_large_signal_to_noise_budget(self, cost):
-        # beta/sigma = 1e3: the hard start's Newton solve takes 9 calls here
-        # (a residual-norm step test took 954)
+        # beta/sigma = 1e3: 8 residual evaluations of 2 calls at C = 2.4
+        # and 9 at C = 100, from the start on the D = 0 curve
         sol = ssvr_risk(SsvrProblem(2.0, 1e-3, 1.0, 0.6, GAUSS, cost=cost))
         assert sol.diagnostics["expect_evals"] <= 30
         assert sol.diagnostics["stationarity"] <= 1e-8
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-3])
+    def test_expectation_calls_are_two_per_residual_evaluation(self, tol):
+        # the 72-case grid of tools/layer_counts.py: the solve makes no
+        # expectation call outside its residual evaluations, two each
+        for name, noise in NOISES.items():
+            for delta in (1.5, 2.0, 3.8):
+                for eps in (0.2, 0.8):
+                    for cost in (0.8, 12.8, 100.0, 1e6):
+                        prob = SsvrProblem(delta, 1.0, 1.0, eps, noise, cost=cost)
+                        diag = ssvr_risk(prob, tol=tol).diagnostics
+                        assert diag["expect_evals"] == 2 * diag["value_evals"], \
+                            (name, delta, eps, cost)
 
     def test_edge_regimes_return_certified_values(self):
         # C -> 0 and delta -> 0 make g1 and k tiny, where E min(h, k)^2

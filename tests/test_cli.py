@@ -238,8 +238,8 @@ class TestSweepCommand:
         assert "unconverged" not in out
         real = montecarlo.solve_soft_svr
 
-        def stopped(data, eps, cost):
-            return real(data, eps, cost, SolverConfig(max_iters=5))
+        def stopped(data, eps, cost, start=None):
+            return real(data, eps, cost, SolverConfig(max_iters=5), start=start)
 
         monkeypatch.setattr(montecarlo, "solve_soft_svr", stopped)
         code, out, _ = run_cli(capsys, "sweep", "ssvr", "--swept", "cost",
@@ -259,8 +259,8 @@ class TestSweepCommand:
         assert "worst_gap" not in out
         real = montecarlo.solve_soft_svr
 
-        def loose(data, eps, cost):
-            return real(data, eps, cost, SolverConfig(tol=1e-3))
+        def loose(data, eps, cost, start=None):
+            return real(data, eps, cost, SolverConfig(tol=1e-3), start=start)
 
         monkeypatch.setattr(montecarlo, "solve_soft_svr", loose)
         code, out, _ = run_cli(capsys, *argv)

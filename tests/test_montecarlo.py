@@ -176,11 +176,16 @@ class TestUnconvergedFits:
         # before the cap; eps = 2 puts delta* near 10, so every hard tube
         # here is feasible and no fit is certified infeasible
         stopped = SolverConfig(max_iters=5)
-        hard, soft = montecarlo.solve_hard_svr, montecarlo.solve_soft_svr
-        monkeypatch.setattr(montecarlo, "solve_hard_svr",
-                            lambda data, eps: hard(data, eps, stopped))
-        monkeypatch.setattr(montecarlo, "solve_soft_svr",
-                            lambda data, eps, cost: soft(data, eps, cost, stopped))
+        real_hard, real_soft = montecarlo.solve_hard_svr, montecarlo.solve_soft_svr
+
+        def hard(data, eps, start=None):
+            return real_hard(data, eps, stopped, start)
+
+        def soft(data, eps, cost, start=None):
+            return real_soft(data, eps, cost, stopped, start)
+
+        monkeypatch.setattr(montecarlo, "solve_hard_svr", hard)
+        monkeypatch.setattr(montecarlo, "solve_soft_svr", soft)
         for estimator, fixed in (("hsvr", {"sigma": 1.0, "beta": 1.0, "eps": 2.0}),
                                  ("ssvr", {"sigma": 1.0, "beta": 1.0, "eps": 0.5,
                                            "cost": 2.0})):

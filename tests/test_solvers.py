@@ -323,18 +323,18 @@ class TestAscentReference:
                 fit, box = solve_hard_svr(data, eps, cfg), None
             else:
                 fit, box = solve_soft_svr(data, eps, cost, cfg), cost / np.sqrt(data.p)
-            guess, solves = None, 0
+            solves = 0
             if data.n <= data.p:
                 x = data.features
-                guess, solves = _polish(np.zeros(data.n, np.int8), x.T @ x, data.responses,
-                                        data.p, eps, box, fallback=False)
+                _, _, solves = _polish(np.zeros(data.n, np.int8), x.T @ x, data.responses,
+                                       data.p, eps, box, fallback=False)
                 assert solves > 0
             ref = ascent_reference(data, eps, box, m)
             assert fit.status == "max_iters" and fit.iterations == m
             assert fit.polish_solves == solves
             assert fit.dual.tobytes() == ref.best.tobytes()
-            # plus the guess's candidate, if it gave one, scored by one product
-            assert fit.gram_products == ref.trials + (guess is not None)
+            # a polish candidate is scored by the product its last repair formed
+            assert fit.gram_products == ref.trials
             runs.append((ref, box))
         if m == 24:  # every branch of the update has acted
             assert sum(ref.halvings for ref, _ in runs) > 0
@@ -394,9 +394,10 @@ class TestPolishGate:
         corrupted[np.flatnonzero(np.abs(pattern) == 1)[0]] = 0  # a true one out
         off = np.flatnonzero(pattern == 0)[0]
         corrupted[off] = -np.sign(r[off])  # a wrong-sign one in
-        cand, solves = _polish(corrupted, k, y, p, eps, box)
+        cand, k_cand, solves = _polish(corrupted, k, y, p, eps, box)
         assert cand is not None and solves >= 2
         np.testing.assert_allclose(cand, fit.dual, rtol=0, atol=1e-12)
+        assert k_cand.tobytes() == (k @ cand).tobytes()
 
     def test_no_solve_once_the_free_set_exceeds_the_rank(self):
         # K_II = X_I'X_I has rank <= p (here p < n): with one more free
@@ -406,8 +407,8 @@ class TestPolishGate:
         k = x.T @ x
         pattern = np.zeros(data.n, dtype=np.int8)
         pattern[:p + 1] = 1
-        assert _polish(pattern, k, y, p, 0.1, None) == (None, 0)
-        assert _polish(pattern, k, y, p, 0.1, 2.0 / np.sqrt(p)) == (None, 0)
+        assert _polish(pattern, k, y, p, 0.1, None) == (None, None, 0)
+        assert _polish(pattern, k, y, p, 0.1, 2.0 / np.sqrt(p)) == (None, None, 0)
 
     def test_polish_solves_repeat_for_a_seed(self):
         data = generate_dataset(200, 2.0, 1.0, 1.0, GAUSS, seed=3)
@@ -415,6 +416,22 @@ class TestPolishGate:
         b = solve_soft_svr(data, 0.6, 100.0)
         assert a.polish_solves == b.polish_solves >= 1
         assert a.iterations == b.iterations
+
+    def test_an_uncertified_candidate_leaves_no_trace(self, monkeypatch):
+        # 0.9999 times the optimum lies 7e-5 below the optimal dual
+        # objective, above the iterate at the first check (1.2e-4 below),
+        # but misses the gap test: the fit goes on as if the polish had
+        # given no candidate
+        data = generate_dataset(40, 1.5, 1.0, 1.0, GAUSS, seed=0)
+        near = 0.9999 * solve_soft_svr(data, 0.6, 2.4).dual
+        monkeypatch.setattr(solvers, "_polish",
+                            lambda pattern, k, *args, **kw: (near, k @ near, 0))
+        a = solve_soft_svr(data, 0.6, 2.4)
+        monkeypatch.setattr(solvers, "_polish", lambda *args, **kw: (None, None, 0))
+        b = solve_soft_svr(data, 0.6, 2.4)
+        assert a.status == b.status == "converged" and a.iterations > 25
+        assert a.iterations == b.iterations
+        assert a.dual.tobytes() == b.dual.tobytes()
 
 
 def near_threshold(f, seed):
@@ -690,7 +707,7 @@ class TestColdGuess:
         real = solvers._polish
 
         def no_guess(pattern, k, y, p, eps, box, fallback=True):
-            return (None, 0) if not fallback else real(pattern, k, y, p, eps, box)
+            return (None, None, 0) if not fallback else real(pattern, k, y, p, eps, box)
 
         monkeypatch.setattr(solvers, "_polish", no_guess)
         for fit, (solve, status) in zip(guessed, solves):
@@ -703,16 +720,17 @@ class TestColdGuess:
         assert gain > 1e-8 and leak <= 1e-8
 
     def test_an_uncertified_guess_is_not_accepted(self, monkeypatch):
-        # 0.9 times the optimum keeps the objective above F(0) = 0 (F is
-        # concave) but misses the gap test, so the ascent runs
+        # 0.9 times the optimum misses the gap test, so the ascent runs
         data = generate_dataset(20, 0.5, 1.0, 0.5, GAUSS, seed=0)
         solves = [lambda: solve_hard_svr(data, 1.0), lambda: solve_soft_svr(data, 0.6, 100.0)]
         colds = [solve() for solve in solves]
         real = solvers._polish
 
         def shrunk_guess(pattern, k, y, p, eps, box, fallback=True):
-            cand, count = real(pattern, k, y, p, eps, box, fallback)
-            return (cand if fallback or cand is None else 0.9 * cand), count
+            cand, k_cand, count = real(pattern, k, y, p, eps, box, fallback)
+            if fallback or cand is None:
+                return cand, k_cand, count
+            return 0.9 * cand, 0.9 * k_cand, count
 
         monkeypatch.setattr(solvers, "_polish", shrunk_guess)
         for cold, solve in zip(colds, solves):
@@ -760,7 +778,7 @@ class TestExitCertificate:
              ("max_iters", 3)),
             (solve_hard_svr(wide, 0.2), wide, 0.2, None, ("infeasible", 25)),
         ]
-        monkeypatch.setattr(solvers, "_polish", lambda *args, **kw: (None, 0))
+        monkeypatch.setattr(solvers, "_polish", lambda *args, **kw: (None, None, 0))
         # without the polish only the gap test certifies
         cases.append((solve_soft_svr(wide, 0.6, 2.4), wide, 0.6, 2.4, ("converged", 675)))
         for fit, data, eps, cost, path in cases:
@@ -792,13 +810,13 @@ class TestClosedFormStart:
         lam = float((x * x).sum()) / (n * p) * (math.sqrt(n) + math.sqrt(p)) ** 2
         top = np.linalg.eigvalsh(x.T @ x)[-1]
         # the step's start acts only in the ascent: a cold fit with n <= p
-        # that the zero-pattern polish certifies runs none, and its one
-        # product scores the candidate
+        # that the zero-pattern polish certifies runs none, and the polish's
+        # own product scores the candidate
         first = solve_hard_svr(data, eps, SolverConfig(max_iters=3))
         fit = solve_hard_svr(data, eps)
         for run in (first, fit):
             if run.iterations == 0:
-                assert n <= p and run.status == "converged" and run.gram_products == 1
+                assert n <= p and run.status == "converged" and run.gram_products == 0
         # no x1.3 growth acts before iteration 4, so every extra product of
         # the first three halves a start that was too large
         if first.iterations:

@@ -20,7 +20,10 @@ by one JSON object with, per preset:
   without a converged ``start``, and ``iter0_dual_s`` is the part of
   ``dual_s`` spent in them;
 - ``designs``: the designs drawn, counted as calls of
-  ``svrisk.solvers.sample_noise_rng`` (one per draw, in every checkout).
+  ``svrisk.solvers.sample_noise_rng`` (one per draw, in every checkout);
+- ``polish_s``: the wall time spent in ``svrisk.solvers._polish`` (the
+  active-set polish, part of ``dual_s``), and ``failed_polishes`` its
+  calls that gave no candidate (the first item of its result None).
 
 ``--csv-dir`` keeps each preset's CSV as ``fig<id>.csv`` there, so two
 checkouts' tables can be diffed; without it they go to a temporary
@@ -53,8 +56,10 @@ from svrisk import cli, solvers
 
 fits = []
 draws = []
+polishes = []  # (seconds, gave a candidate) per _polish call
 real = solvers._solve_dual
 real_noise = solvers.sample_noise_rng
+real_polish = solvers._polish
 
 def timed(*args, **kwargs):
     t0 = time.perf_counter()
@@ -68,8 +73,15 @@ def drawn(*args, **kwargs):
     draws.append(1)
     return real_noise(*args, **kwargs)
 
+def polish(*args, **kwargs):
+    t0 = time.perf_counter()
+    result = real_polish(*args, **kwargs)
+    polishes.append((time.perf_counter() - t0, result[0] is not None))
+    return result
+
 solvers._solve_dual = timed
 solvers.sample_noise_rng = drawn
+solvers._polish = polish
 t0 = time.perf_counter()
 code = cli.main(["figure", sys.argv[2], "-o", f"fig{sys.argv[2]}.csv"])
 wall = time.perf_counter() - t0
@@ -84,6 +96,8 @@ print(json.dumps({
     "iter0_fits": len(iter0), "cold_iter0": sum(cold for _, cold in iter0),
     "iter0_dual_s": round(sum(t for t, _ in iter0), 3),
     "designs": len(draws),
+    "polish_s": round(sum(t for t, _ in polishes), 3),
+    "failed_polishes": sum(not gave for _, gave in polishes),
 }))
 """
 
@@ -114,7 +128,7 @@ def main(argv=None):
         os.makedirs(csv_dir, exist_ok=True)
         report = {preset: run_preset(src, preset, csv_dir) for preset in PRESETS}
     cols = ("exit", "wall_s", "fits", "dual_s", "iter0_dual_s", "iterations", "kkt_solves",
-            "max_iters", "iter0_fits", "cold_iter0", "designs")
+            "max_iters", "iter0_fits", "cold_iter0", "designs", "polish_s", "failed_polishes")
     print(f"{'preset':>6} " + " ".join(f"{c:>10}" for c in cols))
     for preset, row in report.items():
         print(f"{preset:>6} " + " ".join(f"{str(row.get(c)):>10}" for c in cols))
