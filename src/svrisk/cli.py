@@ -114,10 +114,13 @@ def write_csv(path, header_meta, columns, rows):
 
     if path in (None, "-"):
         emit(sys.stdout)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             emit(fh)
-        print(path)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}")
+    print(path)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +227,7 @@ def _parse_grid(text):
         grid = tuple(float(v) for v in text.replace(",", " ").split())
     except ValueError:
         grid = ()
-    if not grid:
+    if not grid or not np.isfinite(grid).all():
         raise CliError(f"bad grid: {text!r}")
     return grid
 
@@ -302,27 +305,26 @@ def cmd_figure(args):
     grid = _parse_grid(args.grid) if args.grid is not None else None
     out = args.output or f"fig{fid}.csv"
     meta = _meta(args, {"figure": fid, **table})
-    g = standard_gaussian()
+    g = noise = standard_gaussian()
     emp_rows = []
 
-    def empirical(noise, points):
-        """Monte Carlo rows of (estimator, params) points, given in path order."""
-        rows = run_points(points, p, trials, seed, noise)
+    def empirical(xs, series, point, path=None):
+        """{(x, s): SweepRow} of the Monte Carlo points point(x, s) on
+        ``noise``, walked in ``path`` order (default: x outer, s inner);
+        the root's spawn key (0,) keeps the one-point sweeps' seeds."""
+        path = path or [(x, s) for x in xs for s in series]
+        root = np.random.SeedSequence(seed, spawn_key=(0,))
+        rows = run_points([point(x, s) for x, s in path], p, trials, root, noise)
         emp_rows.extend(rows)
-        return rows
-
-    def write(cols, rows):
-        write_csv(out, meta + _fit_meta(emp_rows, DEFAULT_CONFIG.tol), cols, rows)
+        return dict(zip(path, rows))
 
     if fid == "1":
         eps_grid = grid or tuple(np.round(np.arange(0.05, 1.51, 0.05), 10))
         sigmas = (0.1, 0.2, 0.5, 1.0)
         cols = ["eps"] + [f"delta_star_sigma{s}" for s in sigmas]
         rows = [[e] + [delta_star(e, s, g) for s in sigmas] for e in eps_grid]
-        write(cols, rows)
-        return EXIT_OK
 
-    if fid == "2":
+    elif fid == "2":
         delta_grid = grid or tuple(np.round(np.arange(0.1, 1.81, 0.1), 10))
         betas = (0.5, 1.0, 2.0)
         dstar = delta_star(1.0, 1.0, g)
@@ -331,20 +333,18 @@ def cmd_figure(args):
             cols += [f"risk_beta{b}", f"cos_beta{b}", f"emp_risk_beta{b}",
                      f"emp_stderr_beta{b}", f"null_beta{b}"]
         deltas = [d for d in delta_grid if d <= 0.98 * dstar]
-        emp = iter(empirical(g, [("hsvr", {"delta": d, "sigma": 1.0, "beta": b, "eps": 1.0})
-                                 for d in deltas for b in betas]))
+        emp = empirical(deltas, betas, lambda d, b: (
+            "hsvr", {"delta": d, "sigma": 1.0, "beta": b, "eps": 1.0}))
         rows = []
         for d in deltas:
             row = [d]
             for b in betas:
                 sol = hsvr_risk(HsvrProblem(d, 1.0, b, 1.0, g))
-                e = next(emp)
-                row += [sol.risk, sol.cosine, e.mean_risk, e.stderr_risk, b * b]
+                row += [sol.risk, sol.cosine, emp[d, b].mean_risk, emp[d, b].stderr_risk,
+                        b * b]
             rows.append(row)
-        write(cols, rows)
-        return EXIT_OK
 
-    if fid in ("3a", "3b"):
+    elif fid in ("3a", "3b"):
         delta = 1.0 if fid == "3a" else 1.4
         eps_grid = grid or tuple(np.round(np.arange(0.05, 1.01, 0.05), 10))
         sigmas = (0.5, 0.2)
@@ -353,23 +353,20 @@ def cmd_figure(args):
             cols += [f"risk_sigma{s}", f"emp_risk_sigma{s}", f"emp_stderr_sigma{s}"]
         # the path runs up the eps grid at the first sigma and back down at
         # the second, so consecutive points differ in one parameter
-        path = [(s, e) for i, s in enumerate(sigmas)
+        path = [(e, s) for i, s in enumerate(sigmas)
                 for e in (eps_grid if i % 2 == 0 else eps_grid[::-1])]
-        emp = dict(zip(path, empirical(g, [
-            ("hsvr", {"delta": delta, "sigma": s, "beta": 1.0, "eps": e})
-            for s, e in path])))
+        emp = empirical(eps_grid, sigmas, lambda e, s: (
+            "hsvr", {"delta": delta, "sigma": s, "beta": 1.0, "eps": e}), path)
         rows = []
         for e in eps_grid:
             row = [e]
             for s in sigmas:
                 sol = hsvr_risk(HsvrProblem(delta, s, 1.0, e, g))
                 row += [sol.risk if sol.feasible else None,
-                        emp[s, e].mean_risk, emp[s, e].stderr_risk]
+                        emp[e, s].mean_risk, emp[e, s].stderr_risk]
             rows.append(row)
-        write(cols, rows)
-        return EXIT_OK
 
-    if fid == "4":
+    elif fid == "4":
         delta_grid = grid or tuple(np.round(np.arange(0.1, 5.01, 0.1), 10))
         eps_list = (1.0, 1.2, 1.5)
         cols = ["delta"] + [f"risk_eps{e}" for e in eps_list] + ["risk_opt"]
@@ -385,30 +382,29 @@ def cmd_figure(args):
                     row.append(None)
             row.append(tune_hsvr(d, 1.0, 1.0, g)[1])
             rows.append(row)
-        write(cols, rows)
-        return EXIT_OK
 
-    if fid in ("5a", "5b"):
+    elif fid in ("5a", "5b"):
         cols_grid = grid or (tuple(np.round(np.arange(0.1, 1.51, 0.1), 10))
                              if fid == "5a" else
                              tuple(np.round(np.logspace(-1, 2, 13), 10)))
         cols = ["eps" if fid == "5a" else "cost", "risk", "emp_risk", "emp_stderr"]
-        points = [{"delta": 2.0, "sigma": 1.0, "beta": 1.0,
-                   "eps": v if fid == "5a" else 0.6, "cost": 2.4 if fid == "5a" else v}
-                  for v in cols_grid]
+
+        def point(v, _):
+            eps, cost = (v, 2.4) if fid == "5a" else (0.6, v)
+            return "ssvr", {"delta": 2.0, "sigma": 1.0, "beta": 1.0, "eps": eps, "cost": cost}
+
         # 5b walks its grid backwards, down in C: a step down puts
         # coordinates on the box, which the warm start's polish takes (on
         # the default grid 220 of 240 warm starts certify, 140 going up)
-        path = list(range(len(points)))[::-1 if fid == "5b" else 1]
-        emp = dict(zip(path, empirical(g, [("ssvr", points[i]) for i in path])))
+        emp = empirical(cols_grid, (None,), point,
+                        [(v, None) for v in cols_grid[::-1]] if fid == "5b" else None)
         rows = []
-        for i, (v, pt) in enumerate(zip(cols_grid, points)):
+        for v in cols_grid:
+            pt = point(v, None)[1]
             sol = ssvr_risk(SsvrProblem(2.0, 1.0, 1.0, pt["eps"], g, cost=pt["cost"]))
-            rows.append([v, sol.risk, emp[i].mean_risk, emp[i].stderr_risk])
-        write(cols, rows)
-        return EXIT_OK
+            rows.append([v, sol.risk, emp[v, None].mean_risk, emp[v, None].stderr_risk])
 
-    if fid == "6":
+    elif fid == "6":
         delta_grid = grid or tuple(np.round(np.arange(0.2, 3.81, 0.2), 10))
         cost_list = (0.5, 2.4, 10.0, 100.0)
         cols = ["delta"] + [f"risk_C{c}" for c in cost_list] + ["risk_Copt"]
@@ -425,33 +421,32 @@ def cmd_figure(args):
                 np.log(0.01), np.log(1e3), tol=1e-3)
             row.append(r_opt)
             rows.append(row)
-        write(cols, rows)
-        return EXIT_OK
 
-    # figures 7a / 7b: impulsive-noise comparison with oracle-tuned estimators
-    dof = 3.0 if fid == "7a" else 10.0
-    noise = scale_mixture(dof)
-    delta_grid = grid or (0.2, 0.6, 1.0, 1.4, 1.8, 2.2, 2.6, 3.0, 3.4, 3.8)
-    cols = ["delta", "hsvr", "ssvr", "ridge",
-            "hsvr_emp", "hsvr_emp_stderr", "ssvr_emp", "ssvr_emp_stderr",
-            "ridge_emp", "ridge_emp_stderr"]
-    tuned = [(d, tune_hsvr(d, 1.0, 1.0, noise), tune_ssvr(d, 1.0, 1.0, noise))
-             for d in delta_grid]
-    points = []
-    for d, (eps_h, _), (eps_s, cost_s, _) in tuned:
-        base = {"delta": d, "sigma": 1.0, "beta": 1.0}
-        points += [("hsvr", {**base, "eps": eps_h}),
-                   ("ssvr", {**base, "eps": eps_s, "cost": cost_s}),
-                   ("ridge_oracle", base)]
-    emp = iter(empirical(noise, points))
-    rows = []
-    for d, (_, risk_h), (_, _, risk_s) in tuned:
-        emp_h, emp_s, emp_r = next(emp), next(emp), next(emp)
-        rows.append([d, risk_h, risk_s, emp_r.mean_risk,
-                     emp_h.mean_risk, emp_h.stderr_risk,
-                     emp_s.mean_risk, emp_s.stderr_risk,
-                     emp_r.mean_risk, emp_r.stderr_risk])
-    write(cols, rows)
+    else:  # figures 7a / 7b: impulsive-noise comparison with oracle-tuned estimators
+        noise = scale_mixture(3.0 if fid == "7a" else 10.0)
+        delta_grid = grid or (0.2, 0.6, 1.0, 1.4, 1.8, 2.2, 2.6, 3.0, 3.4, 3.8)
+        cols = ["delta", "hsvr", "ssvr", "ridge",
+                "hsvr_emp", "hsvr_emp_stderr", "ssvr_emp", "ssvr_emp_stderr",
+                "ridge_emp", "ridge_emp_stderr"]
+        tuned = {d: (tune_hsvr(d, 1.0, 1.0, noise), tune_ssvr(d, 1.0, 1.0, noise))
+                 for d in delta_grid}
+
+        def point(d, estimator):
+            (eps_h, _), (eps_s, cost_s, _) = tuned[d]
+            base = {"delta": d, "sigma": 1.0, "beta": 1.0}
+            return estimator, {"hsvr": {**base, "eps": eps_h},
+                               "ssvr": {**base, "eps": eps_s, "cost": cost_s},
+                               "ridge_oracle": base}[estimator]
+
+        emp = empirical(delta_grid, ("hsvr", "ssvr", "ridge_oracle"), point)
+        rows = []
+        for d in delta_grid:
+            (_, risk_h), (_, _, risk_s) = tuned[d]
+            h, s, r = (emp[d, e] for e in ("hsvr", "ssvr", "ridge_oracle"))
+            rows.append([d, risk_h, risk_s, r.mean_risk, h.mean_risk, h.stderr_risk,
+                         s.mean_risk, s.stderr_risk, r.mean_risk, r.stderr_risk])
+
+    write_csv(out, meta + _fit_meta(emp_rows, DEFAULT_CONFIG.tol), cols, rows)
     return EXIT_OK
 
 

@@ -1,24 +1,27 @@
 """Seeded parameter sweeps tying the scalar limits to finite-sample runs.
 
-A sweep (``run_sweep``) varies one parameter (delta, eps, or cost) over a
-grid, runs ``trials`` independent datasets per grid point, and aggregates
-risks, cosines and feasibility.  Per-trial seeds derive from
-SeedSequence(base_seed, spawn_key=(grid_index, trial_index)), so results
-are independent of execution order and of the trial count beyond the
-index in question: rerunning with more trials leaves earlier trials
-untouched.  ``feasibility_curve`` is such a sweep over delta.
+Every Monte Carlo mean comes from one trial loop, ``run_points``: given
+(estimator, params) points and a root SeedSequence, it draws trial t of
+every point from SeedSequence(root.entropy, spawn_key=root.spawn_key +
+(t,)), so results are independent of execution order and of the trial
+count beyond the index in question: rerunning with more trials leaves
+earlier trials untouched.  The points at one delta share trial t's
+design, drawn once (``solvers.Design``), and every fit on it starts from
+the same estimator's previous point, walked in path order.
 
-A figure's points (``run_points``) all seed trial t with spawn_key=(0, t),
-so the points at one delta share trial t's design.  It is drawn once
-(``solvers.Design``) and every fit on it starts from the same
-estimator's previous point, walked in path order; each point is
-aggregated as a sweep's grid point is.
+A sweep (``run_sweep``) varies one parameter (delta, eps, or cost) over a
+grid and runs grid point g as a one-point ``run_points`` call with the
+root SeedSequence(base_seed, spawn_key=(g,)); it aggregates risks,
+cosines and feasibility and adds the scalar limit.  ``feasibility_curve``
+is such a sweep over delta.  The figure presets pass the root
+SeedSequence(base_seed, spawn_key=(0,)), so a figure's point is the
+one-point sweep's at its delta.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,7 +30,6 @@ from .noise import NoiseModel, standard_gaussian
 from .solvers import (
     Design,
     cosine_similarity,
-    generate_dataset,
     oracle_ridge,
     prediction_risk,
     solve_hard_svr,
@@ -154,17 +156,9 @@ def _fit(estimator, data, params, start=None):
             "converged", gap), fit
 
 
-def _run_trial(spec: SweepSpec, params, grid_index, trial_index):
-    """One dataset + fit of a sweep; returns (risk, cosine, status, gap)."""
-    ss = np.random.SeedSequence(spec.base_seed, spawn_key=(grid_index, trial_index))
-    data = generate_dataset(spec.p, params["delta"], params["beta"],
-                            params["sigma"], spec.noise, seed=ss)
-    return _fit(spec.estimator, data, params)[0]
-
-
-def _row(value, theory, trials):
-    """SweepRow at ``value`` from (theory risk, theory cosine) and the
-    trials' (risk, cosine, status, gap) in trial order."""
+def _row(value, trials):
+    """SweepRow at ``value``, without theory, from the trials'
+    (risk, cosine, status, gap) in trial order."""
     risks, cosines, gaps, infeasible, unconverged = [], [], [], 0, 0
     for risk, cos, status, gap in trials:
         if status == "converged":
@@ -192,8 +186,8 @@ def _row(value, theory, trials):
         mean_cos = float(np.array(cosines).sum() / len(cosines)) if cosines else None
     return SweepRow(
         swept_value=value,
-        theory_risk=theory[0],
-        theory_cosine=theory[1],
+        theory_risk=None,
+        theory_cosine=None,
         mean_risk=mean_risk,
         stderr_risk=stderr,
         mean_cosine=mean_cos,
@@ -204,17 +198,20 @@ def _row(value, theory, trials):
     )
 
 
-def _sweep_point(spec: SweepSpec, gi):
-    value = spec.grid[gi]
-    params = spec.params_at(value)
-    theory = _theory_point(spec, params)
-    return _row(value, theory, [_run_trial(spec, params, gi, ti)
-                                for ti in range(spec.trials)])
-
-
 def run_sweep(spec: SweepSpec):
-    """Execute the sweep; one SweepRow per grid point, in grid order."""
-    return [_sweep_point(spec, gi) for gi in range(len(spec.grid))]
+    """Execute the sweep; one SweepRow per grid point, in grid order.
+
+    Grid point g is a one-point ``run_points`` call with the root
+    SeedSequence(base_seed, spawn_key=(g,)), plus the point's limit.
+    """
+    rows = []
+    for gi, value in enumerate(spec.grid):
+        params = spec.params_at(value)
+        risk, cosine = _theory_point(spec, params)
+        root = np.random.SeedSequence(spec.base_seed, spawn_key=(gi,))
+        [row] = run_points([(spec.estimator, params)], spec.p, spec.trials, root, spec.noise)
+        rows.append(replace(row, swept_value=value, theory_risk=risk, theory_cosine=cosine))
+    return rows
 
 
 def feasibility_curve(p, eps, sigma, noise, delta_grid, trials, base_seed):
@@ -231,21 +228,23 @@ def feasibility_curve(p, eps, sigma, noise, delta_grid, trials, base_seed):
     return [(r.swept_value, r.feasibility_rate) for r in run_sweep(spec)]
 
 
-def run_points(points, p, trials, base_seed=0, noise=None):
-    """Monte Carlo rows of a figure: one SweepRow (no theory) per point.
+def run_points(points, p, trials, root, noise=None):
+    """Monte Carlo rows of (estimator, params) points: one SweepRow (no
+    theory) per point.
 
-    points is a sequence of (estimator, params), params holding delta,
-    sigma, beta and the estimator's ``ESTIMATOR_PARAMS``.  Trial t of every
-    point is drawn from SeedSequence(base_seed, spawn_key=(0, t)) at the
-    point's delta, so a point's row is the one a one-point ``run_sweep``
-    over delta would give, up to the solver's tol.  The loop is
-    trial-outer and walks the points in the given order: consecutive
-    points with the same delta share one ``Design`` (drawn once, with X'X
-    and the null(X) projector kept for every fit on it), and each SVR fit
-    starts from the same estimator's previous fit on that design.  Give
-    the points in path order, consecutive points differing in one
-    parameter, so that each start is a neighbour.  Rows come back in the
-    order of ``points``; swept_value is the point's delta.
+    params holds delta, sigma, beta and the estimator's
+    ``ESTIMATOR_PARAMS``.  Trial t of every point is drawn from
+    SeedSequence(root.entropy, spawn_key=root.spawn_key + (t,)) at the
+    point's delta; root itself is never spawned from, so a root passed
+    twice draws the same trials.  The loop is trial-outer and walks the
+    points in the given order: consecutive points with the same delta
+    share one ``Design`` (drawn once, with X'X and the null(X) projector
+    kept for every fit on it), and each SVR fit starts from the same
+    estimator's previous fit on that design.  Give the points in path
+    order, consecutive points differing in one parameter, so that each
+    start is a neighbour; a point's row is then its one-point call's, up
+    to the solver's tol.  Rows come back in the order of ``points``;
+    swept_value is the point's delta.
     """
     if trials < 1:  # ``svrisk figure --trials`` reaches here unchecked
         raise ValueError("trials must be >= 1")
@@ -256,11 +255,11 @@ def run_points(points, p, trials, base_seed=0, noise=None):
         for (estimator, params), out in zip(points, results):
             if design is None or params["delta"] != delta:
                 delta = params["delta"]
-                ss = np.random.SeedSequence(base_seed, spawn_key=(0, ti))
+                ss = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (ti,))
                 design, previous = Design(p, delta, noise, ss), {}
             data = design.dataset(params["beta"], params["sigma"])
             trial, previous[estimator] = _fit(estimator, data, params,
                                               previous.get(estimator))
             out.append(trial)
-    return [_row(params["delta"], (None, None), trial_results)
+    return [_row(params["delta"], trial_results)
             for (_, params), trial_results in zip(points, results)]

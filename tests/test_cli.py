@@ -16,7 +16,10 @@ from svrisk import (
     delta_star,
     generate_dataset,
     hsvr_risk,
+    scale_mixture,
     standard_gaussian,
+    tune_hsvr,
+    tune_ssvr,
 )
 from svrisk import SolverConfig, asymptotics, montecarlo
 from svrisk.cli import fmt, main
@@ -277,23 +280,34 @@ class TestFigureCommand:
                            for e in (0.2, 0.5) for s in (0.5, 0.2)]),
         ("5b", "0.5 2 10", [("ssvr", {"delta": 2.0, "sigma": 1.0, "beta": 1.0,
                                       "eps": 0.6, "cost": c}) for c in (0.5, 2.0, 10.0)]),
+        ("7b", "1.8", None),  # the tuned points, built in the test
     ])
     def test_empirical_columns_equal_one_point_sweeps(self, capsys, fid, grid, points):
         # the figure walks its points in path order on shared designs; each
-        # (emp_risk, emp_stderr) pair, in column order, is the one-point
+        # Monte Carlo (mean, stderr) pair, in column order, is the one-point
         # sweep's over delta with the figure's seeds
         code, out, _ = run_cli(capsys, "figure", fid, "--grid", grid, "--p", "40",
                                "--trials", "3", "-o", "-")
         assert code == 0
         rows = list(csv.reader(l for l in out.splitlines() if not l.startswith("#")))
         header, body = rows[0], rows[1:]
-        got = [(row[i], row[i + 1]) for row in body
-               for i, name in enumerate(header) if name.startswith("emp_risk")]
+        got = [(row[i], row[i + 1]) for row in body for i, name in enumerate(header)
+               if name.startswith("emp_risk") or name.endswith("_emp")]
+        noise = standard_gaussian()
+        if points is None:
+            # figure 7b: the oracle-tuned hsvr and ssvr, and the oracle ridge
+            noise = scale_mixture(10.0)
+            (eps_h, _), (eps_s, cost_s, _) = (tune_hsvr(1.8, 1.0, 1.0, noise),
+                                              tune_ssvr(1.8, 1.0, 1.0, noise))
+            base = {"delta": 1.8, "sigma": 1.0, "beta": 1.0}
+            points = [("hsvr", {**base, "eps": eps_h}),
+                      ("ssvr", {**base, "eps": eps_s, "cost": cost_s}),
+                      ("ridge_oracle", base)]
         want = []
         for estimator, params in points:
             fixed = {k: v for k, v in params.items() if k != "delta"}
             spec = montecarlo.SweepSpec(estimator, "delta", (params["delta"],), fixed,
-                                        p=40, trials=3, theory=False)
+                                        p=40, trials=3, theory=False, noise=noise)
             r = montecarlo.run_sweep(spec)[0]
             want.append((fmt(r.mean_risk), fmt(r.stderr_risk)))
         assert got == want  # no cell differs at these settings
@@ -537,11 +551,29 @@ class TestIgnoredFlagsRejected:
         assert code == 0
         assert out.splitlines()[2] == "# figure=1"
 
-    def test_empty_figure_grid(self, capsys):
-        code, out, err = run_cli(capsys, "figure", "1", "--grid", "", "--output", "-")
-        assert code == 1
-        assert out == ""
-        assert "bad grid" in err
+    def test_empty_figure_grid(self, capsys, monkeypatch):
+        # a non-finite value is rejected before any fit
+        monkeypatch.setattr(montecarlo, "_fit", None)
+        for argv in (("figure", "1", "--grid", ""),
+                     ("figure", "2", "--grid", "inf"),
+                     ("figure", "2", "--grid", "nan 0.5"),
+                     ("sweep", "hsvr", "--swept", "eps", "--grid", "0.5 nan",
+                      "--delta", "2")):
+            code, out, err = run_cli(capsys, *argv, "--output", "-")
+            assert code == 1, argv
+            assert out == ""
+            assert "bad grid" in err
+
+    def test_unwritable_output_exit_1(self, capsys, tmp_path):
+        for argv in (("figure", "1", "--grid", "0.5"),
+                     ("sweep", "null", "--swept", "delta", "--grid", "0.5", "--p", "10",
+                      "--trials", "1")):
+            path = tmp_path / "missing" / "out.csv"
+            code, out, err = run_cli(capsys, *argv, "--output", str(path))
+            assert code == 1, argv
+            assert out == ""
+            assert err.startswith(f"error: cannot write {path}: ")
+            assert "Traceback" not in err
 
 
 class TestFormatting:

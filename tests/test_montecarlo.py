@@ -15,8 +15,14 @@ from svrisk import (
 )
 from svrisk import montecarlo
 from svrisk.montecarlo import run_points
+from tests_support import sweep_reference, sweep_trial
 
 GAUSS = standard_gaussian()
+
+
+def figure_root(base_seed):
+    # the root the figure presets pass: a one-point sweep's at grid point 0
+    return np.random.SeedSequence(base_seed, spawn_key=(0,))
 
 
 def small_spec(**over):
@@ -98,7 +104,7 @@ class TestRowStatistics:
             trials = [(float(r), float(c) if i else None, "converged", 0.0)
                       for i, (r, c) in enumerate(zip(risks, cosines))]
             trials += [(None, None, "infeasible", None), (None, None, "max_iters", None)]
-            row = montecarlo._row(1.0, (None, None), trials)
+            row = montecarlo._row(1.0, trials)
             assert row.mean_risk == float(np.mean(risks))
             assert row.stderr_risk == (
                 float(np.std(risks, ddof=1) / np.sqrt(m)) if m > 1 else 0.0)
@@ -118,20 +124,40 @@ class TestDeterminism:
         spec21 = dataclasses.replace(spec20, trials=5)
         rows20 = run_sweep(spec20)
         rows21 = run_sweep(spec21)
-        # recompute per-trial values directly to confirm the first 4 streams
-        # are untouched; aggregate means must then be consistent
-        from svrisk.montecarlo import _run_trial
-        for gi, value in enumerate(spec20.grid):
-            p20 = [
-                _run_trial(spec20, spec20.params_at(value), gi, ti)[0]
-                for ti in range(4)
-            ]
-            p21 = [
-                _run_trial(spec21, spec21.params_at(value), gi, ti)[0]
-                for ti in range(4)
-            ]
+        # recompute per-trial values with the reference loop to confirm the
+        # first 4 streams are untouched; aggregate means must then be consistent
+        for gi in range(len(spec20.grid)):
+            p20 = [sweep_trial(spec20, gi, ti)[0] for ti in range(4)]
+            p21 = [sweep_trial(spec21, gi, ti)[0] for ti in range(4)]
             assert p20 == p21
+        assert rows20 == sweep_reference(spec20)
+        assert rows21 == sweep_reference(spec21)
         assert rows20[0].mean_risk != rows21[0].mean_risk  # 5th trial contributes
+
+    @pytest.mark.parametrize("estimator, swept, grid, fixed, feasible", [
+        # g = 0 all infeasible, g = 1 partly: the seeds of g >= 1 decide it
+        ("hsvr", "eps", (0.1, 0.5, 2.0), {"delta": 2.0, "sigma": 0.5, "beta": 1.0},
+         [0.0, 2 / 3, 1.0]),
+        ("ssvr", "cost", (0.5, 2.4, 10.0),
+         {"delta": 2.0, "sigma": 1.0, "beta": 1.0, "eps": 0.6}, [1.0, 1.0, 1.0]),
+    ])
+    def test_rows_equal_the_per_trial_reference(self, estimator, swept, grid, fixed,
+                                                feasible):
+        spec = SweepSpec(estimator, swept, grid, fixed, p=40, trials=3, base_seed=5,
+                         theory=False, noise=GAUSS)
+        rows, want = run_sweep(spec), sweep_reference(spec)
+        diffs = [(g, f.name) for g, (row, ref) in enumerate(zip(rows, want))
+                 for f in dataclasses.fields(SweepRow)
+                 if getattr(row, f.name) != getattr(ref, f.name)]
+        assert diffs == []
+        assert [r.feasibility_rate for r in rows] == feasible
+        # run_points never spawns from its root, so a root passed twice
+        # draws the same trials
+        root = np.random.SeedSequence(5, spawn_key=(1,))
+        point = [(estimator, spec.params_at(grid[1]))]
+        first = run_points(point, 40, 3, root, GAUSS)
+        assert run_points(point, 40, 3, root, GAUSS) == first
+        assert first[0].mean_risk == rows[1].mean_risk
 
     def test_worst_gap_repeats_for_a_seed(self):
         for estimator, fixed in (("hsvr", {"sigma": 1.0, "beta": 1.0, "eps": 0.5}),
@@ -274,7 +300,7 @@ class TestRunPoints:
     )
 
     def test_rows_equal_the_one_point_sweeps(self):
-        rows = run_points(self.POINTS, p=40, trials=3, base_seed=4, noise=GAUSS)
+        rows = run_points(self.POINTS, p=40, trials=3, root=figure_root(4), noise=GAUSS)
         diffs = []
         for (estimator, params), row in zip(self.POINTS, rows):
             fixed = {k: v for k, v in params.items() if k != "delta"}
@@ -298,7 +324,7 @@ class TestRunPoints:
                 super().__init__(p, delta, noise, seed)
 
         monkeypatch.setattr(montecarlo, "Design", Counting)
-        run_points(self.POINTS, p=40, trials=2, base_seed=4, noise=GAUSS)
+        run_points(self.POINTS, p=40, trials=2, root=figure_root(4), noise=GAUSS)
         assert drawn == [(1.4, (0, 0)), (2.0, (0, 0)), (1.4, (0, 1)), (2.0, (0, 1))]
 
     def test_each_fit_starts_from_the_previous_point(self, monkeypatch):
@@ -311,7 +337,7 @@ class TestRunPoints:
             return fit
 
         monkeypatch.setattr(montecarlo, "solve_hard_svr", logged)
-        run_points(self.POINTS, p=40, trials=2, base_seed=4, noise=GAUSS)
+        run_points(self.POINTS, p=40, trials=2, root=figure_root(4), noise=GAUSS)
         per_trial = len(fits) // 2
         for i, (start, fit) in enumerate(fits):
             assert (start is None) == (i % per_trial == 0)
@@ -321,4 +347,5 @@ class TestRunPoints:
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError, match="trials"):
-            run_points([("null", {"delta": 1.0, "sigma": 1.0, "beta": 1.0})], 20, 0)
+            run_points([("null", {"delta": 1.0, "sigma": 1.0, "beta": 1.0})], 20, 0,
+                       figure_root(0))

@@ -28,8 +28,17 @@ from svrisk.expectations import (
     e_hinge_moments,
     hinge_sq_mean,
 )
+from svrisk.montecarlo import _row
 from svrisk.noise import GAUSSIAN, NoiseModel, sample_noise_rng, standard_gaussian
 from svrisk.scalar_opt import brent_root, expand_bracket_root, golden_section_min
+from svrisk.solvers import (
+    cosine_similarity,
+    generate_dataset,
+    oracle_ridge,
+    prediction_risk,
+    solve_hard_svr,
+    solve_soft_svr,
+)
 
 _G1_CAP = 1e6
 
@@ -658,6 +667,41 @@ def ascent_reference(data, eps, box, iters):
             yv = (1.0 + m) * yc - m * yu
         u, ku, yu, f_u, t = cand, k_cand, yc, f, t_next
     return AscentRun(best, trials, halvings, restarts)
+
+
+def sweep_trial(spec, g, t):
+    """(risk, cosine, status, gap) of trial t at grid point g of a sweep,
+    as a plain loop of the documented seeding: a lone ``generate_dataset``
+    drawn from SeedSequence(base_seed, spawn_key=(g, t)), fitted cold.
+
+    Risk and cosine are None unless the fit converged; the closed-form
+    estimators report "converged" with gap None.
+    """
+    params = spec.params_at(spec.grid[g])
+    ss = np.random.SeedSequence(spec.base_seed, spawn_key=(g, t))
+    data = generate_dataset(spec.p, params["delta"], params["beta"], params["sigma"],
+                            spec.noise, seed=ss)
+    gap = None
+    if spec.estimator == "null":
+        w = np.zeros(spec.p)
+    elif spec.estimator == "ridge_oracle":
+        _, w = oracle_ridge(data)
+    else:
+        if spec.estimator == "hsvr":
+            fit = solve_hard_svr(data, params["eps"])
+        else:
+            fit = solve_soft_svr(data, params["eps"], params["cost"])
+        if fit.status != "converged":
+            return None, None, fit.status, None
+        w, gap = fit.weights, fit.kkt_residual
+    return prediction_risk(w, data.truth), cosine_similarity(w, data.truth), "converged", gap
+
+
+def sweep_reference(spec):
+    """The rows ``run_sweep`` gives for ``spec`` (theory=False), from
+    ``sweep_trial``'s trials, aggregated by ``montecarlo._row``."""
+    return [_row(value, [sweep_trial(spec, g, t) for t in range(spec.trials)])
+            for g, value in enumerate(spec.grid)]
 
 
 _LOG_K_CAP = 300.0  # keeps (c + k)^2 finite in the hinge moments

@@ -15,9 +15,11 @@ checkouts shows every byte a change moves:
     diff a.txt b.txt
 
 The CSV ``# command`` line echoes the arguments, so it matches too.  The
-list covers every subcommand, Gaussian and Student-t noise, the
-infeasible and eps = 0 paths and every figure preset, on grids short
-enough that the whole list runs in about 25 s on 2 cores.
+list covers every subcommand, every sweep estimator, Gaussian and
+Student-t noise, the infeasible and eps = 0 paths, every figure preset
+and two rejected commands (a non-finite grid value, an output path in a
+missing directory), on grids short enough that the whole list runs in
+about 25 s on 2 cores.
 """
 
 from __future__ import annotations
@@ -64,6 +66,10 @@ COMMANDS = [
     'sweep ssvr --swept cost --grid "1 2" --delta 2 --eps 0.6 --p 60 --trials 2 -o -',
     'sweep hsvr --swept delta --grid "0.5 1 1.3 1.7 2" --eps 1 --p 100 --trials 3 -o -',
     'sweep ssvr --swept cost --grid "0.5 2.4 100" --delta 2 --eps 0.6 --p 100 --trials 3 -o -',
+    'sweep hsvr --swept eps --grid "0.1 0.5 2" --delta 2 --sigma 0.5 --p 60 --trials 2 -o -',
+    'sweep ridge_oracle --swept delta --grid "0.5 2" --p 60 --trials 2 -o -',
+    'sweep null --swept delta --grid "0.5 1" --no-theory --p 40 --trials 2 -o -',
+    'sweep hsvr --swept eps --grid "0.5 nan" --delta 2 --p 40 --trials 2 -o -',
     "figure 1 -o -",
     'figure 1 --grid "0.5 1" -o -',
     "figure 1 --grid 0.5 --p 50 -o -",
@@ -76,6 +82,7 @@ COMMANDS = [
     'figure 6 --grid "1 2" -o -',
     "figure 7a --grid 2.2 --p 60 --trials 2 -o -",
     "figure 7b --grid 1.8 --p 60 --trials 2 -o -",
+    "figure 1 --grid 0.5 -o missing/fig1.csv",
 ]
 
 
